@@ -37,7 +37,7 @@ ChaosCell chaos_experiment(const graph::Graph& g, int pairs,
   const auto seq = explore::standard_ues(reduced.cubic.num_nodes());
   const std::vector<std::uint32_t> comp = graph::connected_components(g);
 
-  core::LossyRouteOptions base;
+  core::LossyTrafficConfig base;
   base.link.loss = params.loss;
   base.link.dup = params.dup;
   base.link.corrupt = params.corrupt;
@@ -58,10 +58,11 @@ ChaosCell chaos_experiment(const graph::Graph& g, int pairs,
           ++part.pairs;
           const bool reachable = comp[s] == comp[t];
           // Trial i's channel and its FaultPlan are pure functions of
-          // (seed, i) sub-streams — never shared (PR 3 convention).
+          // (seed, i) sub-streams — never shared (PR 3 convention).  The
+          // channel is a static session's epoch 0: counter_hash(trial, 0).
           const std::uint64_t trial = util::counter_hash(seed, i);
-          core::LossyRouteOptions opts = base;
-          opts.net_seed = util::counter_hash(trial, 0);
+          core::LossyTrafficConfig opts = base;
+          opts.net_seed = trial;
           opts.faults = net::FaultPlan::sample(
               reduced.cubic, params.chaos, util::counter_hash(trial, 1));
           core::LossyRouteSession session(reduced, *seq, s, t, opts);

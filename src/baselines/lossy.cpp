@@ -107,7 +107,7 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
   const auto seq = explore::standard_ues(reduced.cubic.num_nodes());
   const std::vector<std::uint32_t> comp = graph::connected_components(g);
 
-  core::LossyRouteOptions ues_options;
+  core::LossyTrafficConfig ues_options;
   ues_options.link.loss = params.loss;
   ues_options.link.dup = params.dup;
   ues_options.link.latency_min = params.latency_min;
@@ -128,8 +128,10 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
           // channel, the flood draws and the gossip draws each get their
           // own sub-stream (never shared — PR 3 convention).
           const std::uint64_t trial = util::counter_hash(seed, i);
-          core::LossyRouteOptions opts = ues_options;
-          opts.net_seed = util::counter_hash(trial, 0);
+          // The UES channel is a static session's epoch 0, seeded
+          // counter_hash(trial, 0).
+          core::LossyTrafficConfig opts = ues_options;
+          opts.net_seed = trial;
           core::LossyRouteSession session(reduced, *seq, s, t, opts);
           switch (session.run()) {
             case core::LossyVerdict::kDelivered:

@@ -1,6 +1,8 @@
 #include "core/lossy_route.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "explore/sequence_cache.h"
 #include "util/rng.h"
@@ -15,14 +17,9 @@ using net::Status;
 
 namespace {
 
-/// Fold one stop-and-wait outcome into the session stats.
-void fold(ArqStats& s, const net::ReliableOutcome& out) {
-  s.retransmits += out.retransmits;
-  s.backoffs += out.backoffs;
-  s.rtt_samples += out.rtt_samples;
-}
-
-void fold(ArqStats& s, const net::WindowOutcome& out) {
+/// Fold one transfer outcome (either ARQ) into the session stats.
+template <typename Outcome>
+void fold(ArqStats& s, const Outcome& out) {
   s.retransmits += out.retransmits;
   s.backoffs += out.backoffs;
   s.rtt_samples += out.rtt_samples;
@@ -30,119 +27,189 @@ void fold(ArqStats& s, const net::WindowOutcome& out) {
 
 }  // namespace
 
+/// One epoch's channel: the ARQ carrier and, for a dynamic session, the
+/// snapshot's reduction and T_n it walks.  Transports point into
+/// `reduced`, so the bundle lives and dies together (declaration order
+/// puts `reduced` first: transports are destroyed before the graph they
+/// reference).
+struct LossyRouteSession::Channel {
+  explore::ReducedGraph reduced;  ///< dynamic only; static borrows its own
+  std::shared_ptr<const explore::ExplorationSequence> seq;  ///< dynamic only
+  std::optional<net::ReliableTransport> sw;  ///< engaged iff kStopAndWait
+  std::optional<net::WindowTransport> sr;    ///< engaged iff kSelectiveRepeat
+
+  net::EventSim& sim() { return sw ? sw->sim() : sr->sim(); }
+  net::SimTime now() const { return sw ? sw->sim().now() : sr->sim().now(); }
+  std::uint64_t frames() const { return sw ? sw->frames() : sr->frames(); }
+  const net::RtoEstimator& estimator() const {
+    return sw ? sw->estimator() : sr->estimator();
+  }
+};
+
 LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
                                      const explore::ExplorationSequence& seq,
                                      NodeId s, NodeId t,
-                                     LossyRouteOptions options)
-    : net_(&net), seq_(&seq), options_(options) {
+                                     LossyTrafficConfig cfg)
+    : net_(&net), seq_(&seq), s_(s), t_(t), cfg_(std::move(cfg)) {
   const auto n_orig = static_cast<NodeId>(net.first_gadget.size());
   if (s >= n_orig)
     throw std::invalid_argument("LossyRouteSession: source out of range");
   if (t != net::kNoTarget && t >= n_orig)
     throw std::invalid_argument("LossyRouteSession: target out of range");
-  if (options_.arq == ArqKind::kStopAndWait)
-    sw_.emplace(net.cubic, options_.net_seed, options_.link,
-                options_.reliable);
+  start();
+}
+
+LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
+                                     NodeId t, std::uint64_t seq_seed,
+                                     LossyTrafficConfig cfg)
+    : graph_(&g), seq_seed_(seq_seed), s_(s), t_(t), cfg_(std::move(cfg)) {
+  if (s >= g.num_nodes() || t >= g.num_nodes())
+    throw std::invalid_argument("LossyRouteSession: node out of range");
+  session_epoch_ = g.epoch();
+  start();
+}
+
+LossyRouteSession::~LossyRouteSession() = default;
+
+void LossyRouteSession::start() {
+  if (!(cfg_.one_sided_down >= 0.0 && cfg_.one_sided_down <= 1.0))
+    throw std::invalid_argument(
+        "LossyRouteSession: one_sided_down outside [0, 1]");
+  if (s_ == t_) {  // degenerate: nothing to send, whatever the channel does
+    verdict_ = LossyVerdict::kDelivered;
+    completion_epoch_ = session_epoch_;
+    return;
+  }
+  open_epoch();
+}
+
+void LossyRouteSession::open_epoch() {
+  if (channel_) {
+    // The discarded epoch's frames and retries were really spent.
+    carried_frames_ += channel_->frames();
+    stats_.virtual_time += channel_->now();
+    channel_.reset();
+    ++restarts_;
+  }
+  auto ch = std::make_unique<Channel>();
+  if (graph_) {
+    session_epoch_ = graph_->epoch();
+    ch->reduced = explore::reduce_to_cubic(graph_->snapshot());
+    ch->seq = explore::cached_standard_ues(
+        std::max<NodeId>(static_cast<NodeId>(ch->reduced.cubic.num_nodes()),
+                         1),
+        seq_seed_);
+    net_ = &ch->reduced;
+    seq_ = ch->seq.get();
+  }
+  // Every stream of the epoch is a pure function of (config, epoch): same
+  // scenario, same seeds, same schedule — the replayability contract.
+  const graph::Graph& cubic = net_->cubic;
+  const std::uint64_t channel_seed =
+      util::counter_hash(cfg_.net_seed, session_epoch_);
+  if (cfg_.arq == ArqKind::kStopAndWait)
+    ch->sw.emplace(cubic, channel_seed, cfg_.link, cfg_.reliable);
   else
-    sr_.emplace(net.cubic, options_.net_seed, options_.link, options_.window);
-  // Arm the fault schedule before any frame moves: every entry lands at
-  // its exact plan time, interleaved with the walk's transfers.
-  options_.faults.arm(sw_ ? sw_->sim() : sr_->sim());
-  header_.kind = t == net::kNoTarget ? Kind::kBroadcast : Kind::kRoute;
-  header_.source = s;
-  header_.target = t;
-  start_gadget_ = net.entry_gadget(s);
-}
-
-net::ReliableTransport& LossyRouteSession::transport() {
-  if (!sw_)
-    throw std::logic_error(
-        "LossyRouteSession::transport: session runs selective repeat");
-  return *sw_;
-}
-
-const net::ReliableTransport& LossyRouteSession::transport() const {
-  if (!sw_)
-    throw std::logic_error(
-        "LossyRouteSession::transport: session runs selective repeat");
-  return *sw_;
-}
-
-net::WindowTransport& LossyRouteSession::window_transport() {
-  if (!sr_)
-    throw std::logic_error(
-        "LossyRouteSession::window_transport: session runs stop-and-wait");
-  return *sr_;
+    ch->sr.emplace(cubic, channel_seed, cfg_.link, cfg_.window);
+  // Arm the faults before any frame moves: the scripted plan re-arms into
+  // every epoch's fresh channel (plan times are per-epoch virtual time),
+  // the sampled plan is drawn for this epoch's cubic graph.
+  net::EventSim& sim = ch->sim();
+  cfg_.faults.arm(sim);
+  if (cfg_.chaos)
+    net::FaultPlan::sample(cubic, *cfg_.chaos,
+                           util::counter_hash(cfg_.chaos_seed, session_epoch_))
+        .arm(sim);
+  if (cfg_.one_sided_down > 0.0) {
+    util::Pcg32 flips(
+        util::counter_hash(cfg_.net_seed ^ 0x1e51dedu, session_epoch_));
+    for (NodeId v = 0; v < cubic.num_nodes(); ++v)
+      for (Port q = 0; q < cubic.degree(v); ++q)
+        if (flips.next_double() < cfg_.one_sided_down)
+          sim.set_link_up(v, q, false);
+  }
+  channel_ = std::move(ch);
+  // Restart the walk from scratch (stateless nodes make restarts free).
+  header_ = net::Header{};
+  header_.kind = t_ == net::kNoTarget ? Kind::kBroadcast : Kind::kRoute;
+  header_.source = s_;
+  header_.target = t_;
+  start_gadget_ = net_->entry_gadget(s_);
+  injected_ = false;
+  blocked_ = false;
 }
 
 net::EventSim& LossyRouteSession::sim() {
-  return sw_ ? sw_->sim() : sr_->sim();
+  if (!channel_)
+    throw std::logic_error("LossyRouteSession::sim: s == t opens no channel");
+  return channel_->sim();
 }
 
 std::uint64_t LossyRouteSession::wire_frames() const {
-  return sw_ ? sw_->frames() : sr_->frames();
+  return carried_frames_ + (channel_ ? channel_->frames() : 0);
 }
 
 ArqStats LossyRouteSession::arq_stats() const {
   ArqStats s = stats_;
-  const net::RtoEstimator& est = sw_ ? sw_->estimator() : sr_->estimator();
-  s.srtt = est.srtt();
-  s.rto = est.rto();
-  s.virtual_time = sw_ ? sw_->sim().now() : sr_->sim().now();
+  if (channel_) {
+    s.srtt = channel_->estimator().srtt();
+    s.rto = channel_->estimator().rto();
+    s.virtual_time += channel_->now();
+  }
   return s;
 }
 
 net::Arrival LossyRouteSession::reliable_hop(NodeId from, Port out_port,
                                              bool& ok) {
-  if (sw_) {
-    const net::ReliableOutcome out = sw_->send(from, out_port);
+  auto hop = [&](auto& arq) {
+    const auto out = arq.send(from, out_port);
     fold(stats_, out);
     ok = out.delivered;
     return out.arrival;
-  }
-  const net::WindowOutcome out = sr_->send(from, out_port);
-  fold(stats_, out);
-  ok = out.delivered;
-  return out.arrival;
+  };
+  return channel_->sw ? hop(*channel_->sw) : hop(*channel_->sr);
 }
 
 void LossyRouteSession::step() {
   if (finished()) return;
-  bool ok = false;
-  if (!injected_) {
-    // Injection: s sends along d_0 = (start, port 0); consumes no symbol.
-    const net::Arrival arr = reliable_hop(start_gadget_, 0, ok);
-    if (!ok) {
-      verdict_ = LossyVerdict::kUncertified;
+  if (graph_ && graph_->epoch() != session_epoch_) open_epoch();
+  if (blocked_) return;  // same epoch, spent budget: wait for the topology
+  // Injection: s sends along d_0 = (start, port 0) and consumes no symbol;
+  // every later hop is the pure per-node decision.
+  NodeId from = start_gadget_;
+  Port out_port = 0;
+  if (injected_) {
+    const NodeView view{net_->original_of[at_.node],
+                        net_->cubic.degree(at_.node)};
+    const NodeDecision d = route_node_step(view, at_.port, header_, *seq_);
+    header_ = d.header;
+    if (d.terminate) {
+      verdict_ = d.final_status == Status::kSuccess
+                     ? LossyVerdict::kDelivered
+                     : LossyVerdict::kFailureCertified;
+      completion_epoch_ = session_epoch_;
       return;
     }
-    at_ = arr;
-    injected_ = true;
-    ++hops_;
-    if (header_.kind == Kind::kRoute &&
-        net_->original_of[at_.node] == header_.target)
-      target_reached_ = true;
-    return;
+    from = at_.node;
+    out_port = d.out_port;
   }
-  const NodeView view{net_->original_of[at_.node],
-                      net_->cubic.degree(at_.node)};
-  NodeDecision d = route_node_step(view, at_.port, header_, *seq_);
-  header_ = d.header;
-  if (d.terminate) {
-    verdict_ = d.final_status == Status::kSuccess
-                   ? LossyVerdict::kDelivered
-                   : LossyVerdict::kFailureCertified;
-    return;
-  }
-  const net::Arrival arr = reliable_hop(at_.node, d.out_port, ok);
+  bool ok = false;
+  const net::Arrival arr = reliable_hop(from, out_port, ok);
   if (!ok) {
-    // Retry budget spent mid-walk: the chain of custody is broken and the
-    // session asserts nothing (see header comment — the data or its ack
-    // may be the lost half).
-    verdict_ = LossyVerdict::kUncertified;
+    // Retry budget spent: the chain of custody is broken and the sender
+    // knows nothing (the data or its ack may be the lost half).  Under
+    // churn the next epoch may heal the link, so sleep until then; a
+    // static session has no next epoch and asserts nothing.
+    if (graph_) {
+      blocked_ = true;
+    } else {
+      verdict_ = LossyVerdict::kUncertified;
+      completion_epoch_ = session_epoch_;
+    }
     return;
   }
   at_ = arr;
+  injected_ = true;
   ++hops_;
   if (header_.dir == Direction::kForward && header_.kind == Kind::kRoute &&
       net_->original_of[at_.node] == header_.target)
@@ -150,181 +217,17 @@ void LossyRouteSession::step() {
 }
 
 LossyVerdict LossyRouteSession::run() {
-  while (!finished()) step();
+  while (!finished()) {
+    if (blocked()) give_up();  // nothing commits an epoch during run()
+    else step();
+  }
   return verdict_;
 }
 
-// ---------------------------------------------------------------------------
-// Composed loss + churn.
-// ---------------------------------------------------------------------------
-
-/// One epoch's network: the snapshot's reduction, its T_n, and a fresh
-/// channel.  Transports point into `reduced`, so the whole bundle lives
-/// and dies together (declaration order puts `reduced` first: transports
-/// are destroyed before the graph they reference).
-struct LossyDynamicRouteSession::Epoch {
-  explore::ReducedGraph reduced;
-  std::shared_ptr<const explore::ExplorationSequence> seq;
-  std::optional<net::ReliableTransport> sw;
-  std::optional<net::WindowTransport> sr;
-
-  net::EventSim& sim() { return sw ? sw->sim() : sr->sim(); }
-  std::uint64_t frames() const { return sw ? sw->frames() : sr->frames(); }
-  const net::RtoEstimator& estimator() const {
-    return sw ? sw->estimator() : sr->estimator();
-  }
-};
-
-LossyDynamicRouteSession::LossyDynamicRouteSession(
-    const graph::DynamicGraph& g, NodeId s, NodeId t,
-    LossyDynamicOptions options)
-    : graph_(&g), s_(s), t_(t), options_(options) {
-  const NodeId n = g.num_nodes();
-  if (s >= n || t >= n)
-    throw std::invalid_argument(
-        "LossyDynamicRouteSession: node out of range");
-  if (s == t) {  // degenerate: nothing to send, whatever the channel does
-    verdict_ = LossyVerdict::kDelivered;
-    session_epoch_ = completion_epoch_ = g.epoch();
-    return;
-  }
-  rebuild();
-}
-
-LossyDynamicRouteSession::~LossyDynamicRouteSession() = default;
-
-void LossyDynamicRouteSession::rebuild() {
-  if (epoch_) {
-    // The discarded epoch's frames and retries were really spent.
-    carried_frames_ += epoch_->frames();
-    carried_stats_.virtual_time += epoch_->sim().now();
-    epoch_.reset();
-    ++restarts_;
-  }
-  session_epoch_ = graph_->epoch();
-  auto e = std::make_unique<Epoch>();
-  e->reduced = explore::reduce_to_cubic(graph_->snapshot());
-  e->seq = explore::cached_standard_ues(
-      std::max<NodeId>(static_cast<NodeId>(e->reduced.cubic.num_nodes()), 1),
-      options_.seq_seed);
-  // Epoch e's channel is a pure function of (net_seed, e): same scenario,
-  // same seeds, same schedule — the replayability contract under churn.
-  const std::uint64_t channel_seed =
-      util::counter_hash(options_.net_seed, session_epoch_);
-  if (options_.arq == ArqKind::kStopAndWait)
-    e->sw.emplace(e->reduced.cubic, channel_seed, options_.link,
-                  options_.reliable);
-  else
-    e->sr.emplace(e->reduced.cubic, channel_seed, options_.link,
-                  options_.window);
-  {
-    // Per-epoch chaos: the scripted plan re-arms fresh (plan times are in
-    // per-epoch virtual time — each epoch owns a new channel at t = 0),
-    // and the sampled plan is a pure function of (epoch cubic, config,
-    // counter_hash(chaos_seed, epoch)) — replayable composition of churn,
-    // loss, and faults.
-    net::EventSim& sim = e->sw ? e->sw->sim() : e->sr->sim();
-    options_.faults.fresh().arm(sim);
-    if (options_.chaos)
-      net::FaultPlan::sample(
-          e->reduced.cubic, *options_.chaos,
-          util::counter_hash(options_.chaos_seed, session_epoch_))
-          .arm(sim);
-  }
-  if (options_.one_sided_down > 0.0) {
-    // One-sided direction kills, re-drawn per epoch from their own stream
-    // (never the channel's — the draws must not perturb frame schedules).
-    util::Pcg32 flips(
-        util::counter_hash(options_.net_seed ^ 0x1e51dedu, session_epoch_));
-    const graph::Graph& cubic = e->reduced.cubic;
-    net::EventSim& sim = e->sw ? e->sw->sim() : e->sr->sim();
-    for (NodeId v = 0; v < cubic.num_nodes(); ++v)
-      for (Port q = 0; q < cubic.degree(v); ++q)
-        if (flips.next_double() < options_.one_sided_down)
-          sim.set_link_up(v, q, false);
-  }
-  epoch_ = std::move(e);
-  // Restart the walk from scratch (stateless nodes make restarts free).
-  header_ = net::Header{};
-  header_.kind = Kind::kRoute;
-  header_.source = s_;
-  header_.target = t_;
-  start_gadget_ = epoch_->reduced.entry_gadget(s_);
-  injected_ = false;
-  blocked_ = false;
-}
-
-net::Arrival LossyDynamicRouteSession::reliable_hop(NodeId from,
-                                                    Port out_port, bool& ok) {
-  if (epoch_->sw) {
-    const net::ReliableOutcome out = epoch_->sw->send(from, out_port);
-    fold(carried_stats_, out);
-    ok = out.delivered;
-    return out.arrival;
-  }
-  const net::WindowOutcome out = epoch_->sr->send(from, out_port);
-  fold(carried_stats_, out);
-  ok = out.delivered;
-  return out.arrival;
-}
-
-void LossyDynamicRouteSession::step() {
-  if (finished()) return;
-  if (graph_->epoch() != session_epoch_) rebuild();
-  if (blocked_) return;  // same epoch, spent budget: wait for the topology
-  bool ok = false;
-  if (!injected_) {
-    const net::Arrival arr = reliable_hop(start_gadget_, 0, ok);
-    if (!ok) {
-      blocked_ = true;
-      return;
-    }
-    at_ = arr;
-    injected_ = true;
-    ++hops_;
-    return;
-  }
-  const NodeView view{epoch_->reduced.original_of[at_.node],
-                      epoch_->reduced.cubic.degree(at_.node)};
-  NodeDecision d = route_node_step(view, at_.port, header_, *epoch_->seq);
-  header_ = d.header;
-  if (d.terminate) {
-    verdict_ = d.final_status == Status::kSuccess
-                   ? LossyVerdict::kDelivered
-                   : LossyVerdict::kFailureCertified;
-    completion_epoch_ = session_epoch_;
-    return;
-  }
-  const net::Arrival arr = reliable_hop(at_.node, d.out_port, ok);
-  if (!ok) {
-    // Unlike the static session, a spent budget is not the end under
-    // churn: the epoch may heal the link.  Sleep until then.
-    blocked_ = true;
-    return;
-  }
-  at_ = arr;
-  ++hops_;
-}
-
-void LossyDynamicRouteSession::give_up() {
+void LossyRouteSession::give_up() {
   if (finished() || !blocked_) return;
   verdict_ = LossyVerdict::kUncertified;
   completion_epoch_ = session_epoch_;
-}
-
-std::uint64_t LossyDynamicRouteSession::wire_frames() const {
-  return carried_frames_ + (epoch_ ? epoch_->frames() : 0);
-}
-
-ArqStats LossyDynamicRouteSession::arq_stats() const {
-  ArqStats s = carried_stats_;
-  if (epoch_) {
-    s.srtt = epoch_->estimator().srtt();
-    s.rto = epoch_->estimator().rto();
-    s.virtual_time += epoch_->sw ? epoch_->sw->sim().now()
-                                 : epoch_->sr->sim().now();
-  }
-  return s;
 }
 
 }  // namespace uesr::core

@@ -39,11 +39,10 @@
 // (R + 1) * h DATA copies per frame plus the acks — the bounded-retransmit
 // overhead E13/E14 measure against flooding and gossip.
 //
-// LossyDynamicRouteSession composes this with churn: the same reliable
-// hops, driven against a graph::DynamicGraph whose epoch stamp is part of
-// the walk's validity (the §2.8 restart rule of core/dynamic_route.h).
-// Links now fail BOTH ways at once — flapping in the topology layer and
-// dropping frames in the channel layer — in one replayable scenario.
+// The same session composes this with churn (links flapping in the
+// topology AND dropping frames in the channel, in one replayable
+// scenario); a static session is simply epoch 0 of a graph that never
+// commits — one channel builder, one hop, one step.
 #pragma once
 
 #include <cstdint>
@@ -80,109 +79,30 @@ struct ArqStats {
   net::SimTime srtt = 0;           ///< smoothed RTT at session end
   net::SimTime rto = 0;            ///< working RTO at session end
   net::SimTime virtual_time = 0;   ///< channel time the session consumed
+  friend bool operator==(const ArqStats&, const ArqStats&) = default;
 };
 
-struct LossyRouteOptions {
-  net::LinkModel link{};            ///< default channel model of every link
+/// The one lossy option struct: the channel + ARQ every hop runs over,
+/// for a standalone session and for TrafficOptions::lossy alike (the
+/// engine re-keys net_seed and chaos_seed per session id).  Every stream
+/// is keyed per epoch — counter_hash(seed, epoch), epoch 0 for a static
+/// session — so a session is a pure function of (config, schedule).
+struct LossyTrafficConfig {
+  net::LinkModel link{};            ///< channel model of every link
   net::ReliableOptions reliable{};  ///< stop-and-wait budget / timeouts
   net::WindowOptions window{};      ///< selective-repeat window / budgets
   ArqKind arq = ArqKind::kStopAndWait;
-  std::uint64_t net_seed = 0x5eed0006;  ///< channel randomness
-  /// Fault schedule armed into the session's simulator at construction
-  /// (crash windows, brownouts, corruption bursts — DESIGN.md §2.12).
-  /// Pure data, so the same options replay the same chaos.  A hop that
-  /// spends its budget against a crashed node degrades to kUncertified —
-  /// never a wrong certificate.
-  net::FaultPlan faults{};
-};
-
-/// Resumable lossy routing: each step() performs one reliable hop (or
-/// the free terminate step that ends a walk).
-class LossyRouteSession {
- public:
-  /// `net` and `seq` must outlive the session (the same contract as
-  /// RouteSession); t == net::kNoTarget broadcasts.
-  LossyRouteSession(const explore::ReducedGraph& net,
-                    const explore::ExplorationSequence& seq, graph::NodeId s,
-                    graph::NodeId t, LossyRouteOptions options = {});
-
-  /// One reliable hop.  No-op once finished().
-  void step();
-  /// Drives to completion and returns the verdict.
-  LossyVerdict run();
-
-  bool finished() const { return verdict_ != LossyVerdict::kInProgress; }
-  LossyVerdict verdict() const { return verdict_; }
-  bool delivered() const { return verdict_ == LossyVerdict::kDelivered; }
-  bool failure_certified() const {
-    return verdict_ == LossyVerdict::kFailureCertified;
-  }
-  bool uncertified() const { return verdict_ == LossyVerdict::kUncertified; }
-
-  /// The forward walk reached t (even if the confirmation later aborted —
-  /// an uncertified session may still have delivered the payload; only the
-  /// PROOF is missing).
-  bool target_reached() const { return target_reached_; }
-
-  /// Successful link transfers (== the lossless walk's transmissions, when
-  /// the session completes).
-  std::uint64_t hops() const { return hops_; }
-  /// Every DATA/ACK copy put on the wire, lost and duplicate-spawning
-  /// copies included.
-  std::uint64_t wire_frames() const;
-  /// Retransmission behaviour folded over the whole session.
-  ArqStats arq_stats() const;
-
-  /// The configured ARQ.
-  ArqKind arq() const { return options_.arq; }
-
-  /// The stop-and-wait reliability layer; throws std::logic_error under
-  /// kSelectiveRepeat (use window_transport() / sim() there).
-  net::ReliableTransport& transport();
-  const net::ReliableTransport& transport() const;
-  /// The selective-repeat layer; throws std::logic_error under
-  /// kStopAndWait.
-  net::WindowTransport& window_transport();
-  /// The simulator under whichever ARQ runs, for per-link model overrides
-  /// and one-sided flips BEFORE stepping.
-  net::EventSim& sim();
-
- private:
-  net::Arrival reliable_hop(graph::NodeId from, graph::Port out_port,
-                            bool& ok);
-
-  const explore::ReducedGraph* net_;
-  const explore::ExplorationSequence* seq_;
-  LossyRouteOptions options_;
-  std::optional<net::ReliableTransport> sw_;  ///< engaged iff kStopAndWait
-  std::optional<net::WindowTransport> sr_;    ///< engaged iff kSelectiveRepeat
-  net::Header header_;
-  net::Arrival at_{};
-  graph::NodeId start_gadget_ = 0;
-  bool injected_ = false;
-  bool target_reached_ = false;
-  LossyVerdict verdict_ = LossyVerdict::kInProgress;
-  std::uint64_t hops_ = 0;
-  ArqStats stats_;
-};
-
-/// Options of the composed loss + churn session.
-struct LossyDynamicOptions {
-  net::LinkModel link{};
-  net::ReliableOptions reliable{};
-  net::WindowOptions window{};
-  ArqKind arq = ArqKind::kStopAndWait;
-  /// Per-epoch T_n family (restarts size a fresh sequence per snapshot).
-  std::uint64_t seq_seed = 0x5eed0001;
-  /// Channel randomness; epoch e's rebuilt channel is seeded
-  /// counter_hash(net_seed, e) — a pure function of (options, epoch).
+  /// Channel randomness: epoch e's channel is seeded
+  /// counter_hash(net_seed, e).
   std::uint64_t net_seed = 0x5eed0007;
   /// P(one directed cubic half-edge is down), drawn per epoch from
-  /// counter_hash(net_seed, epoch) — the one-sided fault regime composed
-  /// with churn and loss.  0 disables.
+  /// counter_hash(net_seed ^ 0x1e51ded, epoch) — a stream of its own, so
+  /// the flips never perturb frame schedules.  In [0, 1]; 0 disables.
   double one_sided_down = 0.0;
-  /// Fault schedule re-armed into EVERY epoch's fresh channel (the plan is
-  /// in per-epoch virtual time; fresh() per the PR 4 convention).
+  /// Fault schedule armed into EVERY epoch's fresh channel (crash windows,
+  /// brownouts, corruption bursts — DESIGN.md §2.12; plan times are in
+  /// per-epoch virtual time).  A hop that spends its budget against a
+  /// crashed node degrades — never a wrong certificate.
   net::FaultPlan faults{};
   /// When set, each epoch additionally arms a plan SAMPLED from
   /// FaultPlan::sample(epoch cubic, *chaos, counter_hash(chaos_seed,
@@ -191,33 +111,46 @@ struct LossyDynamicOptions {
   std::uint64_t chaos_seed = 0x5eedc4a0;  ///< chaos sampling randomness
 };
 
-/// Algorithm Route under loss AND churn at once: reliable ARQ hops driven
-/// against a DynamicGraph, restarting whenever the epoch moves (§2.8).
-/// Every completed walk ran entirely within one epoch over one channel, so
-/// kDelivered / kFailureCertified are exact statements about
-/// completion_epoch() — and loss still only ever degrades to kUncertified.
+/// Resumable lossy routing: each step() performs one reliable hop (or the
+/// free terminate step that ends a walk).
 ///
-/// A hop that spends its retry budget does NOT end the session here (under
-/// churn the link may heal): the session goes `blocked()` and waits for
-/// the next epoch, the dynamic face of the ChurnRouter wait rule.  The
-/// owner (TrafficEngine, or a test loop) calls give_up() once the schedule
-/// is frozen and no epoch will ever come — only then does the verdict
-/// become kUncertified.
-class LossyDynamicRouteSession {
+/// Constructed over a DynamicGraph, the session restarts whenever the
+/// epoch moves (the §2.8 rule of core/dynamic_route.h), so every completed
+/// walk ran entirely within one epoch over one channel: kDelivered /
+/// kFailureCertified are exact statements about completion_epoch().  A hop
+/// that spends its retry budget does NOT end such a session (under churn
+/// the link may heal): it goes `blocked()` and waits for the next epoch,
+/// the dynamic face of the ChurnRouter wait rule.  The owner
+/// (TrafficEngine, or a test loop) calls give_up() once the schedule is
+/// frozen — only then does the verdict become kUncertified.  A static
+/// session knows no epoch can come, so a spent budget resolves it to
+/// kUncertified at once.
+class LossyRouteSession {
  public:
-  /// `g` must outlive the session.  Epoch commits must happen strictly
-  /// between step() calls (the TrafficEngine round contract).
-  LossyDynamicRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
-                           graph::NodeId t, LossyDynamicOptions options = {});
-  ~LossyDynamicRouteSession();
-  LossyDynamicRouteSession(const LossyDynamicRouteSession&) = delete;
-  LossyDynamicRouteSession& operator=(const LossyDynamicRouteSession&) =
-      delete;
+  /// Static: `net` and `seq` must outlive the session (the same contract
+  /// as RouteSession); t == net::kNoTarget broadcasts.
+  LossyRouteSession(const explore::ReducedGraph& net,
+                    const explore::ExplorationSequence& seq, graph::NodeId s,
+                    graph::NodeId t, LossyTrafficConfig cfg = {});
+  /// Dynamic: `g` must outlive the session; each epoch walks a fresh
+  /// reduction and the cached T_n of family `seq_seed`.  Epoch commits
+  /// must happen strictly between step() calls (the TrafficEngine round
+  /// contract).
+  LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
+                    graph::NodeId t, std::uint64_t seq_seed,
+                    LossyTrafficConfig cfg = {});
+  ~LossyRouteSession();
+  LossyRouteSession(const LossyRouteSession&) = delete;
+  LossyRouteSession& operator=(const LossyRouteSession&) = delete;
 
   /// One reliable hop against the current epoch (restarting transparently
   /// when the epoch moved).  No-op once finished() or while blocked() in
   /// an unchanged epoch.
   void step();
+  /// Drives to completion against the topology as it stands and returns
+  /// the verdict.  No epoch can commit during run(), so a blocked dynamic
+  /// session gives up.
+  LossyVerdict run();
 
   bool finished() const { return verdict_ != LossyVerdict::kInProgress; }
   LossyVerdict verdict() const { return verdict_; }
@@ -229,7 +162,8 @@ class LossyDynamicRouteSession {
 
   /// A hop spent its retry budget this epoch: the session sleeps until the
   /// topology changes.  Reports false again as soon as the epoch moved
-  /// (the next step() rebuilds and resumes).  Never true once finished().
+  /// (the next step() rebuilds and resumes).  Never true once finished(),
+  /// never true for a static session.
   bool blocked() const {
     return blocked_ && graph_->epoch() == session_epoch_;
   }
@@ -239,40 +173,65 @@ class LossyDynamicRouteSession {
   /// blocked.
   void give_up();
 
+  /// A forward walk reached t (even if the confirmation later aborted —
+  /// an uncertified session may still have delivered the payload; only the
+  /// PROOF is missing).
+  bool target_reached() const { return target_reached_; }
+
+  /// Successful link transfers (== the lossless walk's transmissions, when
+  /// a static session completes).
   std::uint64_t hops() const { return hops_; }
+  /// Every DATA/ACK copy put on the wire, lost and duplicate-spawning
+  /// copies included — discarded epochs' channels too.
   std::uint64_t wire_frames() const;
+  /// Retransmission behaviour folded over the whole session.
   ArqStats arq_stats() const;
+
+  /// The current epoch's simulator, for per-link model overrides and
+  /// one-sided flips BEFORE stepping (a restart builds a fresh one).
+  /// Throws std::logic_error for an s == t session, which opens no
+  /// channel.
+  net::EventSim& sim();
+
   std::uint64_t restarts() const { return restarts_; }
-  /// Epoch the in-flight (or final) walk runs in.
-  std::uint64_t session_epoch() const { return session_epoch_; }
-  /// Epoch the verdict is about; meaningful once finished().
+  /// Epoch the verdict is about (0 for a static session); meaningful once
+  /// finished().
   std::uint64_t completion_epoch() const { return completion_epoch_; }
 
  private:
-  struct Epoch;  ///< per-epoch reduction + sequence + channel
+  struct Channel;  ///< one epoch's ARQ carrier (+ reduction and T_n, dynamic)
 
-  void rebuild();
+  /// Validates the config and opens epoch 0's (or the graph's current
+  /// epoch's) channel; an s == t session delivers without one.
+  void start();
+  /// Builds the channel for the current epoch and restarts the walk.
+  void open_epoch();
   net::Arrival reliable_hop(graph::NodeId from, graph::Port out_port,
                             bool& ok);
 
-  const graph::DynamicGraph* graph_;
+  const graph::DynamicGraph* graph_ = nullptr;  ///< null: static session
+  std::uint64_t seq_seed_ = 0;
+  /// The epoch's reduction and T_n: borrowed (static) or owned by channel_.
+  const explore::ReducedGraph* net_ = nullptr;
+  const explore::ExplorationSequence* seq_ = nullptr;
   graph::NodeId s_, t_;
-  LossyDynamicOptions options_;
-  std::unique_ptr<Epoch> epoch_;
+  LossyTrafficConfig cfg_;
+  std::unique_ptr<Channel> channel_;
   net::Header header_;
   net::Arrival at_{};
   graph::NodeId start_gadget_ = 0;
   bool injected_ = false;
+  bool target_reached_ = false;
   bool blocked_ = false;
   LossyVerdict verdict_ = LossyVerdict::kInProgress;
   std::uint64_t hops_ = 0;
   std::uint64_t restarts_ = 0;
-  std::uint64_t session_epoch_ = 0;
+  std::uint64_t session_epoch_ = 0;  ///< epoch the in-flight walk runs in
   std::uint64_t completion_epoch_ = 0;
   /// Wire frames / stats of discarded epochs' channels (they were really
-  /// sent).
+  /// sent), plus the live channel's folded ARQ counters.
   std::uint64_t carried_frames_ = 0;
-  ArqStats carried_stats_;
+  ArqStats stats_;
 };
 
 }  // namespace uesr::core

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/dynamic_route.h"
 #include "core/multi_walk.h"
@@ -31,36 +32,15 @@ struct TrafficEngine::Lane {
   virtual std::uint64_t transmissions() const = 0;
   /// Writes the verdict fields once finished().
   virtual void finalize(SessionReport& r) const = 0;
-  /// Lossy-dynamic only: the session spent a retry budget and sleeps until
-  /// the next epoch (stepping it is free and futile).
+  /// Lossy only: the session spent a retry budget and sleeps until the
+  /// next epoch (stepping it is free and futile).
   virtual bool blocked() const { return false; }
-  /// Lossy-dynamic only: the schedule froze — resolve a blocked session to
-  /// its no-verdict end state.
+  /// Lossy only: the schedule froze — resolve a blocked session to its
+  /// no-verdict end state.
   virtual void give_up() {}
 };
 
 namespace {
-
-/// Static-mode Algorithm Route (or the degenerate s == t delivery).
-struct RouteLane final : TrafficEngine::Lane {
-  std::optional<RouteSession> session;  ///< empty iff s == t
-
-  RouteLane(const explore::ReducedGraph& net,
-            const explore::ExplorationSequence& seq, NodeId s, NodeId t) {
-    if (s != t) session.emplace(net, seq, s, t);
-  }
-  void step() override {
-    if (session) session->step();
-  }
-  bool finished() const override { return !session || session->finished(); }
-  std::uint64_t transmissions() const override {
-    return session ? session->transmissions() : 0;
-  }
-  void finalize(SessionReport& r) const override {
-    r.delivered = !session || session->status() == net::Status::kSuccess;
-    r.failure_certified = !r.delivered;
-  }
-};
 
 /// Static-mode broadcast: one kBroadcast walk plus the cover bitmap
 /// (mirrors UesRouter::broadcast, spread over slots).
@@ -143,82 +123,19 @@ struct DynamicRouteLane final : TrafficEngine::Lane {
   }
 };
 
-/// Static-mode lossy route: one private channel + ARQ per session (the
-/// PR 7 seam).  State-disjoint by construction — each lane owns its
+/// Lossy route, static or dynamic: one private channel + ARQ per session
+/// (the PR 7 seam).  State-disjoint by construction — each lane owns its
 /// EventSim — so parallel rounds stay bit-identical for any thread count.
 struct LossyRouteLane final : TrafficEngine::Lane {
-  std::optional<LossyRouteSession> session;  ///< empty iff s == t
+  LossyRouteSession session;
 
   LossyRouteLane(const explore::ReducedGraph& net,
                  const explore::ExplorationSequence& seq, NodeId s, NodeId t,
-                 const LossyTrafficConfig& cfg, std::size_t id) {
-    if (s == t) return;
-    LossyRouteOptions options;
-    options.link = cfg.link;
-    options.reliable = cfg.reliable;
-    options.window = cfg.window;
-    options.arq = cfg.arq;
-    options.net_seed = util::counter_hash(cfg.net_seed, id);
-    options.faults = cfg.faults;
-    if (cfg.chaos)
-      options.faults.merge(net::FaultPlan::sample(
-          net.cubic, *cfg.chaos, util::counter_hash(cfg.chaos_seed, id)));
-    session.emplace(net, seq, s, t, options);
-    if (cfg.one_sided_down > 0.0) {
-      // Per-session direction kills from a dedicated stream (never the
-      // channel's): replayable and thread-count invariant.
-      util::Pcg32 flips(util::counter_hash(cfg.net_seed ^ 0x1e51dedu, id));
-      const graph::Graph& cubic = net.cubic;
-      net::EventSim& sim = session->sim();
-      for (NodeId v = 0; v < cubic.num_nodes(); ++v)
-        for (graph::Port q = 0; q < cubic.degree(v); ++q)
-          if (flips.next_double() < cfg.one_sided_down)
-            sim.set_link_up(v, q, false);
-    }
-  }
-  void step() override {
-    if (session) session->step();
-  }
-  bool finished() const override { return !session || session->finished(); }
-  std::uint64_t transmissions() const override {
-    return session ? session->wire_frames() : 0;
-  }
-  void finalize(SessionReport& r) const override {
-    if (!session) {  // degenerate s == t: delivered for free
-      r.delivered = true;
-      return;
-    }
-    r.delivered = session->delivered();
-    r.failure_certified = session->failure_certified();
-    r.uncertified = session->uncertified();
-    r.hops = session->hops();
-    const ArqStats st = session->arq_stats();
-    r.retransmits = st.retransmits;
-    r.virtual_time = st.virtual_time;
-  }
-};
-
-/// Dynamic-mode lossy route: the composed loss + churn fault regime.
-struct LossyDynamicRouteLane final : TrafficEngine::Lane {
-  LossyDynamicRouteSession session;
-
-  LossyDynamicRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
-                        const LossyTrafficConfig& cfg, std::uint64_t seq_seed,
-                        std::size_t id)
-      : session(g, s, t, [&] {
-          LossyDynamicOptions options;
-          options.link = cfg.link;
-          options.reliable = cfg.reliable;
-          options.window = cfg.window;
-          options.arq = cfg.arq;
-          options.seq_seed = seq_seed;
-          options.net_seed = util::counter_hash(cfg.net_seed, id);
-          options.one_sided_down = cfg.one_sided_down;
-          options.faults = cfg.faults;
-          options.chaos = cfg.chaos;
-          options.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
-          return options;
-        }()) {}
+                 LossyTrafficConfig cfg)
+      : session(net, seq, s, t, std::move(cfg)) {}
+  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
+                 std::uint64_t seq_seed, LossyTrafficConfig cfg)
+      : session(g, s, t, seq_seed, std::move(cfg)) {}
   void step() override { session.step(); }
   bool finished() const override { return session.finished(); }
   std::uint64_t transmissions() const override {
@@ -439,35 +356,27 @@ void TrafficEngine::activate_arrivals() {
       }
       continue;
     }
-    if (options_.lossy && dynamic()) {
-      lanes_[id] = std::make_unique<LossyDynamicRouteLane>(
-          *dynamic_graph_, spec.s, spec.t, *options_.lossy,
-          options_.seq_seed, id);
-    } else if (options_.lossy) {
-      lanes_[id] = std::make_unique<LossyRouteLane>(reduced_, *seq_, spec.s,
-                                                    spec.t, *options_.lossy,
-                                                    id);
+    if (options_.lossy) {
+      // Per-session streams: the session keys each one per epoch.
+      LossyTrafficConfig cfg = *options_.lossy;
+      cfg.net_seed = util::counter_hash(cfg.net_seed, id);
+      cfg.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
+      lanes_[id] = dynamic() ? std::make_unique<LossyRouteLane>(
+                                   *dynamic_graph_, spec.s, spec.t,
+                                   options_.seq_seed, std::move(cfg))
+                             : std::make_unique<LossyRouteLane>(
+                                   reduced_, *seq_, spec.s, spec.t,
+                                   std::move(cfg));
     } else if (dynamic()) {
       lanes_[id] = std::make_unique<DynamicRouteLane>(
           *transport_, spec.s, spec.t, options_.seq_seed);
-    } else {
-      switch (spec.kind) {
-        case TrafficKind::kRoute:
-          lanes_[id] =
-              std::make_unique<RouteLane>(reduced_, *seq_, spec.s, spec.t);
-          break;
-        case TrafficKind::kBroadcast:
-          lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_,
-                                                       spec.s);
-          break;
-        case TrafficKind::kHybrid:
-          lanes_[id] = std::make_unique<HybridLane>(
-              options_.hybrid_walker(
-                  *graph_, spec.s, spec.t, spec.hybrid_ttl,
-                  util::counter_hash(options_.walker_seed, id)),
-              reduced_, *seq_, spec.s, spec.t);
-          break;
-      }
+    } else if (spec.kind == TrafficKind::kBroadcast) {
+      lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_, spec.s);
+    } else {  // kHybrid (static perfect-link kRoute took the arena above)
+      lanes_[id] = std::make_unique<HybridLane>(
+          options_.hybrid_walker(*graph_, spec.s, spec.t, spec.hybrid_ttl,
+                                 util::counter_hash(options_.walker_seed, id)),
+          reduced_, *seq_, spec.s, spec.t);
     }
     active_.push_back(id);
   }
@@ -518,10 +427,11 @@ std::size_t TrafficEngine::run_round() {
     activate_arrivals();
     process_departures();
   }
-  // Lossy-dynamic mode: once the epoch schedule froze, no blocked session
-  // can ever heal — resolve them to their no-verdict end state (serial, in
-  // id order) so run() terminates.  Degrading, never falsely certifying.
-  if (options_.lossy && dynamic() && ticks_to_epoch() == kNever)
+  // Lossy mode: once the epoch schedule froze (a static graph never had
+  // one), no blocked session can ever heal — resolve them to their
+  // no-verdict end state (serial, in id order) so run() terminates.
+  // Degrading, never falsely certifying.
+  if (options_.lossy && ticks_to_epoch() == kNever)
     for (std::size_t id : active_) lanes_[id]->give_up();
   // Round length: the batch, clamped so no session steps across a
   // scenario-epoch boundary, past a not-yet-admitted arrival, or past a

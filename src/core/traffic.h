@@ -127,35 +127,6 @@ using WalkerFactory = std::function<std::unique_ptr<TokenWalker>(
     const graph::Graph& g, graph::NodeId s, graph::NodeId t,
     std::uint64_t ttl, std::uint64_t seed)>;
 
-/// The PR 7 transport-selection seam: when TrafficOptions::lossy is set,
-/// every route session runs over its OWN lossy channel + ARQ (state-
-/// disjoint per session, seeded counter_hash(net_seed, id) — thread-count
-/// invariant by construction) instead of a perfect link.  Session verdicts
-/// become per-session LossyVerdicts: delivered / failure-certified /
-/// uncertified-after-budget.  In dynamic mode the channel composes with
-/// churn (links flap AND drop in one replayable scenario); a session whose
-/// budget dies waits for the next epoch and degrades to kUncertified only
-/// once the schedule froze.
-struct LossyTrafficConfig {
-  net::LinkModel link{};            ///< channel model of every link
-  net::ReliableOptions reliable{};  ///< stop-and-wait budget / timeouts
-  net::WindowOptions window{};      ///< selective-repeat window / budgets
-  ArqKind arq = ArqKind::kStopAndWait;
-  std::uint64_t net_seed = 0x5eed0007;  ///< per-session channel seeds
-  /// P(directed cubic half-edge down), drawn per session (static) or per
-  /// (session, epoch) (dynamic) from dedicated streams.  0 disables.
-  double one_sided_down = 0.0;
-  /// Scripted fault schedule armed into EVERY session's private channel
-  /// (crash windows, brownouts, corruption bursts — DESIGN.md §2.12).
-  net::FaultPlan faults{};
-  /// When set, each session's channel additionally arms a chaos plan
-  /// sampled per session id (static) or per (session, epoch) (dynamic)
-  /// from counter_hash(chaos_seed, id) — replayable and thread-count
-  /// invariant like every other per-session stream.
-  std::optional<net::ChaosConfig> chaos{};
-  std::uint64_t chaos_seed = 0x5eedc4a0;  ///< chaos sampling randomness
-};
-
 /// Pull-based open-loop arrival stream (the ISSUE-9 admission mode): the
 /// engine pulls arrivals instead of having them all admitted up front, so
 /// Poisson processes can feed long horizons without materializing millions
@@ -200,8 +171,11 @@ struct TrafficOptions {
   /// length; ignored in static mode.
   std::uint64_t epoch_period = 64;
   std::uint64_t max_epochs = 0;
-  /// Engaged: run every route session over a lossy channel + ARQ (route
-  /// sessions only; admit() throws for broadcast/hybrid in lossy mode).
+  /// The PR 7 transport-selection seam.  Engaged: every route session is a
+  /// LossyRouteSession over its OWN channel + ARQ, with net_seed and
+  /// chaos_seed re-keyed counter_hash(seed, id) — state-disjoint and
+  /// thread-count invariant by construction.  Route sessions only: admit()
+  /// throws for broadcast/hybrid in lossy mode.
   std::optional<LossyTrafficConfig> lossy;
 };
 

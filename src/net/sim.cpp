@@ -16,11 +16,12 @@ void validate_model(const LinkModel& m, const char* who) {
   if (m.latency_max < m.latency_min)
     throw std::invalid_argument(std::string(who) +
                                 ": latency_max < latency_min");
-  if (m.loss < 0.0 || m.loss > 1.0)
+  // Written so that NaN fails too (every comparison with NaN is false).
+  if (!(m.loss >= 0.0 && m.loss <= 1.0))
     throw std::invalid_argument(std::string(who) + ": loss outside [0, 1]");
-  if (m.dup < 0.0 || m.dup > 1.0)
+  if (!(m.dup >= 0.0 && m.dup <= 1.0))
     throw std::invalid_argument(std::string(who) + ": dup outside [0, 1]");
-  if (m.corrupt < 0.0 || m.corrupt > 1.0)
+  if (!(m.corrupt >= 0.0 && m.corrupt <= 1.0))
     throw std::invalid_argument(std::string(who) +
                                 ": corrupt outside [0, 1]");
 }
@@ -229,7 +230,7 @@ void EventSim::schedule_fault(SimTime delay, const FaultAction& action) {
       check_half_edge(action.node, action.port, "EventSim::schedule_fault");
       break;
     case FaultAction::Kind::kGlobalCorrupt:
-      if (action.corrupt < 0.0 || action.corrupt > 1.0)
+      if (!(action.corrupt >= 0.0 && action.corrupt <= 1.0))
         throw std::invalid_argument(
             "EventSim::schedule_fault: corrupt outside [0, 1]");
       break;

@@ -46,9 +46,9 @@
 // window can open and close in the middle of one reliable transfer.
 //
 // EventSim moves frames and timers; it owns no protocol logic.  The
-// unreliable Transport facade is net/lossy_transport.h, the stop-and-wait
-// ack/retransmit layer is net/reliable.h, and the certificate semantics of
-// routing over all of this is DESIGN.md §2.10.
+// stop-and-wait ack/retransmit layer is net/reliable.h, the selective-
+// repeat one net/window.h, and the certificate semantics of routing over
+// all of this is DESIGN.md §2.10.
 #pragma once
 
 #include <cstdint>

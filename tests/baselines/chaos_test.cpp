@@ -17,6 +17,7 @@
 #include "graph/churn.h"
 #include "graph/generators.h"
 #include "net/faults.h"
+#include "support/split_gnp.h"
 
 namespace uesr::baselines {
 namespace {
@@ -24,23 +25,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-/// Two disjoint connected halves: cross-component pairs force the failure
-/// certificate (or its budget-death degradation) into every tally.
-Graph split_gnp(NodeId half, double p, std::uint64_t seed) {
-  const Graph a = graph::connected_gnp(half, p, seed);
-  const Graph b = graph::connected_gnp(half, p, seed + 1);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const Graph* g : {&a, &b}) {
-    const NodeId base_id = g == &b ? half : 0u;
-    for (NodeId v = 0; v < g->num_nodes(); ++v)
-      for (graph::Port q = 0; q < g->degree(v); ++q) {
-        const graph::HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base_id + v, base_id + far.node);
-      }
-  }
-  return graph::from_edges(2 * half, edges);
-}
+using test_support::split_gnp;
 
 /// The fuzzer regime: every fault class engaged at once — baseline loss,
 /// duplication and corruption on the channel, plus sampled crash windows,

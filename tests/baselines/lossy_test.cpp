@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include "baselines/flooding.h"
 #include "graph/generators.h"
+#include "support/split_gnp.h"
 
 namespace uesr::baselines {
 namespace {
@@ -129,19 +128,7 @@ TEST(ThreadInvariance, LossyExperimentReports) {
 TEST(ThreadInvariance, LossyExperimentReportsSplitGraph) {
   // Two components: failure certificates join the tally and must replay
   // identically too.
-  const Graph a = graph::connected_gnp(6, 0.5, 27);
-  const Graph b = graph::connected_gnp(6, 0.5, 28);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const Graph* g : {&a, &b}) {
-    const NodeId base_id = g == &b ? 6u : 0u;
-    for (NodeId v = 0; v < g->num_nodes(); ++v)
-      for (graph::Port q = 0; q < g->degree(v); ++q) {
-        const graph::HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base_id + v, base_id + far.node);
-      }
-  }
-  const Graph split = graph::from_edges(12, edges);
+  const Graph split = test_support::split_gnp(6, 0.5, 27);
   LossyParams params;
   params.loss = 0.1;
   params.reliable.max_retries = 20;

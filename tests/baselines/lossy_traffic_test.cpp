@@ -11,6 +11,7 @@
 #include "core/traffic.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
+#include "support/split_gnp.h"
 
 namespace uesr::baselines {
 namespace {
@@ -19,21 +20,7 @@ using graph::Graph;
 using graph::NodeId;
 
 /// Two components: certificates must join every tally.
-Graph split_graph() {
-  const Graph a = graph::connected_gnp(4, 0.6, 27);
-  const Graph b = graph::connected_gnp(4, 0.6, 28);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const Graph* g : {&a, &b}) {
-    const NodeId base_id = g == &b ? 4u : 0u;
-    for (NodeId v = 0; v < g->num_nodes(); ++v)
-      for (graph::Port q = 0; q < g->degree(v); ++q) {
-        const graph::HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base_id + v, base_id + far.node);
-      }
-  }
-  return graph::from_edges(8, edges);
-}
+Graph split_graph() { return test_support::split_gnp(4, 0.6, 27); }
 
 graph::NodeChurnScenario churn_scenario() {
   return graph::NodeChurnScenario(graph::connected_gnp(12, 0.3, 5), 0.3,
@@ -241,6 +228,62 @@ TEST(ThreadInvariance, LossyTrafficChurn) {
   for (unsigned t : {4u, 8u})
     EXPECT_EQ(base, lossy_traffic_experiment(sc, 48, 10, w, cfg, 321, t))
         << "threads=" << t;
+}
+
+/// FNV-1a over (verdict, transmissions, completed_at, hops, retransmits,
+/// restarts, completion_epoch) in session-id order.
+std::uint64_t report_digest(const std::vector<core::SessionReport>& reports) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const core::SessionReport& r : reports) {
+    mix(r.delivered ? 1 : r.failure_certified ? 2 : r.uncertified ? 3 : 0);
+    mix(r.transmissions);
+    mix(r.completed_at);
+    mix(r.hops);
+    mix(r.retransmits);
+    mix(r.restarts);
+    mix(r.completion_epoch);
+  }
+  return h;
+}
+
+// Golden pin of the dynamic lossy engine: the invariance suites above only
+// compare runs with each other, so this fixes the values themselves —
+// loss, one-sided flips and sampled chaos re-drawn per (session, epoch).
+TEST(LossyTraffic, DynamicEngineReportsArePinned) {
+  for (core::ArqKind arq :
+       {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {
+    core::LossyTrafficConfig cfg;
+    cfg.link = {.latency_max = 3, .loss = 0.05};
+    cfg.one_sided_down = 0.02;
+    cfg.arq = arq;
+    cfg.reliable.max_retries = 6;
+    cfg.window.max_retries = 6;
+    cfg.window.frames_per_message = 2;
+    cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,
+                                 .crash_rate = 0.01, .crash_min = 8,
+                                 .crash_max = 32, .corrupt_burst_rate = 0.04,
+                                 .corrupt_level = 0.3};
+    core::TrafficOptions opt;
+    opt.seq_seed = 29;
+    opt.epoch_period = 48;
+    opt.max_epochs = 6;
+    opt.lossy = cfg;
+    core::TrafficEngine engine(
+        graph::NodeChurnScenario(graph::connected_gnp(6, 0.5, 5), 0.2, 0.45,
+                                 11),
+        opt);
+    engine.admit_all(all_pairs_workload(6).sessions);
+    engine.run();
+    EXPECT_EQ(report_digest(engine.reports()),
+              arq == core::ArqKind::kStopAndWait ? 0x8699e26a4f20397aULL
+                                                 : 0xf2df1a1693823aa7ULL);
+  }
 }
 
 }  // namespace

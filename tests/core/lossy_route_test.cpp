@@ -7,13 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "core/route.h"
+#include "explore/sequence_cache.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "support/split_gnp.h"
 #include "util/rng.h"
 
 namespace uesr::core {
@@ -25,35 +27,21 @@ using graph::Graph;
 using graph::NodeId;
 using graph::Port;
 
+constexpr std::uint64_t kSeqSeed = 0x5eed0001;  ///< the T_n family
+
 struct Fixture {
   Graph original;
   ReducedGraph net;
   std::shared_ptr<const explore::ExplorationSequence> seq;
 
-  explicit Fixture(Graph g, std::uint64_t seed = 0x5eed0001)
+  explicit Fixture(Graph g, std::uint64_t seed = kSeqSeed)
       : original(std::move(g)),
         net(reduce_to_cubic(original)),
         seq(explore::standard_ues(
             net.cubic.num_nodes() == 0 ? 1 : net.cubic.num_nodes(), seed)) {}
 };
 
-/// Two connected gnp halves with no edge between them: cross-half pairs
-/// are ground-truth unreachable.
-Graph split_graph(NodeId half, double p, std::uint64_t seed) {
-  const Graph a = graph::connected_gnp(half, p, seed);
-  const Graph b = graph::connected_gnp(half, p, seed + 1);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const Graph* g : {&a, &b}) {
-    const NodeId base = g == &b ? half : 0;
-    for (NodeId v = 0; v < g->num_nodes(); ++v)
-      for (Port q = 0; q < g->degree(v); ++q) {
-        const graph::HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base + v, base + far.node);
-      }
-  }
-  return graph::from_edges(2 * half, edges);
-}
+using test_support::split_gnp;
 
 /// Soundness gate shared by all the regime sweeps: run every ordered pair
 /// and check the verdict against ground-truth reachability.
@@ -63,14 +51,14 @@ struct RegimeTally {
   int uncertified = 0;
 };
 
-RegimeTally sweep_all_pairs(const Fixture& fx, const LossyRouteOptions& base,
+RegimeTally sweep_all_pairs(const Fixture& fx, const LossyTrafficConfig& base,
                             std::uint64_t seed_salt) {
   const auto comp = graph::connected_components(fx.original);
   RegimeTally tally;
   for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
     for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
       if (s == t) continue;
-      LossyRouteOptions options = base;
+      LossyTrafficConfig options = base;
       options.net_seed = util::counter_hash(seed_salt, s * 1000 + t);
       LossyRouteSession session(fx.net, *fx.seq, s, t, options);
       const LossyVerdict v = session.run();
@@ -104,7 +92,7 @@ RegimeTally sweep_all_pairs(const Fixture& fx, const LossyRouteOptions& base,
 // ---------------------------------------------------------------------------
 
 TEST(LossyRouteSession, PerfectChannelMatchesRouteSessionEverywhere) {
-  Fixture fx(split_graph(6, 0.5, 7));
+  Fixture fx(split_gnp(6, 0.5, 7));
   for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
     for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
       if (s == t) continue;
@@ -130,8 +118,8 @@ TEST(LossyRouteSession, PerfectChannelMatchesRouteSessionEverywhere) {
 // ---------------------------------------------------------------------------
 
 TEST(LossyRouteSoundness, DuplicationOnlyRegime) {
-  Fixture fx(split_graph(5, 0.6, 11));
-  LossyRouteOptions options;
+  Fixture fx(split_gnp(5, 0.6, 11));
+  LossyTrafficConfig options;
   options.link.dup = 1.0;  // every frame doubled, nothing lost
   options.link.latency_min = 1;
   options.link.latency_max = 11;  // dups overtake and straggle
@@ -144,8 +132,8 @@ TEST(LossyRouteSoundness, DuplicationOnlyRegime) {
 }
 
 TEST(LossyRouteSoundness, LossOnlyRegime) {
-  Fixture fx(split_graph(5, 0.6, 13));
-  LossyRouteOptions options;
+  Fixture fx(split_gnp(5, 0.6, 13));
+  LossyTrafficConfig options;
   options.link.loss = 0.3;
   options.reliable.max_retries = 2;  // tight budget: uncertified happens
   options.reliable.rto = 4;
@@ -155,8 +143,8 @@ TEST(LossyRouteSoundness, LossOnlyRegime) {
 }
 
 TEST(LossyRouteSoundness, LossOnlyGenerousBudgetStillSound) {
-  Fixture fx(split_graph(4, 0.7, 17));
-  LossyRouteOptions options;
+  Fixture fx(split_gnp(4, 0.7, 17));
+  LossyTrafficConfig options;
   options.link.loss = 0.25;
   options.reliable.max_retries = 40;  // delivery of each hop near-certain
   options.reliable.rto = 2;
@@ -169,7 +157,7 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
   // No loss, no duplication — but some cubic-graph directions are down.
   // Data or acks silently vanish on those directions; the session may only
   // degrade to kUncertified, never to a wrong certificate.
-  Fixture fx(split_graph(5, 0.6, 19));
+  Fixture fx(split_gnp(5, 0.6, 19));
   const auto comp = graph::connected_components(fx.original);
   const Graph& cubic = fx.net.cubic;
   util::Pcg32 flips(0x0f1e);
@@ -177,7 +165,7 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
   for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
     for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
       if (s == t) continue;
-      LossyRouteOptions options;
+      LossyTrafficConfig options;
       options.reliable.max_retries = 2;
       options.reliable.rto = 4;
       options.net_seed = util::counter_hash(0x51de, s * 1000 + t);
@@ -186,7 +174,7 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
       for (NodeId v = 0; v < cubic.num_nodes(); ++v)
         for (Port q = 0; q < cubic.degree(v); ++q)
           if (flips.next_below(100) < 15)
-            session.transport().sim().set_link_up(v, q, false);
+            session.sim().set_link_up(v, q, false);
       const LossyVerdict v = session.run();
       const bool reachable = comp[s] == comp[t];
       if (v == LossyVerdict::kDelivered) {
@@ -209,7 +197,7 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
 
 TEST(LossyRouteSession, BroadcastRunsUnderLoss) {
   Fixture fx(graph::connected_gnp(8, 0.4, 23));
-  LossyRouteOptions options;
+  LossyTrafficConfig options;
   options.link.loss = 0.1;
   options.reliable.max_retries = 30;
   options.reliable.rto = 2;
@@ -227,7 +215,7 @@ TEST(LossyRouteSession, UncertifiedSessionsMayStillHaveDelivered) {
   Fixture fx(graph::connected_gnp(6, 0.5, 29));
   int uncertified_but_reached = 0;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    LossyRouteOptions options;
+    LossyTrafficConfig options;
     options.link.loss = 0.1;
     options.reliable.max_retries = 2;
     options.reliable.rto = 4;
@@ -245,7 +233,7 @@ TEST(LossyRouteSession, SameSeedSameVerdictAndFrames) {
   LossyVerdict verdicts[2];
   std::uint64_t frames[2];
   for (int run = 0; run < 2; ++run) {
-    LossyRouteOptions options;
+    LossyTrafficConfig options;
     options.link.loss = 0.2;
     options.link.dup = 0.1;
     options.reliable.rto = 4;
@@ -270,12 +258,12 @@ TEST(LossyRouteSession, ValidatesEndpoints) {
 // ---------------------------------------------------------------------------
 
 TEST(LossyRouteSelectiveRepeat, PerfectChannelMatchesStopAndWaitWalk) {
-  Fixture fx(split_graph(4, 0.7, 7));
+  Fixture fx(split_gnp(4, 0.7, 7));
   for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
     for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
       if (s == t) continue;
       LossyRouteSession sw(fx.net, *fx.seq, s, t, {});
-      LossyRouteOptions sr_options;
+      LossyTrafficConfig sr_options;
       sr_options.arq = ArqKind::kSelectiveRepeat;
       sr_options.window.frames_per_message = 4;
       LossyRouteSession sr(fx.net, *fx.seq, s, t, sr_options);
@@ -289,8 +277,8 @@ TEST(LossyRouteSelectiveRepeat, PerfectChannelMatchesStopAndWaitWalk) {
 }
 
 TEST(LossyRouteSelectiveRepeat, AdversarialRegimeStaysSound) {
-  Fixture fx(split_graph(4, 0.7, 37));
-  LossyRouteOptions options;
+  Fixture fx(split_gnp(4, 0.7, 37));
+  LossyTrafficConfig options;
   options.arq = ArqKind::kSelectiveRepeat;
   options.link.loss = 0.2;
   options.link.dup = 0.2;
@@ -305,7 +293,7 @@ TEST(LossyRouteSelectiveRepeat, AdversarialRegimeStaysSound) {
 
 TEST(LossyRouteSelectiveRepeat, ArqStatsSurfaceRetransmissionBehaviour) {
   Fixture fx(graph::connected_gnp(6, 0.5, 41));
-  LossyRouteOptions options;
+  LossyTrafficConfig options;
   options.arq = ArqKind::kSelectiveRepeat;
   options.link.loss = 0.25;
   options.window.frames_per_message = 4;
@@ -320,46 +308,25 @@ TEST(LossyRouteSelectiveRepeat, ArqStatsSurfaceRetransmissionBehaviour) {
   EXPECT_GT(stats.srtt, 0u);
 }
 
-TEST(LossyRouteSession, TransportAccessorMatchesArqKind) {
-  Fixture fx(graph::cycle(4));
-  LossyRouteSession sw(fx.net, *fx.seq, 0, 2, {});
-  EXPECT_NO_THROW(sw.transport());
-  EXPECT_THROW(sw.window_transport(), std::logic_error);
-  LossyRouteOptions sr_options;
-  sr_options.arq = ArqKind::kSelectiveRepeat;
-  LossyRouteSession sr(fx.net, *fx.seq, 0, 2, sr_options);
-  EXPECT_NO_THROW(sr.window_transport());
-  EXPECT_THROW(sr.transport(), std::logic_error);
-}
-
 // ---------------------------------------------------------------------------
-// Loss + churn composed: LossyDynamicRouteSession.
+// Loss + churn composed: the session over a DynamicGraph.
 // ---------------------------------------------------------------------------
-
-namespace {
-void run_to_end(LossyDynamicRouteSession& sess) {
-  for (int guard = 0; guard < 1000000 && !sess.finished(); ++guard) {
-    if (sess.blocked()) break;
-    sess.step();
-  }
-}
-}  // namespace
 
 TEST(LossyDynamicRoute, PerfectChannelDeliversAndCertifies) {
   graph::DynamicGraph g(graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}}));
-  LossyDynamicRouteSession ok(g, 0, 2, {});
-  run_to_end(ok);
+  LossyRouteSession ok(g, 0, 2, kSeqSeed, {});
+  ok.run();
   EXPECT_TRUE(ok.delivered());
   EXPECT_EQ(ok.completion_epoch(), 0u);
-  LossyDynamicRouteSession fail(g, 0, 4, {});
-  run_to_end(fail);
+  LossyRouteSession fail(g, 0, 4, kSeqSeed, {});
+  fail.run();
   EXPECT_TRUE(fail.failure_certified());
   EXPECT_EQ(fail.completion_epoch(), 0u);
 }
 
 TEST(LossyDynamicRoute, SourceEqualsTargetIsImmediate) {
   graph::DynamicGraph g(graph::cycle(4));
-  LossyDynamicRouteSession sess(g, 2, 2, {});
+  LossyRouteSession sess(g, 2, 2, kSeqSeed, {});
   EXPECT_TRUE(sess.finished());
   EXPECT_TRUE(sess.delivered());
   EXPECT_EQ(sess.hops(), 0u);
@@ -367,11 +334,11 @@ TEST(LossyDynamicRoute, SourceEqualsTargetIsImmediate) {
 
 TEST(LossyDynamicRoute, RestartsWhenEpochMovesMidWalk) {
   graph::DynamicGraph g(graph::path(12));
-  LossyDynamicRouteSession sess(g, 0, 11, {});
+  LossyRouteSession sess(g, 0, 11, kSeqSeed, {});
   for (int k = 0; k < 5 && !sess.finished(); ++k) sess.step();
   g.add_edge(0, 11);
   g.commit();
-  run_to_end(sess);
+  sess.run();
   EXPECT_TRUE(sess.delivered());
   EXPECT_EQ(sess.restarts(), 1u);
   EXPECT_EQ(sess.completion_epoch(), 1u);
@@ -382,10 +349,10 @@ TEST(LossyDynamicRoute, BudgetExhaustionBlocksThenEpochHeals) {
   // (NOT uncertified — under churn the link may heal), then resume when
   // the epoch moves and the channel is rebuilt clean.
   graph::DynamicGraph g(graph::path(3));
-  LossyDynamicOptions options;
+  LossyTrafficConfig options;
   options.link.loss = 1.0;
   options.reliable.max_retries = 1;
-  LossyDynamicRouteSession sess(g, 0, 2, options);
+  LossyRouteSession sess(g, 0, 2, kSeqSeed, options);
   sess.step();
   EXPECT_TRUE(sess.blocked());
   EXPECT_FALSE(sess.finished());
@@ -403,10 +370,10 @@ TEST(LossyDynamicRoute, BudgetExhaustionBlocksThenEpochHeals) {
 
 TEST(LossyDynamicRoute, GiveUpResolvesBlockedToUncertified) {
   graph::DynamicGraph g(graph::path(3));
-  LossyDynamicOptions options;
+  LossyTrafficConfig options;
   options.link.loss = 1.0;
   options.reliable.max_retries = 1;
-  LossyDynamicRouteSession sess(g, 0, 2, options);
+  LossyRouteSession sess(g, 0, 2, kSeqSeed, options);
   sess.step();
   ASSERT_TRUE(sess.blocked());
   sess.give_up();
@@ -416,10 +383,10 @@ TEST(LossyDynamicRoute, GiveUpResolvesBlockedToUncertified) {
 
 TEST(LossyDynamicRoute, GiveUpIsNoOpUnlessBlocked) {
   graph::DynamicGraph g(graph::path(3));
-  LossyDynamicRouteSession sess(g, 0, 2, {});
+  LossyRouteSession sess(g, 0, 2, kSeqSeed, {});
   sess.give_up();  // in flight, not blocked: keeps stepping
   EXPECT_FALSE(sess.finished());
-  run_to_end(sess);
+  sess.run();
   EXPECT_TRUE(sess.delivered());
   sess.give_up();  // finished: still a no-op
   EXPECT_TRUE(sess.delivered());
@@ -431,20 +398,17 @@ TEST(LossyDynamicRoute, ComposedLossAndChurnVerdictsMatchCompletionEpoch) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     graph::DynamicGraph g(graph::from_edges(6, {{0, 1}, {1, 2}, {2, 3},
                                                 {3, 4}, {4, 5}}));
-    LossyDynamicOptions options;
+    LossyTrafficConfig options;
     options.link.loss = 0.15;
     options.reliable.max_retries = 3;
     options.net_seed = util::counter_hash(0xc0a1, seed);
-    LossyDynamicRouteSession sess(g, 0, 5, options);
+    LossyRouteSession sess(g, 0, 5, kSeqSeed, options);
     for (int k = 0; k < 3 && !sess.finished(); ++k) sess.step();
     if (!sess.finished()) {
       g.remove_edge(2, 3);  // cut the bridge mid-walk
       g.commit();
     }
-    for (int guard = 0; guard < 100000 && !sess.finished(); ++guard) {
-      if (sess.blocked()) sess.give_up();
-      else sess.step();
-    }
+    sess.run();  // gives up once blocked
     ASSERT_TRUE(sess.finished());
     const bool reachable_now =
         graph::has_path(g.snapshot(), 0, 5);
@@ -462,20 +426,90 @@ TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
   LossyVerdict verdicts[2];
   std::uint64_t frames[2];
   for (int run = 0; run < 2; ++run) {
-    LossyDynamicOptions options;
+    LossyTrafficConfig options;
     options.link.loss = 0.1;
     options.one_sided_down = 0.2;
     options.reliable.max_retries = 4;
-    LossyDynamicRouteSession sess(g, 0, 6, options);
-    for (int guard = 0; guard < 100000 && !sess.finished(); ++guard) {
-      if (sess.blocked()) sess.give_up();
-      else sess.step();
-    }
+    LossyRouteSession sess(g, 0, 6, kSeqSeed, options);
+    sess.run();  // gives up once blocked
     verdicts[run] = sess.verdict();
     frames[run] = sess.wire_frames();
   }
   EXPECT_EQ(verdicts[0], verdicts[1]);
   EXPECT_EQ(frames[0], frames[1]);
+}
+
+// ---------------------------------------------------------------------------
+// One session, two constructors: a static session is epoch 0 of a graph
+// that never commits.
+// ---------------------------------------------------------------------------
+
+TEST(LossyRouteEpochZero, StaticMatchesDynamicOnAFrozenGraph) {
+  // Same reduction, same sequence, same config: the static session and a
+  // dynamic one whose graph never commits (run() gives up once blocked)
+  // must agree on everything they report, for both ARQs, under loss,
+  // duplication, one-sided flips and sampled chaos at once.
+  graph::DynamicGraph g(split_gnp(3, 0.7, 47));
+  const ReducedGraph net = reduce_to_cubic(g.snapshot());
+  const auto seq = explore::cached_standard_ues(
+      static_cast<NodeId>(net.cubic.num_nodes()), kSeqSeed);
+  LossyTrafficConfig cfg;
+  cfg.link = {.latency_max = 4, .loss = 0.1, .dup = 0.1};
+  cfg.one_sided_down = 0.03;
+  cfg.reliable.max_retries = 6;
+  cfg.window.max_retries = 6;
+  cfg.window.frames_per_message = 2;
+  cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,
+                               .crash_rate = 0.02, .crash_min = 8,
+                               .crash_max = 32, .corrupt_burst_rate = 0.05};
+  int uncertified = 0, verdicts = 0;
+  for (ArqKind arq : {ArqKind::kStopAndWait, ArqKind::kSelectiveRepeat}) {
+    cfg.arq = arq;
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        if (s == t) continue;
+        cfg.net_seed = util::counter_hash(0xe0, s * 1000 + t);
+        cfg.chaos_seed = util::counter_hash(0xc4, s * 1000 + t);
+        LossyRouteSession fixed(net, *seq, s, t, cfg);
+        LossyRouteSession frozen(g, s, t, kSeqSeed, cfg);
+        const LossyVerdict v = fixed.run();
+        ASSERT_EQ(v, frozen.run()) << "s=" << s << " t=" << t;
+        EXPECT_EQ(fixed.hops(), frozen.hops());
+        EXPECT_EQ(fixed.wire_frames(), frozen.wire_frames());
+        EXPECT_EQ(fixed.target_reached(), frozen.target_reached());
+        EXPECT_EQ(fixed.arq_stats(), frozen.arq_stats());  // every field
+        EXPECT_EQ(frozen.restarts(), 0u);
+        EXPECT_EQ(frozen.completion_epoch(), 0u);
+        uncertified += v == LossyVerdict::kUncertified;
+        verdicts += v != LossyVerdict::kUncertified;
+      }
+    }
+  }
+  EXPECT_GT(uncertified, 0);  // budgets really died (static: at once)
+  EXPECT_GT(verdicts, 0);
+}
+
+TEST(LossyRouteEpochZero, RejectsOutOfRangeAndNaNProbabilities) {
+  Fixture fx(graph::cycle(4));
+  graph::DynamicGraph g(graph::cycle(4));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {nan, -0.1, 1.5}) {
+    for (int knob = 0; knob < 4; ++knob) {
+      LossyTrafficConfig cfg;
+      switch (knob) {
+        case 0: cfg.link.loss = bad; break;
+        case 1: cfg.link.dup = bad; break;
+        case 2: cfg.link.corrupt = bad; break;
+        default: cfg.one_sided_down = bad; break;
+      }
+      EXPECT_THROW(LossyRouteSession(fx.net, *fx.seq, 0, 2, cfg),
+                   std::invalid_argument)
+          << "knob " << knob << " = " << bad;
+      EXPECT_THROW(LossyRouteSession(g, 0, 2, kSeqSeed, cfg),
+                   std::invalid_argument)
+          << "knob " << knob << " = " << bad;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -297,6 +298,25 @@ TEST(EventSimFaults, CorruptProbabilityIsValidated) {
   EXPECT_THROW(EventSim(g, 7, bad), std::invalid_argument);
   EventSim sim(g, 7, perfect());
   EXPECT_THROW(sim.set_link_model(0, 0, bad), std::invalid_argument);
+}
+
+TEST(EventSimFaults, NaNProbabilitiesAreRejected) {
+  Graph g = graph::cycle(3);
+  EventSim sim(g, 7, perfect());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {nan, -0.1, 1.5}) {
+    for (double LinkModel::*knob :
+         {&LinkModel::loss, &LinkModel::dup, &LinkModel::corrupt}) {
+      LinkModel m = perfect();
+      m.*knob = bad;
+      EXPECT_THROW(EventSim(g, 7, m), std::invalid_argument) << bad;
+      EXPECT_THROW(sim.set_link_model(0, 0, m), std::invalid_argument) << bad;
+    }
+    FaultAction burst;
+    burst.kind = FaultAction::Kind::kGlobalCorrupt;
+    burst.corrupt = bad;
+    EXPECT_THROW(sim.schedule_fault(0, burst), std::invalid_argument) << bad;
+  }
 }
 
 TEST(EventSimFaults, CrashedNodeDropsSendsAtDeparture) {

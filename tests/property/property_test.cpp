@@ -13,10 +13,10 @@
 //   P7  cover times are prefix-stable (a longer sequence with the same
 //       seed covers at the same step);
 //   P8  the CSR layout is observationally a rotation map;
-//   P9  the lossy transport degenerates exactly: at loss = 0, zero
-//       jitter, bidirectional links, net::LossyTransport replays the
-//       arrival sequence and transmission count of net::Transport over
-//       the same walk;
+//   P9  the lossy stack degenerates exactly: at loss = 0, zero jitter,
+//       bidirectional links, both ARQs (net::ReliableTransport and
+//       net::WindowTransport) replay the arrival sequence of
+//       net::Transport over the same walk, one acked frame per send;
 //   P10 both ARQs degenerate to the same walk: at loss = 0 the sliding
 //       window (net::WindowTransport) is arrival-for-arrival identical
 //       to stop-and-wait (net::ReliableTransport) on every topology;
@@ -37,7 +37,6 @@
 #include "graph/generators.h"
 #include "graph/geometric.h"
 #include "net/faults.h"
-#include "net/lossy_transport.h"
 #include "net/reliable.h"
 #include "net/transport.h"
 #include "net/window.h"
@@ -237,26 +236,34 @@ TEST_P(GraphZoo, RelabelInverseRoundTrip) {
   EXPECT_EQ(relabeled.relabeled(inverse), g_);
 }
 
-// ---- P9: the lossy transport degenerates exactly -----------------------
+// ---- P9: the lossy stack degenerates exactly --------------------------
+// At loss 0 both ARQs hand back net::Transport's arrival, hop for hop: the
+// lossy stack adds acks and framing, never a different walk.
 
 TEST_P(GraphZoo, LossyTransportAtZeroLossReplaysTransport) {
   if (g_.num_nodes() == 0 || g_.degree(0) == 0) GTEST_SKIP();
   net::Transport perfect(g_);
-  net::LossyTransport lossy(g_, /*seed=*/0x5eed0009);  // defaults: loss = 0,
-                                                       // latency pinned at 1
+  // Defaults: loss = 0, latency pinned at 1.
+  net::ReliableTransport sw(g_, /*seed=*/0x5eed0009, {}, {});
+  net::WindowTransport sr(g_, /*seed=*/0x5eed0009, {}, {});
   util::Pcg32 walk(0x99);
   graph::NodeId at = 0;
   for (int i = 0; i < 300; ++i) {
     const graph::Port out = walk.next_below(g_.degree(at));
     const net::Arrival a = perfect.send(at, out);
-    const auto b = lossy.send(at, out);
-    ASSERT_TRUE(b.has_value()) << "step " << i;
-    ASSERT_EQ(a.node, b->node) << "step " << i;
-    ASSERT_EQ(a.port, b->port) << "step " << i;
+    const net::ReliableOutcome b = sw.send(at, out);
+    const net::WindowOutcome c = sr.send(at, out);
+    ASSERT_TRUE(b.delivered) << "step " << i;
+    ASSERT_TRUE(c.delivered) << "step " << i;
+    ASSERT_EQ(a.node, b.arrival.node) << "step " << i;
+    ASSERT_EQ(a.port, b.arrival.port) << "step " << i;
+    ASSERT_EQ(a.node, c.arrival.node) << "step " << i;
+    ASSERT_EQ(a.port, c.arrival.port) << "step " << i;
     at = a.node;
   }
-  EXPECT_EQ(perfect.transmissions(), lossy.transmissions());
-  EXPECT_EQ(lossy.transmissions(), 300u);
+  EXPECT_EQ(perfect.transmissions(), 300u);
+  // Stop-and-wait sends exactly the perfect walk's frames, each acked once.
+  EXPECT_EQ(sw.frames(), 2 * perfect.transmissions());
 }
 
 // ---- P10: both ARQs degenerate to the same walk ------------------------
