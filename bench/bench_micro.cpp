@@ -142,8 +142,9 @@ void BM_MultiWalkStep(benchmark::State& state) {
     fresh_pair(&s, &t);
     walks.push_back(arena.admit(s, t));
   }
+  const std::vector<std::uint64_t> budgets(lanes, 64);
   for (auto _ : state) {
-    arena.step_block(walks.data(), walks.size(), 64);
+    arena.step_block(walks.data(), walks.size(), budgets.data());
     // Recycle delivered walks so every iteration steps a full block
     // (expander hit times are ~n, well within a long bench run).
     for (std::size_t& w : walks)

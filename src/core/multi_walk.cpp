@@ -55,17 +55,20 @@ std::size_t MultiWalkArena::walk_state_bytes() const {
 }
 
 Symbol MultiWalkArena::lane_symbol(std::size_t w, std::size_t r,
-                                   std::uint64_t j) {
+                                   std::uint64_t j, std::uint64_t left) {
   if (j - win_lo_[r] >= win_len_[r]) {  // underflow wraps: miss
     // Refill ahead of the walk direction, exactly like RouteSession's
-    // window (window size never affects symbols — pure pass-through).
+    // window (window size never affects symbols — pure pass-through), but
+    // never past what the lane can consume in the `left` slots it has
+    // left this call.
+    const std::uint64_t n = std::min<std::uint64_t>(kSymbolWindow, left);
     std::uint64_t lo, hi;
     if ((flags_[w] & kBackward) == 0) {
       lo = j;
-      hi = std::min(seq_length_, j + kSymbolWindow - 1);
+      hi = std::min(seq_length_, j + n - 1);
     } else {
       hi = j;
-      lo = j >= kSymbolWindow ? j - kSymbolWindow + 1 : 1;
+      lo = j >= n ? j - n + 1 : 1;
     }
     seq_->fill(lo, hi - lo + 1, symbols_.data() + r * kSymbolWindow);
     win_lo_[r] = lo;
@@ -76,7 +79,7 @@ Symbol MultiWalkArena::lane_symbol(std::size_t w, std::size_t r,
 
 template <bool kIsBackward>
 bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
-                               NodeId* landed) {
+                               std::uint64_t left, NodeId* landed) {
   std::uint8_t flags = flags_[w];
   Port out;
   if constexpr (!kIsBackward) {
@@ -111,7 +114,7 @@ bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
     } else {
       const std::uint64_t next = index_[w] + 1;
       index_[w] = next;
-      out = wrap_port(port_[w] + lane_symbol(w, r, next), 3);
+      out = wrap_port(port_[w] + lane_symbol(w, r, next, left), 3);
     }
   } else {
     if (index_[w] == 0) {
@@ -120,7 +123,7 @@ bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
       return false;
     }
     const std::uint64_t j = index_[w];
-    const Symbol s = lane_symbol(w, r, j);
+    const Symbol s = lane_symbol(w, r, j, left);
     const Port t = s < 3 ? static_cast<Port>(s) : static_cast<Port>(s % 3);
     out = wrap_port(port_[w] + 3 - t, 3);
     index_[w] = j - 1;
@@ -141,10 +144,10 @@ bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
 }
 
 void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
-                                std::uint64_t budget) {
-  if (budget == 0) return;
+                                const std::uint64_t* budgets) {
   for (std::size_t base = 0; base < count; base += kBlockLanes) {
     const std::size_t lanes = std::min(kBlockLanes, count - base);
+    const std::uint64_t* budget = budgets + base;
     // Lanes live in direction-partitioned lists (scratch-row indices):
     // interleaved directions would make the forward/backward branch
     // effectively random per step, and the mispredicts would dominate the
@@ -152,7 +155,9 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
     // windows survive lane retirements.  Every step consumes exactly one
     // slot (the backward terminate consumes zero and retires its lane),
     // so the slot index doubles as every live lane's spent budget — no
-    // per-lane accounting on the hot path.
+    // per-lane accounting on the hot path.  Budget retirements happen in
+    // a separate pass, only at the slots where the smallest live budget
+    // runs out (`next_stop`).
     std::size_t fwd_a[kBlockLanes];
     std::size_t fwd_b[kBlockLanes];
     std::size_t bwd_a[kBlockLanes];
@@ -163,18 +168,19 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
     std::size_t* bwd_next = bwd_b;
     std::size_t nf = 0;
     std::size_t nb = 0;
+    std::uint64_t next_stop = ~std::uint64_t{0};
     for (std::size_t r = 0; r < lanes; ++r) {
       win_len_[r] = 0;  // scratch rows are per-call
       const std::size_t w = walks[base + r];
-      if (finished(w)) continue;
+      if (finished(w) || budget[r] == 0) continue;
       if ((flags_[w] & kBackward) != 0)
         bwd[nb++] = r;
       else
         fwd[nf++] = r;
+      next_stop = std::min(next_stop, budget[r]);
       prefetch_node(node_[w]);  // warm the first slot's rotation loads
     }
-    std::uint64_t slot = 0;
-    for (; slot < budget && nf + nb > 0; ++slot) {
+    for (std::uint64_t slot = 0; nf + nb > 0; ++slot) {
       // Step sweep: one transmission slot for each live lane; each step
       // prefetches its landing node's rotation entry for the next slot.
       // Target checks are deferred: a forward lane records where it
@@ -189,7 +195,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
         const std::size_t r = fwd[k];
         const std::size_t w = walks[base + r];
         NodeId land = kNoCheck;
-        const bool turned = step_lane<false>(w, r, &land);
+        const bool turned = step_lane<false>(w, r, budget[r] - slot, &land);
         if (land != kNoCheck) {
           landed[checks] = land;
           landed_w[checks++] = w;
@@ -203,7 +209,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
         const std::size_t r = bwd[k];
         const std::size_t w = walks[base + r];
         NodeId land = kNoCheck;
-        if (step_lane<true>(w, r, &land)) {
+        if (step_lane<true>(w, r, budget[r] - slot, &land)) {
           bwd_next[nb2++] = r;
         } else {
           // The free terminate: the walk finished having spent one slot
@@ -225,10 +231,27 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       for (std::size_t c = 0; c < checks; ++c)
         if (original_of_[landed[c]] == target_[landed_w[c]])
           flags_[landed_w[c]] |= kTargetReached;
+      if (slot + 1 < next_stop) continue;
+      // Budget sweep: lanes whose budget this slot spent leave the block
+      // having spent one slot per sweep; the rest set the next stop.
+      const std::uint64_t spent = slot + 1;
+      next_stop = ~std::uint64_t{0};
+      auto retire_spent = [&](std::size_t* list, std::size_t& len) {
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < len; ++k) {
+          const std::size_t r = list[k];
+          if (budget[r] == spent) {
+            tx_[walks[base + r]] += spent;
+          } else {
+            list[kept++] = r;
+            next_stop = std::min(next_stop, budget[r]);
+          }
+        }
+        len = kept;
+      };
+      retire_spent(fwd, nf);
+      retire_spent(bwd, nb);
     }
-    // Survivors spent one slot per sweep.
-    for (std::size_t k = 0; k < nf; ++k) tx_[walks[base + fwd[k]]] += slot;
-    for (std::size_t k = 0; k < nb; ++k) tx_[walks[base + bwd[k]]] += slot;
   }
 }
 

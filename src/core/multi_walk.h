@@ -19,7 +19,9 @@
 //   * shared symbols — ONE ExplorationSequence object (from the
 //     SequenceCache) feeds every lane through per-call scratch windows
 //     (kBlockLanes x kSymbolWindow, ~16 KB transient), so a million walks
-//     hold no per-walk symbol storage.
+//     hold no per-walk symbol storage.  A refill is sized to the lane's
+//     unspent budget, so a walk granted few slots pays for few symbols;
+//     budgets are per-walk, per-call scratch (step_block's array).
 //
 // Semantics are pinned to RouteSession step for step: same transmission
 // counts, same turn-around ticks, same verdicts (tests/core/
@@ -45,8 +47,10 @@ class MultiWalkArena {
   /// memory system, small enough that the scratch symbol windows stay
   /// cache-resident.
   static constexpr std::size_t kBlockLanes = 64;
-  /// Symbols fetched per window refill; one virtual fill() serves up to a
-  /// whole round's forward run.
+  /// Upper bound on the symbols one window refill fetches; a refill never
+  /// fetches more than the lane can consume in the rest of its budget this
+  /// call, so one virtual fill() serves up to a whole round's forward run
+  /// and a one-slot grant costs at most one symbol.
   static constexpr std::size_t kSymbolWindow = 64;
 
   /// `net` must be cubic (every reduce_to_cubic output is) and, with
@@ -61,17 +65,19 @@ class MultiWalkArena {
 
   std::size_t size() const { return node_.size(); }
 
-  /// The kernel: grants each of walks[0..count) up to `budget` further
-  /// transmissions, sweeping kBlockLanes walks per slot.  Finished walks
-  /// in the list are skipped for free.  Each walk's trajectory is
-  /// independent of the others, so any partition of a walk set into
-  /// step_block calls yields bit-identical per-walk outcomes.
+  /// The kernel: grants each walks[k] (k < count) up to budgets[k]
+  /// further transmissions, sweeping kBlockLanes walks per slot; a lane
+  /// leaves the sweep when it spends its own budget.  Finished walks and
+  /// zero budgets are skipped for free.  Each walk's trajectory depends
+  /// only on the slots it is granted, never on the other walks, so any
+  /// partition of a walk set into step_block calls yields bit-identical
+  /// per-walk outcomes.
   void step_block(const std::size_t* walks, std::size_t count,
-                  std::uint64_t budget);
+                  const std::uint64_t* budgets);
 
   /// Single-walk convenience (the property tests' budget-pattern driver).
   void step_walk(std::size_t w, std::uint64_t budget) {
-    step_block(&w, 1, budget);
+    step_block(&w, 1, &budget);
   }
 
   bool finished(std::size_t w) const { return (flags_[w] & kFinished) != 0; }
@@ -102,16 +108,18 @@ class MultiWalkArena {
   /// a real gadget node: reductions keep 3n well under 2^32 - 1).
   static constexpr graph::NodeId kNoCheck = ~graph::NodeId{0};
 
-  /// One step() of lane r (scratch row r, walk walks_[r]).  kIsBackward
-  /// is the lane's direction at entry (the sweeps keep lanes partitioned
-  /// so it is statically known).  Forward: returns whether the lane
+  /// One step() of lane r (scratch row r, walk walks_[r]) with `left` >= 1
+  /// slots of its budget still unspent.  kIsBackward is the lane's
+  /// direction at entry (the sweeps keep lanes partitioned so it is
+  /// statically known).  Forward: returns whether the lane
   /// turned backward (always one transmission).  Backward: returns
   /// whether the lane is still stepping (false = the free terminate just
   /// finished it, zero transmissions).  When the step needs a target
   /// check, writes the landing node to *landed (and prefetches
   /// original_of_ there) for the block's deferred flag sweep.
   template <bool kIsBackward>
-  bool step_lane(std::size_t w, std::size_t r, graph::NodeId* landed);
+  bool step_lane(std::size_t w, std::size_t r, std::uint64_t left,
+                 graph::NodeId* landed);
 
   /// Warms entry v's packed rotation lines (far-node triple + port word)
   /// one slot ahead of their use.
@@ -121,7 +129,10 @@ class MultiWalkArena {
     __builtin_prefetch(far_ + i + 2, 0, 1);  // 12 B span may cross a line
     __builtin_prefetch(ports_->word_of(i), 0, 1);
   }
-  explore::Symbol lane_symbol(std::size_t w, std::size_t r, std::uint64_t j);
+  /// Symbol j for lane r, refilling its window (at most `left` symbols)
+  /// on a miss.
+  explore::Symbol lane_symbol(std::size_t w, std::size_t r, std::uint64_t j,
+                              std::uint64_t left);
 
   // Shared immutable structure (borrowed).
   const explore::ReducedGraph* net_;
@@ -141,7 +152,8 @@ class MultiWalkArena {
 
   // Per-call scratch: lane r's symbol window is
   // symbols_[r*kSymbolWindow .. +win_len_[r]) covering indices starting at
-  // win_lo_[r].  Reset (len 0) at the start of every block.
+  // win_lo_[r].  Reset (len 0) at the start of every block; each refill is
+  // sized to the lane's unspent budget (<= kSymbolWindow).
   std::vector<explore::Symbol> symbols_;
   std::vector<std::uint64_t> win_lo_;
   std::vector<std::uint64_t> win_len_;

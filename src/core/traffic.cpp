@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/dynamic_route.h"
@@ -19,6 +20,28 @@ using graph::NodeId;
 
 namespace {
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+/// A session's slot window [start, stop) within the round of `grant` slots
+/// that starts at tick `clock`: it opens at the session's admission tick
+/// and closes at its departure tick or at the end of the round.
+struct SlotWindow {
+  std::uint64_t start;
+  std::uint64_t stop;
+  bool departs;  ///< stop is the departure tick: unfinished => departed
+};
+
+SlotWindow slot_window(const SessionSpec& spec, std::uint64_t clock,
+                       std::uint64_t grant) {
+  SlotWindow w{spec.admit_at > clock ? spec.admit_at - clock : 0, grant,
+               false};
+  // An in-flight session always departs after `clock`: it retires in the
+  // round its departure tick falls in.
+  if (spec.depart_at != 0 && spec.depart_at - clock <= grant) {
+    w.stop = spec.depart_at - clock;
+    w.departs = true;
+  }
+  return w;
+}
 }  // namespace
 
 /// Per-session stepper.  step() performs at most one transmission (free
@@ -172,6 +195,7 @@ struct TrafficEngine::Shard {
   MultiWalkArena arena;
   std::vector<std::size_t> active;        ///< session ids, ascending
   std::vector<std::size_t> walks;         ///< scratch: walk per active id
+  std::vector<std::uint64_t> budgets;     ///< scratch: slots per walk
   std::vector<std::uint64_t> tx_before;   ///< scratch: round tx baseline
   Shard(const explore::ReducedGraph& net,
         const explore::ExplorationSequence& seq)
@@ -253,7 +277,6 @@ std::size_t TrafficEngine::admit(const SessionSpec& spec) {
   arena_walk_.push_back(static_cast<std::size_t>(-1));
   pending_.push_back(id);
   ++unfinished_;
-  if (spec.depart_at != 0) any_departures_ = true;
   return id;
 }
 
@@ -277,51 +300,9 @@ void TrafficEngine::pull_arrivals() {
     // advance the clock by at most batch ticks, the staged arrival can
     // never slip into the past.  admit() enforces nondecreasing streams
     // (an out-of-order arrival is "in the past" by construction).
-    if (staged_arrival_->admit_at > clock_ + options_.batch) return;
+    if (staged_arrival_->admit_at >= clock_ + options_.batch) return;
     admit(*staged_arrival_);
     staged_arrival_.reset();
-  }
-}
-
-void TrafficEngine::process_departures() {
-  if (!any_departures_) return;
-  // Serial, in id order within each list: departures are report writes.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    const std::size_t id = active_[i];
-    const std::uint64_t d = specs_[id].depart_at;
-    if (d == 0 || d > clock_) {
-      active_[kept++] = id;
-      continue;
-    }
-    SessionReport& r = reports_[id];
-    r.finished = true;
-    r.departed = true;
-    r.transmissions = lanes_[id]->transmissions();
-    r.completed_at = clock_;
-    lanes_[id].reset();
-    --unfinished_;
-  }
-  active_.resize(kept);
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    kept = 0;
-    for (std::size_t i = 0; i < sh.active.size(); ++i) {
-      const std::size_t id = sh.active[i];
-      const std::uint64_t d = specs_[id].depart_at;
-      if (d == 0 || d > clock_) {
-        sh.active[kept++] = id;
-        continue;
-      }
-      SessionReport& r = reports_[id];
-      r.finished = true;
-      r.departed = true;
-      r.transmissions = sh.arena.transmissions(arena_walk_[id]);
-      r.completed_at = clock_;
-      --unfinished_;
-      --arena_active_;
-    }
-    sh.active.resize(kept);
   }
 }
 
@@ -329,11 +310,11 @@ void TrafficEngine::admit_all(const std::vector<SessionSpec>& specs) {
   for (const SessionSpec& s : specs) admit(s);
 }
 
-void TrafficEngine::activate_arrivals() {
+void TrafficEngine::activate_arrivals(std::uint64_t grant) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const std::size_t id = pending_[i];
-    if (reports_[id].admitted_at > clock_) {
+    if (reports_[id].admitted_at >= clock_ + grant) {
       pending_[kept++] = id;
       continue;
     }
@@ -346,7 +327,7 @@ void TrafficEngine::activate_arrivals() {
         SessionReport& r = reports_[id];
         r.finished = true;
         r.delivered = true;
-        r.completed_at = clock_;
+        r.completed_at = spec.admit_at;
         --unfinished_;
       } else {
         Shard& sh = *shards_[id % shards_.size()];
@@ -401,8 +382,6 @@ void TrafficEngine::advance_epochs_to(std::uint64_t tick) {
 std::size_t TrafficEngine::run_round() {
   advance_epochs_to(clock_);
   pull_arrivals();
-  activate_arrivals();
-  process_departures();
   if (active_.empty() && arena_active_ == 0) {
     if (pending_.empty()) {
       // Open loop: nothing in flight and nothing scheduled — stage the
@@ -424,36 +403,25 @@ std::size_t TrafficEngine::run_round() {
     clock_ = next;
     advance_epochs_to(clock_);
     pull_arrivals();
-    activate_arrivals();
-    process_departures();
   }
+  // The round grants `batch` slots, clamped only so no session steps
+  // across a scenario-epoch boundary.  Arrivals and departures inside the
+  // round do not clamp it: each session steps in its own slot window (see
+  // slot_window).  The grant reads global state only, so it — and with it
+  // every report — is identical for any thread/shard count.
+  const std::uint64_t grant = std::min(options_.batch, ticks_to_epoch());
+  activate_arrivals(grant);
   // Lossy mode: once the epoch schedule froze (a static graph never had
   // one), no blocked session can ever heal — resolve them to their
   // no-verdict end state (serial, in id order) so run() terminates.
   // Degrading, never falsely certifying.
   if (options_.lossy && ticks_to_epoch() == kNever)
     for (std::size_t id : active_) lanes_[id]->give_up();
-  // Round length: the batch, clamped so no session steps across a
-  // scenario-epoch boundary, past a not-yet-admitted arrival, or past a
-  // departure tick.  All clamps read global state only, so the grant —
-  // and with it every report — is identical for any thread/shard count.
-  std::uint64_t slots = options_.batch;
-  slots = std::min(slots, ticks_to_epoch());
-  for (std::size_t id : pending_)
-    slots = std::min(slots, reports_[id].admitted_at - clock_);
-  if (any_departures_) {
-    for (std::size_t id : active_)
-      if (specs_[id].depart_at)
-        slots = std::min(slots, specs_[id].depart_at - clock_);
-    for (const auto& shp : shards_)
-      for (std::size_t id : shp->active)
-        if (specs_[id].depart_at)
-          slots = std::min(slots, specs_[id].depart_at - clock_);
-  }
 
   util::ThreadPool& pool = pool_->pool;
   // Arena phase: whole shards in parallel, one worker per shard; inside a
-  // shard the SoA kernel block-steps every in-flight walk by `slots`.
+  // shard the SoA kernel block-steps every in-flight walk through its own
+  // slot window.
   if (arena_active_ > 0) {
     util::parallel_for(
         pool, shards_.size(), 1, [&](const util::ChunkRange& c) {
@@ -462,22 +430,34 @@ std::size_t TrafficEngine::run_round() {
             const std::size_t m = sh.active.size();
             if (m == 0) continue;
             sh.walks.resize(m);
+            sh.budgets.resize(m);
             sh.tx_before.resize(m);
             for (std::size_t k = 0; k < m; ++k) {
+              const SlotWindow win =
+                  slot_window(specs_[sh.active[k]], clock_, grant);
               sh.walks[k] = arena_walk_[sh.active[k]];
+              sh.budgets[k] = win.stop - win.start;
               sh.tx_before[k] = sh.arena.transmissions(sh.walks[k]);
             }
-            sh.arena.step_block(sh.walks.data(), m, slots);
+            sh.arena.step_block(sh.walks.data(), m, sh.budgets.data());
             for (std::size_t k = 0; k < m; ++k) {
               const std::size_t id = sh.active[k];
-              if (!sh.arena.finished(sh.walks[k])) continue;
+              const std::size_t w = sh.walks[k];
+              const SlotWindow win = slot_window(specs_[id], clock_, grant);
               SessionReport& r = reports_[id];
-              r.finished = true;
-              r.transmissions = sh.arena.transmissions(sh.walks[k]);
-              r.completed_at =
-                  clock_ + (r.transmissions - sh.tx_before[k]);
-              r.delivered = sh.arena.delivered(sh.walks[k]);
-              r.failure_certified = !r.delivered;
+              if (sh.arena.finished(w)) {
+                r.finished = true;
+                r.transmissions = sh.arena.transmissions(w);
+                r.completed_at =
+                    clock_ + win.start + (r.transmissions - sh.tx_before[k]);
+                r.delivered = sh.arena.delivered(w);
+                r.failure_certified = !r.delivered;
+              } else if (win.departs) {
+                r.finished = true;
+                r.departed = true;
+                r.transmissions = sh.arena.transmissions(w);
+                r.completed_at = specs_[id].depart_at;
+              }
             }
           }
         });
@@ -489,29 +469,40 @@ std::size_t TrafficEngine::run_round() {
         for (std::uint64_t i = c.begin; i < c.end; ++i) {
           const std::size_t id = active_[static_cast<std::size_t>(i)];
           Lane& lane = *lanes_[id];
+          const SlotWindow win = slot_window(specs_[id], clock_, grant);
+          const std::uint64_t budget = win.stop - win.start;
           std::uint64_t used = 0;
           // Free steps (terminate, hybrid decisions) never repeat
-          // unboundedly, but cap total step calls defensively; the cap
-          // is a constant, so reports stay thread-count invariant.  A
-          // blocked lossy session sleeps out the round (stepping it is a
-          // no-op until its epoch moves).
-          std::uint64_t calls = 2 * slots + 8;
-          while (!lane.finished() && !lane.blocked() && used < slots &&
-                 calls-- > 0) {
+          // unboundedly; a lane that makes no progress within this many
+          // step calls is a bug, never a verdict.  A blocked lossy session
+          // sleeps out the round (stepping it is a no-op until its epoch
+          // moves).
+          std::uint64_t calls = 2 * budget + 8;
+          while (!lane.finished() && !lane.blocked() && used < budget) {
+            if (calls-- == 0)
+              throw std::logic_error(
+                  "TrafficEngine: session " + std::to_string(id) +
+                  " made no progress in " + std::to_string(2 * budget + 8) +
+                  " step calls");
             const std::uint64_t before = lane.transmissions();
             lane.step();
             used += lane.transmissions() - before;
           }
+          SessionReport& r = reports_[id];
           if (lane.finished()) {
-            SessionReport& r = reports_[id];
             r.finished = true;
             r.transmissions = lane.transmissions();
-            r.completed_at = clock_ + used;
+            r.completed_at = clock_ + win.start + used;
             lane.finalize(r);
+          } else if (win.departs) {
+            r.finished = true;
+            r.departed = true;
+            r.transmissions = lane.transmissions();
+            r.completed_at = specs_[id].depart_at;
           }
         }
       });
-  clock_ += slots;
+  clock_ += grant;
   // Serial sweep in id order: retire finished lanes, free their state.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {

@@ -14,8 +14,11 @@
 //     `admit_at` transmits its k-th frame no earlier than tick
 //     admit_at + k - 1; its completion tick is exact.
 //   * Sessions are admitted up front (admit()) and stepped round-robin in
-//     batched chunks: each round gives every active session up to
-//     `batch` transmission slots, fanned out over a util::ThreadPool.
+//     batched chunks: each round grants `batch` transmission slots, and
+//     every session in flight steps through its own slot window of that
+//     round — from its admission tick (or the round's start) to its
+//     departure tick (or the round's end) — fanned out over a
+//     util::ThreadPool.
 //     Sessions are state-disjoint (each owns its walker; the topology is
 //     read-only during a round), per-session randomness is derived from
 //     the session id (counter_hash — never a shared stream), and reports
@@ -32,10 +35,11 @@
 //     topology advances one scenario epoch every `epoch_period` ticks (up
 //     to `max_epochs`, then freezes — so every session terminates).
 //     Epochs commit strictly BETWEEN rounds; rounds are clamped to epoch
-//     boundaries, so all sessions observe the same epoch for every slot of
-//     a round.  Unlike baselines::ChurnRouter (which replays the schedule
-//     per attempt for fair per-attempt comparisons), all sessions here
-//     live through one shared schedule — the production shape.
+//     boundaries (the only clamp on a round's length), so all sessions
+//     observe the same epoch for every slot of a round.  Unlike
+//     baselines::ChurnRouter (which replays the schedule per attempt for
+//     fair per-attempt comparisons), all sessions here live through one
+//     shared schedule — the production shape.
 //
 // Identical exploration sequences are shared, not rebuilt, across
 // sessions via explore::SequenceCache (static mode builds one T_n for the
@@ -74,8 +78,8 @@ struct SessionSpec {
   /// Open-loop departures: 0 = stay until the verdict; otherwise the clock
   /// tick the user gives up and leaves (must be > admit_at).  A session
   /// still in flight at depart_at retires with NO verdict (the report's
-  /// `departed` flag) — rounds clamp to departure ticks, so the retirement
-  /// instant is exact on the shared clock.
+  /// `departed` flag) — its slot window stops at depart_at, so the
+  /// retirement instant is exact on the shared clock.
   std::uint64_t depart_at = 0;
 };
 
@@ -127,16 +131,15 @@ using WalkerFactory = std::function<std::unique_ptr<TokenWalker>(
     const graph::Graph& g, graph::NodeId s, graph::NodeId t,
     std::uint64_t ttl, std::uint64_t seed)>;
 
-/// Pull-based open-loop arrival stream (the ISSUE-9 admission mode): the
-/// engine pulls arrivals instead of having them all admitted up front, so
-/// Poisson processes can feed long horizons without materializing millions
-/// of specs.  next() must yield specs in NONDECREASING admit_at order (the
+/// Pull-based open-loop arrival stream: the engine pulls arrivals instead
+/// of having them all admitted up front, so Poisson processes can feed
+/// long horizons without materializing millions of specs.  next() must yield specs in NONDECREASING admit_at order (the
 /// engine throws otherwise).  Each round the engine drains every arrival
-/// with admit_at <= clock + batch BEFORE computing the round's slot grant;
+/// with admit_at < clock + batch before activating the round's arrivals;
 /// since a round never advances the clock by more than batch ticks, a
-/// pulled admission can never land in the past — and pulled-but-future
-/// admissions clamp the round exactly like up-front ones, so reports stay
-/// bit-identical to the equivalent admit_all() schedule.
+/// pulled admission can never land in the past, and it activates in the
+/// same round with the same slot window as an up-front one, so reports
+/// stay bit-identical to the equivalent admit_all() schedule.
 class ArrivalSource {
  public:
   virtual ~ArrivalSource() = default;
@@ -152,9 +155,9 @@ struct TrafficOptions {
   std::uint64_t walker_seed = 0x7a11;
   /// Required to admit kHybrid sessions (admit() throws otherwise).
   WalkerFactory hybrid_walker;
-  /// Transmission slots granted per active session per round.  Purely a
-  /// scheduling granularity: reports never depend on it, except that in
-  /// dynamic mode rounds clamp to epoch boundaries anyway.
+  /// Transmission slots per round (rounds clamp to epoch boundaries in
+  /// dynamic mode).  Purely a scheduling granularity: reports never depend
+  /// on it.
   std::uint64_t batch = 64;
   /// Worker lanes (0 = UESR_THREADS env, else hardware).  Data cells are
   /// bit-identical for any value.
@@ -206,9 +209,11 @@ class TrafficEngine {
   /// ordinary admissions.
   void attach_arrivals(ArrivalSource& source);
 
-  /// Runs one scheduling round: activates arrivals, grants every active
-  /// session up to `batch` slots (in parallel), advances the clock and —
-  /// in dynamic mode — the scenario.  When no session is active the clock
+  /// Runs one scheduling round of min(batch, ticks to the next epoch)
+  /// slots: activates every arrival due inside the round, steps each
+  /// session in flight through its own slot window (in parallel), retires
+  /// finished and departed sessions, advances the clock and — in dynamic
+  /// mode — the scenario.  When no session is in flight the clock first
   /// fast-forwards to the next arrival.  Returns the number of admitted
   /// sessions not yet finished.
   std::size_t run_round();
@@ -233,12 +238,12 @@ class TrafficEngine {
   const std::vector<SessionReport>& reports() const { return reports_; }
 
  private:
-  void activate_arrivals();
-  /// Open-loop: drains every attached-stream arrival due within this
-  /// round's reach (admit_at <= clock + batch) into ordinary admissions.
+  /// Starts every pending session due inside a round of `grant` slots
+  /// (admit_at < clock + grant).
+  void activate_arrivals(std::uint64_t grant);
+  /// Open-loop: drains every attached-stream arrival within the next
+  /// round's reach (admit_at < clock + batch) into ordinary admissions.
   void pull_arrivals();
-  /// Serially retires active sessions whose depart_at tick has come.
-  void process_departures();
   /// Clock ticks until the next scenario epoch (dynamic), or forever.
   std::uint64_t ticks_to_epoch() const;
   void advance_epochs_to(std::uint64_t tick);
@@ -272,11 +277,10 @@ class TrafficEngine {
   ArrivalSource* arrivals_ = nullptr;
   std::optional<SessionSpec> staged_arrival_;
   bool arrivals_done_ = true;
-  bool any_departures_ = false;  ///< skip departure scans when none exist
   /// Ids of admitted-not-yet-activated sessions, in admission order (NOT
-  /// sorted by admit_at): activation and the round-length clamp scan the
-  /// whole list each round, and lanes are built in ascending id order
-  /// among the due ids, so activation stays deterministic.
+  /// sorted by admit_at): activation scans the whole list each round, and
+  /// lanes are built in ascending id order among the due ids, so
+  /// activation stays deterministic.
   std::vector<std::size_t> pending_;
   std::vector<std::size_t> active_;  ///< ids being stepped, ascending
   std::size_t unfinished_ = 0;

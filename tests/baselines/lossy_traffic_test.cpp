@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 
 #include "core/traffic.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
+#include "support/report_digest.h"
 #include "support/split_gnp.h"
 
 namespace uesr::baselines {
@@ -233,23 +235,12 @@ TEST(ThreadInvariance, LossyTrafficChurn) {
 /// FNV-1a over (verdict, transmissions, completed_at, hops, retransmits,
 /// restarts, completion_epoch) in session-id order.
 std::uint64_t report_digest(const std::vector<core::SessionReport>& reports) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const core::SessionReport& r : reports) {
-    mix(r.delivered ? 1 : r.failure_certified ? 2 : r.uncertified ? 3 : 0);
-    mix(r.transmissions);
-    mix(r.completed_at);
-    mix(r.hops);
-    mix(r.retransmits);
-    mix(r.restarts);
-    mix(r.completion_epoch);
-  }
-  return h;
+  return test_support::report_digest(
+      reports, [](const core::SessionReport& r) {
+        return std::array<std::uint64_t, 7>{
+            test_support::verdict_code(r), r.transmissions, r.completed_at,
+            r.hops, r.retransmits, r.restarts, r.completion_epoch};
+      });
 }
 
 // Golden pin of the dynamic lossy engine: the invariance suites above only

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/route.h"
@@ -104,10 +105,11 @@ TEST(MultiWalk, FullBlockMatchesSixtyFourReferenceSessions) {
     refs.emplace_back(net, *seq, s, t);
     walks.push_back(arena.admit(s, t));
   }
+  const std::vector<std::uint64_t> budgets(walks.size(), 64);
   bool all_done = false;
   std::uint64_t guard = 1'000'000;
   while (!all_done && guard-- > 0) {
-    arena.step_block(walks.data(), walks.size(), 64);
+    arena.step_block(walks.data(), walks.size(), budgets.data());
     all_done = true;
     for (std::size_t i = 0; i < walks.size(); ++i) {
       grant(refs[i], 64);
@@ -116,6 +118,96 @@ TEST(MultiWalk, FullBlockMatchesSixtyFourReferenceSessions) {
     }
   }
   ASSERT_TRUE(all_done);
+}
+
+TEST(MultiWalk, HeterogeneousBudgetsInOneBlockMatchReference) {
+  // One step_block call per round with a different budget per walk —
+  // idle (0), single-slot, short, full-round and random — must keep
+  // every walk in lockstep with its scalar reference: each lane leaves
+  // the sweep at its own budget, mid-rewind terminates included.
+  const graph::Graph g = graph::random_connected_regular(32, 3, 9);
+  const ReducedGraph net = explore::reduce_to_cubic(g);
+  const auto seq = explore::standard_ues(net.cubic.num_nodes(), 5);
+  MultiWalkArena arena(net, *seq);
+  std::vector<RouteSession> refs;
+  std::vector<std::size_t> walks;
+  for (std::size_t i = 0; i < 150; ++i) {  // spans three blocks
+    const NodeId s = static_cast<NodeId>(i % 32);
+    const NodeId t = static_cast<NodeId>((i * 11 + 3) % 32);
+    if (s == t) continue;
+    refs.emplace_back(net, *seq, s, t);
+    walks.push_back(arena.admit(s, t));
+  }
+  const std::uint64_t fixed[] = {0, 1, 3, 64};
+  std::vector<std::uint64_t> budgets(walks.size());
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  bool all_done = false;
+  for (int round = 0; !all_done && round < 100'000; ++round) {
+    for (std::size_t i = 0; i < budgets.size(); ++i) {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      budgets[i] = (i + round) % 5 < 4 ? fixed[(i + round) % 5]
+                                       : (rng >> 33) % 100;
+    }
+    arena.step_block(walks.data(), walks.size(), budgets.data());
+    all_done = true;
+    for (std::size_t i = 0; i < walks.size(); ++i) {
+      grant(refs[i], budgets[i]);
+      expect_lockstep(arena, walks[i], refs[i], "heterogeneous budgets");
+      all_done = all_done && refs[i].finished();
+    }
+  }
+  ASSERT_TRUE(all_done);
+}
+
+/// Forwards to a real sequence and counts the symbols it is asked for.
+class CountingSequence final : public explore::ExplorationSequence {
+ public:
+  explicit CountingSequence(const explore::ExplorationSequence& inner)
+      : inner_(inner) {}
+  std::uint64_t length() const override { return inner_.length(); }
+  explore::Symbol symbol(std::uint64_t i) const override {
+    ++symbols_;
+    return inner_.symbol(i);
+  }
+  void fill(std::uint64_t i_begin, std::uint64_t count,
+            explore::Symbol* out) const override {
+    symbols_ += count;
+    inner_.fill(i_begin, count, out);
+  }
+  graph::NodeId target_size() const override { return inner_.target_size(); }
+  std::string name() const override { return inner_.name(); }
+  std::uint64_t symbols() const { return symbols_; }
+
+ private:
+  const explore::ExplorationSequence& inner_;
+  mutable std::uint64_t symbols_ = 0;
+};
+
+TEST(MultiWalk, RefillsNeverOutrunTheBudget) {
+  // Symbols are a pure function of the index, so a refill needs no more
+  // of them than the lane can consume this call: a one-slot grant may
+  // compute at most one symbol, in either walk direction.
+  const graph::Graph g = graph::lollipop(7, 9);
+  const ReducedGraph net = explore::reduce_to_cubic(g);
+  const auto inner = explore::standard_ues(net.cubic.num_nodes(), 3);
+  const CountingSequence seq(*inner);
+  for (NodeId t : {NodeId{12}, NodeId{15}}) {
+    MultiWalkArena arena(net, seq);
+    RouteSession ref(net, *inner, 0, t);
+    const std::size_t w = arena.admit(0, t);
+    std::uint64_t calls = 0;
+    const std::uint64_t before = seq.symbols();
+    while (!arena.finished(w) && calls < 10'000'000) {
+      const std::uint64_t filled = seq.symbols();
+      arena.step_walk(w, 1);
+      ++calls;
+      ASSERT_LE(seq.symbols() - filled, 1u) << "call " << calls;
+    }
+    ASSERT_TRUE(arena.finished(w));
+    while (!ref.finished()) ref.step();
+    EXPECT_EQ(arena.transmissions(w), ref.transmissions());
+    EXPECT_LE(seq.symbols() - before, calls);
+  }
 }
 
 TEST(MultiWalk, PartitionIntoBlocksIsInvisible) {
@@ -133,10 +225,11 @@ TEST(MultiWalk, PartitionIntoBlocksIsInvisible) {
   std::vector<std::size_t> ww, sw;
   make(whole, ww);
   make(split, sw);
+  const std::vector<std::uint64_t> sixteen(ww.size(), 16);
   for (int round = 0; round < 2000; ++round) {
-    whole.step_block(ww.data(), ww.size(), 16);
-    split.step_block(sw.data(), 3, 16);            // ids 0..2
-    split.step_block(sw.data() + 3, 4, 16);        // ids 3..6
+    whole.step_block(ww.data(), ww.size(), sixteen.data());
+    split.step_block(sw.data(), 3, sixteen.data());      // ids 0..2
+    split.step_block(sw.data() + 3, 4, sixteen.data());  // ids 3..6
     for (std::size_t i = 7; i < sw.size(); ++i) split.step_walk(sw[i], 16);
   }
   for (std::size_t i = 0; i < ww.size(); ++i) {

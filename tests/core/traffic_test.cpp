@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "graph/algorithms.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
+#include "support/report_digest.h"
 
 namespace uesr::core {
 namespace {
@@ -280,8 +282,9 @@ TEST(TrafficEngine, OpenLoopDeparturesRetireWithoutVerdict) {
   EXPECT_TRUE(gone.departed);
   EXPECT_FALSE(gone.delivered);
   EXPECT_FALSE(gone.failure_certified);
-  // Rounds clamp to departure ticks, so the retirement instant is exact,
-  // and a slotted walk spends one transmission per tick until then.
+  // The session's slot window stops at its departure tick, so the
+  // retirement instant is exact, and a slotted walk spends one
+  // transmission per tick until then.
   EXPECT_EQ(gone.completed_at, 5u);
   EXPECT_EQ(gone.transmissions, 5u);
   const SessionReport& kept = engine.report(1);
@@ -333,6 +336,115 @@ TEST(TrafficEngine, PulledArrivalsMatchUpFrontAdmission) {
     ASSERT_EQ(a.completed_at, b.completed_at) << i;
   }
   EXPECT_EQ(pulled.clock(), up_front.clock());
+}
+
+/// FNV-1a over (verdict, transmissions, completed_at, departed,
+/// distinct_visited) in session-id order.
+std::uint64_t report_digest(const std::vector<SessionReport>& reports) {
+  return test_support::report_digest(reports, [](const SessionReport& r) {
+    return std::array<std::uint64_t, 5>{
+        test_support::verdict_code(r), r.transmissions, r.completed_at,
+        r.departed, r.distinct_visited};
+  });
+}
+
+// Golden pin of the static perfect-link engine: the invariance suites
+// compare runs with each other, so this fixes the values themselves.
+// Pulled open-loop arrivals with departures share the clock with s == t
+// routes, cross-cluster certificates, broadcasts and hybrids admitted up
+// front at staggered ticks, some of them departing mid-walk.
+TEST(TrafficEngine, StaticEngineReportsArePinned) {
+  const graph::Graph g = graph::disjoint_copies(graph::k4(), 6);
+  baselines::OpenLoopWorkload::Config cfg;
+  cfg.cluster_size = 4;
+  cfg.clusters = 6;
+  cfg.sessions = 600;
+  cfg.mean_interarrival = 0.7;
+  cfg.mean_lifetime = 25.0;
+  cfg.seed = 17;
+  for (unsigned shards : {1u, 4u}) {
+    TrafficOptions opt = with_walkers();
+    opt.shards = shards;
+    TrafficEngine engine(g, opt);
+    for (NodeId i = 0; i < 12; ++i) {
+      const std::uint64_t at = 11 * i + i % 5;
+      const NodeId other = (i + 4) % 24;  // always the next cluster
+      engine.admit({.s = i, .t = i, .admit_at = at});
+      engine.admit({.s = i, .t = other, .admit_at = at + 2,
+                    .depart_at = i % 3 == 0 ? at + 2 + 7 * i + 1 : 0});
+      engine.admit({.kind = TrafficKind::kBroadcast, .s = 2 * i,
+                    .admit_at = at + 5,
+                    .depart_at = i % 6 ? at + 5 + 30 + i : 0});
+      engine.admit({.kind = TrafficKind::kHybrid, .s = i,
+                    .t = (i + 1 + (i % 4 == 1) * 4) % 24, .admit_at = at + 9,
+                    .hybrid_ttl = 10 + i,
+                    .depart_at = i % 8 == 1 ? at + 9 + 3 * i : 0});
+    }
+    baselines::OpenLoopWorkload arrivals(cfg);
+    engine.attach_arrivals(arrivals);
+    engine.run();
+    int delivered = 0, certified = 0, departed = 0;
+    for (const SessionReport& r : engine.reports()) {
+      ASSERT_TRUE(r.finished);
+      delivered += r.delivered;
+      certified += r.failure_certified;
+      departed += r.departed;
+    }
+    EXPECT_GT(delivered, 0);
+    EXPECT_GT(certified, 0);
+    EXPECT_GT(departed, 0);
+    EXPECT_EQ(report_digest(engine.reports()), 0x6c098f17b275802eULL)
+        << "shards=" << shards;
+  }
+}
+
+// The same pin for the dynamic perfect-link engine: staggered arrivals
+// and departures across epoch boundaries that are not batch-aligned.
+TEST(TrafficEngine, DynamicEngineReportsArePinned) {
+  graph::NodeChurnScenario sc(graph::connected_gnp(14, 0.3, 5),
+                              /*p_leave=*/0.15, /*p_join=*/0.5, 11);
+  TrafficOptions opt;
+  opt.epoch_period = 40;
+  opt.max_epochs = 10;
+  TrafficEngine engine(sc, opt);
+  for (NodeId i = 0; i < 60; ++i) {
+    const std::uint64_t at = 9 * i + i % 7;
+    engine.admit({.s = i % 14, .t = (5 * i + 3) % 14, .admit_at = at,
+                  .depart_at = i % 4 == 0 ? at + 20 + i : 0});
+  }
+  engine.run();
+  EXPECT_EQ(report_digest(engine.reports()), 0xc1d443b859ebd43aULL);
+}
+
+TEST(TrafficEngine, ArrivalsEveryTickKeepRoundsWhole) {
+  // An arrival due every tick starts inside the round in its own slot
+  // window instead of cutting the round short, so the rounds number at
+  // most clock / batch plus the idle fast-forwards (the gap between the
+  // two arrival phases below).
+  const graph::Graph g = graph::disjoint_copies(graph::petersen(), 4);
+  std::vector<SessionSpec> specs;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const std::uint64_t at = i < 300 ? i : i + 5000;
+    const auto s = static_cast<NodeId>(i % 40);
+    specs.push_back({.s = s, .t = s / 10 * 10 + (s + 3) % 10,
+                     .admit_at = at, .depart_at = i % 3 ? 0 : at + 40});
+  }
+  VectorArrivals source(specs);
+  TrafficEngine engine(g);
+  engine.attach_arrivals(source);
+  const std::uint64_t batch = TrafficOptions{}.batch;
+  std::uint64_t rounds = 0;
+  std::uint64_t idle = 0;
+  while (engine.unfinished_count() > 0 ||
+         engine.session_count() < specs.size()) {
+    const std::uint64_t before = engine.clock();
+    engine.run_round();
+    ++rounds;
+    idle += engine.clock() - before > batch;
+  }
+  EXPECT_EQ(idle, 1u);
+  EXPECT_LE(rounds, (engine.clock() + batch - 1) / batch + idle);
+  for (const SessionReport& r : engine.reports()) EXPECT_TRUE(r.finished);
 }
 
 TEST(ShardInvariance, OpenLoopCellAcrossThreadsAndShards) {
