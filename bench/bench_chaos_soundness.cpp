@@ -49,7 +49,7 @@ uesr::baselines::ChaosParams cell_params(double crash_rate, double corrupt) {
   params.loss = 0.05;
   params.dup = 0.01;
   params.corrupt = corrupt;
-  params.reliable.max_retries = 12;
+  params.window.max_retries = 12;
   params.chaos.crash_rate = crash_rate;
   params.chaos.horizon = 1 << 12;
   params.chaos.slot = 64;

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t budget : {0u, 1u, 2u, 4u, 8u, 16u}) {
     baselines::LossyParams params;
     params.loss = 0.1;
-    params.reliable.max_retries = budget;
+    params.max_retries = budget;
     bench::Timer timer;
     const baselines::LossyCell cell = baselines::lossy_experiment(
         graphs[0].g, kPairs, params, /*seed=*/131, threads);

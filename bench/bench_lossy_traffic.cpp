@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
     core::LossyTrafficConfig cfg;
     cfg.link.loss = 0.1;
     cfg.arq = arq;
-    cfg.reliable.max_retries = 8;
     cfg.window.frames_per_message = 8;
     cfg.window.window = 8;
     cfg.window.max_retries = 8;

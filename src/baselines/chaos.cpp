@@ -43,7 +43,6 @@ ChaosCell chaos_experiment(const graph::Graph& g, int pairs,
   base.link.corrupt = params.corrupt;
   base.link.latency_min = params.latency_min;
   base.link.latency_max = params.latency_max;
-  base.reliable = params.reliable;
   base.window = params.window;
   base.arq = params.arq;
 

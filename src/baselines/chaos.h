@@ -39,8 +39,9 @@ struct ChaosParams {
   /// Crash / brownout / corruption-burst sampling knobs; each trial arms
   /// FaultPlan::sample(cubic, chaos, counter_hash(trial, 1)).
   net::ChaosConfig chaos{};
-  net::ReliableOptions reliable{};  ///< stop-and-wait budget / timeouts
-  net::WindowOptions window{};      ///< selective-repeat budgets
+  /// ARQ budgets / timeouts; window shape under selective repeat only
+  /// (core::ArqKind).
+  net::WindowOptions window{};
   core::ArqKind arq = core::ArqKind::kStopAndWait;
 };
 

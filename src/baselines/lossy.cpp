@@ -112,7 +112,8 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
   ues_options.link.dup = params.dup;
   ues_options.link.latency_min = params.latency_min;
   ues_options.link.latency_max = params.latency_max;
-  ues_options.reliable = params.reliable;
+  ues_options.window.max_retries = params.max_retries;
+  ues_options.window.rto.initial = params.rto;
 
   util::ThreadPool pool(threads);
   return util::parallel_reduce<LossyCell>(

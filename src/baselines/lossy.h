@@ -5,8 +5,8 @@
 // armour, and Haas–Halpern–Li GOSSIP routing (PAPERS.md) — retransmit with
 // probability p — is the classic knob between flooding's cost and a single
 // walker's fragility.  Neither certifies anything under loss (a wave that
-// died may just have been unlucky), while UES Route over the stop-and-wait
-// layer keeps SOUND certificates and pays for them with acks, retries, and
+// died may just have been unlucky), while UES Route over stop-and-wait ARQ
+// keeps SOUND certificates and pays for them with acks, retries, and
 // a new "uncertified after budget" outcome (core/lossy_route.h).  E13
 // measures exactly this trade.
 //
@@ -22,7 +22,6 @@
 
 #include "baselines/flooding.h"
 #include "graph/graph.h"
-#include "net/reliable.h"
 #include "net/sim.h"
 
 namespace uesr::baselines {
@@ -50,7 +49,10 @@ struct LossyParams {
   double gossip_p = 0.65;    ///< gossip retransmission probability
   net::SimTime latency_min = 1;  ///< UES link latency bounds
   net::SimTime latency_max = 1;
-  net::ReliableOptions reliable{};  ///< stop-and-wait budget/timeout
+  /// Stop-and-wait retry budget: at most max_retries + 1 DATA copies per
+  /// hop (net::WindowOptions::max_retries).
+  std::uint32_t max_retries = 8;
+  net::SimTime rto = 8;  ///< initial retransmission timeout (adaptive RTO)
 };
 
 /// One experiment cell, summed over the trial pairs.  Every field is

@@ -17,33 +17,25 @@ using net::Status;
 
 namespace {
 
-/// Fold one transfer outcome (either ARQ) into the session stats.
-template <typename Outcome>
-void fold(ArqStats& s, const Outcome& out) {
-  s.retransmits += out.retransmits;
-  s.backoffs += out.backoffs;
-  s.rtt_samples += out.rtt_samples;
+/// The ARQ options `arq` runs with: stop-and-wait is the window-1,
+/// one-frame preset of the same budgets and timeouts.
+net::WindowOptions arq_options(const LossyTrafficConfig& cfg) {
+  net::WindowOptions o = cfg.window;
+  if (cfg.arq == ArqKind::kStopAndWait) o.window = o.frames_per_message = 1;
+  return o;
 }
 
 }  // namespace
 
 /// One epoch's channel: the ARQ carrier and, for a dynamic session, the
-/// snapshot's reduction and T_n it walks.  Transports point into
+/// snapshot's reduction and T_n it walks.  The transport points into
 /// `reduced`, so the bundle lives and dies together (declaration order
-/// puts `reduced` first: transports are destroyed before the graph they
-/// reference).
+/// puts `reduced` first: the transport is destroyed before the graph it
+/// references).
 struct LossyRouteSession::Channel {
   explore::ReducedGraph reduced;  ///< dynamic only; static borrows its own
   std::shared_ptr<const explore::ExplorationSequence> seq;  ///< dynamic only
-  std::optional<net::ReliableTransport> sw;  ///< engaged iff kStopAndWait
-  std::optional<net::WindowTransport> sr;    ///< engaged iff kSelectiveRepeat
-
-  net::EventSim& sim() { return sw ? sw->sim() : sr->sim(); }
-  net::SimTime now() const { return sw ? sw->sim().now() : sr->sim().now(); }
-  std::uint64_t frames() const { return sw ? sw->frames() : sr->frames(); }
-  const net::RtoEstimator& estimator() const {
-    return sw ? sw->estimator() : sr->estimator();
-  }
+  std::optional<net::WindowTransport> arq;  ///< built after `reduced`
 };
 
 LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
@@ -86,8 +78,8 @@ void LossyRouteSession::start() {
 void LossyRouteSession::open_epoch() {
   if (channel_) {
     // The discarded epoch's frames and retries were really spent.
-    carried_frames_ += channel_->frames();
-    stats_.virtual_time += channel_->now();
+    carried_frames_ += channel_->arq->frames();
+    stats_.virtual_time += channel_->arq->sim().now();
     channel_.reset();
     ++restarts_;
   }
@@ -107,14 +99,11 @@ void LossyRouteSession::open_epoch() {
   const graph::Graph& cubic = net_->cubic;
   const std::uint64_t channel_seed =
       util::counter_hash(cfg_.net_seed, session_epoch_);
-  if (cfg_.arq == ArqKind::kStopAndWait)
-    ch->sw.emplace(cubic, channel_seed, cfg_.link, cfg_.reliable);
-  else
-    ch->sr.emplace(cubic, channel_seed, cfg_.link, cfg_.window);
+  ch->arq.emplace(cubic, channel_seed, cfg_.link, arq_options(cfg_));
   // Arm the faults before any frame moves: the scripted plan re-arms into
   // every epoch's fresh channel (plan times are per-epoch virtual time),
   // the sampled plan is drawn for this epoch's cubic graph.
-  net::EventSim& sim = ch->sim();
+  net::EventSim& sim = ch->arq->sim();
   cfg_.faults.arm(sim);
   if (cfg_.chaos)
     net::FaultPlan::sample(cubic, *cfg_.chaos,
@@ -142,32 +131,32 @@ void LossyRouteSession::open_epoch() {
 net::EventSim& LossyRouteSession::sim() {
   if (!channel_)
     throw std::logic_error("LossyRouteSession::sim: s == t opens no channel");
-  return channel_->sim();
+  return channel_->arq->sim();
 }
 
 std::uint64_t LossyRouteSession::wire_frames() const {
-  return carried_frames_ + (channel_ ? channel_->frames() : 0);
+  return carried_frames_ + (channel_ ? channel_->arq->frames() : 0);
 }
 
 ArqStats LossyRouteSession::arq_stats() const {
   ArqStats s = stats_;
   if (channel_) {
-    s.srtt = channel_->estimator().srtt();
-    s.rto = channel_->estimator().rto();
-    s.virtual_time += channel_->now();
+    const net::WindowTransport& arq = *channel_->arq;
+    s.srtt = arq.estimator().srtt();
+    s.rto = arq.estimator().rto();
+    s.virtual_time += arq.sim().now();
   }
   return s;
 }
 
 net::Arrival LossyRouteSession::reliable_hop(NodeId from, Port out_port,
                                              bool& ok) {
-  auto hop = [&](auto& arq) {
-    const auto out = arq.send(from, out_port);
-    fold(stats_, out);
-    ok = out.delivered;
-    return out.arrival;
-  };
-  return channel_->sw ? hop(*channel_->sw) : hop(*channel_->sr);
+  const net::WindowOutcome out = channel_->arq->send(from, out_port);
+  stats_.retransmits += out.retransmits;
+  stats_.backoffs += out.backoffs;
+  stats_.rtt_samples += out.rtt_samples;
+  ok = out.delivered;
+  return out.arrival;
 }
 
 void LossyRouteSession::step() {

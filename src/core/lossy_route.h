@@ -3,14 +3,14 @@
 //
 // The per-node logic is untouched: LossyRouteSession drives the same pure
 // `route_node_step` as the perfect-link RouteSession, but every hop goes
-// through a reliable ARQ transfer instead of a guaranteed
-// Transport::send.  Two ARQs plug into the same seam (the PR 7 transport-
-// selection seam):
+// through a reliable ARQ transfer (net::WindowTransport) instead of a
+// guaranteed Transport::send.  ArqKind picks its shape:
 //
-//   * ArqKind::kStopAndWait   — net::ReliableTransport, one frame per RTT;
-//   * ArqKind::kSelectiveRepeat — net::WindowTransport, a sliding window
-//     of `frames_per_message` frames per hop (the pipelined layer E14
-//     measures against stop-and-wait).
+//   * ArqKind::kStopAndWait     — the window-1 preset, one frame per
+//     message, one frame per RTT;
+//   * ArqKind::kSelectiveRepeat — `config.window` as given, a sliding
+//     window of `frames_per_message` frames per hop (the pipelined layer
+//     E14 measures against stop-and-wait).
 //
 // Because a reliable transfer either proves exactly-once far-end
 // processing or admits ignorance, the session's walk, whenever it
@@ -54,7 +54,6 @@
 #include "explore/sequence.h"
 #include "graph/dynamic.h"
 #include "net/faults.h"
-#include "net/reliable.h"
 #include "net/window.h"
 
 namespace uesr::core {
@@ -66,10 +65,16 @@ enum class LossyVerdict : std::uint8_t {
   kUncertified,
 };
 
-/// Which reliable layer carries each hop.
+/// The shape of the ARQ that carries each hop.  Both run on
+/// net::WindowTransport with the retry budget, RTO and per_link_rto of
+/// LossyTrafficConfig::window:
+///   * kStopAndWait — window 1 and one frame per message (the `window` and
+///     `frames_per_message` fields of LossyTrafficConfig::window are
+///     ignored);
+///   * kSelectiveRepeat — LossyTrafficConfig::window exactly as given.
 enum class ArqKind : std::uint8_t { kStopAndWait, kSelectiveRepeat };
 
-/// Per-transfer/behavioural counters either ARQ surfaces, folded over the
+/// Per-transfer/behavioural counters the ARQ surfaces, folded over the
 /// whole session (satellite: benches assert on retransmission behaviour,
 /// not only outcomes).
 struct ArqStats {
@@ -88,9 +93,8 @@ struct ArqStats {
 /// is keyed per epoch — counter_hash(seed, epoch), epoch 0 for a static
 /// session — so a session is a pure function of (config, schedule).
 struct LossyTrafficConfig {
-  net::LinkModel link{};            ///< channel model of every link
-  net::ReliableOptions reliable{};  ///< stop-and-wait budget / timeouts
-  net::WindowOptions window{};      ///< selective-repeat window / budgets
+  net::LinkModel link{};        ///< channel model of every link
+  net::WindowOptions window{};  ///< ARQ budgets, timeouts; shape (SR only)
   ArqKind arq = ArqKind::kStopAndWait;
   /// Channel randomness: epoch e's channel is seeded
   /// counter_hash(net_seed, e).

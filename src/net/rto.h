@@ -1,5 +1,5 @@
-// Adaptive retransmission-timeout estimation shared by both ARQs
-// (stop-and-wait in net/reliable.h, selective repeat in net/window.h).
+// Adaptive retransmission-timeout estimation for the ARQ in net/window.h
+// (selective repeat, and stop-and-wait as its window-1 preset).
 //
 // The classic Jacobson/Karels estimator in integer arithmetic (the RFC
 // 6298 shape): SRTT and RTTVAR are kept as fixed-point accumulators

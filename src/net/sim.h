@@ -46,9 +46,9 @@
 // window can open and close in the middle of one reliable transfer.
 //
 // EventSim moves frames and timers; it owns no protocol logic.  The
-// stop-and-wait ack/retransmit layer is net/reliable.h, the selective-
-// repeat one net/window.h, and the certificate semantics of routing over
-// all of this is DESIGN.md §2.10.
+// ack/retransmit layer is net/window.h (selective repeat, with
+// stop-and-wait as its window-1 preset), and the certificate semantics of
+// routing over all of this is DESIGN.md §2.10.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +138,7 @@ class EventSim {
   void set_node_crashed(graph::NodeId v, bool crashed);
   bool node_crashed(graph::NodeId v) const;
   /// Recoveries seen so far at v — the amnesia generation: volatile ARQ
-  /// state stamped with an older epoch is gone (net/reliable.h, window.h).
+  /// state stamped with an older epoch is gone (net/window.h).
   std::uint64_t crash_epochs(graph::NodeId v) const;
 
   /// Schedules `action` to apply at now() + delay, interleaved with

@@ -9,8 +9,7 @@ namespace {
 
 // Frame-id packing, 64 bits: | transfer k (33b) | cum (15b) | frame (15b) |
 // kind (1b) |.  DATA leaves cum zero; ACKs carry (frame, cumulative).
-// Transfer ids make late copies of finished transfers recognizably stale,
-// exactly as in net/reliable.h.
+// Transfer ids make late copies of finished transfers recognizably stale.
 constexpr std::uint64_t kKindAck = 1;
 constexpr std::uint64_t kFieldMask = 0x7fff;  // 15 bits
 
@@ -82,16 +81,11 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
   // transport-wide one, or this link's own under per_link_rto.
   RtoEstimator& est = working_estimator(sim_.link_index(from, out_port));
 
-  // Sender state, indexed by frame.
-  std::vector<char> acked(F, 0);
-  std::vector<char> retransmitted(F, 0);
-  std::vector<std::uint32_t> attempt(F, 0);
-  std::vector<std::uint32_t> retries(F, 0);
-  std::vector<SimTime> sent_at(F, 0);
-  // Fixed mode backs each frame's timeout off locally (the PR 6
-  // discipline, per frame); adaptive mode arms the shared estimator.
-  std::vector<SimTime> fixed_rto(options_.rto.adaptive ? 0 : F,
-                                 options_.rto.initial);
+  // Per-frame state.  Fixed mode backs each frame's timeout off locally,
+  // frame by frame; adaptive mode arms the shared estimator.
+  FrameState fresh;
+  fresh.fixed_rto = options_.rto.initial;
+  frame_.assign(F, fresh);
   std::uint32_t base = 0;      // lowest unacked frame (window left edge)
   std::uint32_t next_new = 0;  // next never-launched frame
   std::uint32_t inflight = 0;
@@ -101,20 +95,21 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
   // cumulative ack certifies the DURABLE in-order prefix.  Crash-free the
   // two conditions coincide (receiver state is monotone).
   std::uint32_t watermark_seen = 0;
-  // Receiver state: the out-of-order buffer bitmap + cumulative counter.
-  // The bitmap above `cum` is VOLATILE — wiped when the receiving node's
-  // crash epoch moves; [0, cum) is the durable delivered prefix.
-  std::vector<char> received(F, 0);
+  // Receiver state: the out-of-order buffer bitmap (FrameState::received)
+  // + cumulative counter.  The bitmap above `cum` is VOLATILE — wiped when
+  // the receiving node's crash epoch moves; [0, cum) is the durable
+  // delivered prefix.
   std::uint32_t cum = 0;  // frames [0, cum) delivered in order
   const graph::NodeId rx = sim_.graph().rotate(from, out_port).node;
   std::uint64_t rx_epoch = sim_.crash_epochs(rx);
 
   const auto launch = [&](std::uint32_t f) {
-    sent_at[f] = sim_.now();
+    FrameState& fs = frame_[f];
+    fs.sent_at = sim_.now();
     sim_.send(from, out_port, data_id(k, f));
     ++out.data_copies;
-    const SimTime rto = options_.rto.adaptive ? est.rto() : fixed_rto[f];
-    sim_.set_timer(rto, timer_id(k, f, attempt[f]));
+    const SimTime rto = options_.rto.adaptive ? est.rto() : fs.fixed_rto;
+    sim_.set_timer(rto, timer_id(k, f, fs.attempt));
   };
   const auto fill = [&] {
     while (next_new < F && inflight < options_.window) {
@@ -124,14 +119,15 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     }
   };
   const auto retire = [&](std::uint32_t f, bool clean_sample) {
-    if (acked[f]) return;
-    acked[f] = 1;
+    FrameState& fs = frame_[f];
+    if (fs.acked) return;
+    fs.acked = true;
     --inflight;
-    sim_.cancel_timer(timer_id(k, f, attempt[f]));  // lazy heap cleanup
+    sim_.cancel_timer(timer_id(k, f, fs.attempt));  // lazy heap cleanup
     // Karn's rule: only a frame that was never retransmitted yields an
     // unambiguous RTT (its ack cannot be confirming an earlier copy).
-    if (clean_sample && !retransmitted[f] && options_.rto.adaptive) {
-      est.sample(sim_.now() - sent_at[f]);
+    if (clean_sample && fs.attempt == 0 && options_.rto.adaptive) {
+      est.sample(sim_.now() - fs.sent_at);
       ++out.rtt_samples;
     }
   };
@@ -144,20 +140,19 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
           static_cast<std::uint32_t>((ev->timer_id >> 16) & kFieldMask);
       const std::uint32_t att =
           static_cast<std::uint32_t>(ev->timer_id & 0xffff);
-      if (acked[f] || att != attempt[f]) continue;  // stale attempt
-      if (retries[f] >= options_.max_retries) {
+      FrameState& fs = frame_[f];
+      if (fs.acked || att != fs.attempt) continue;  // stale attempt
+      if (fs.attempt >= options_.max_retries) {
         // This frame's budget is spent: the transfer dies.  Cancel the
         // other in-flight frames' timers on the way out.
         for (std::uint32_t j = 0; j < next_new; ++j)
-          if (!acked[j] && j != f)
-            sim_.cancel_timer(timer_id(k, j, attempt[j]));
+          if (!frame_[j].acked && j != f)
+            sim_.cancel_timer(timer_id(k, j, frame_[j].attempt));
         break;
       }
-      ++retries[f];
-      ++attempt[f];
+      ++fs.attempt;
       ++out.retransmits;
       ++total_retransmits_;
-      retransmitted[f] = 1;
       // Backoff discipline: only the window's OLDEST unacked frame doubles
       // the shared estimator (TCP's single-timer semantics).  A burst that
       // loses k frames must cost one doubling per RTO period, not 2^k —
@@ -171,7 +166,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
           ++total_backoffs_;
         }
       } else {
-        fixed_rto[f] = std::min(fixed_rto[f] * 2, options_.rto.max);
+        fs.fixed_rto = std::min(fs.fixed_rto * 2, options_.rto.max);
         ++out.backoffs;
         ++total_backoffs_;
       }
@@ -192,14 +187,14 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
       if (sim_.crash_epochs(ev->node) != rx_epoch) {
         rx_epoch = sim_.crash_epochs(ev->node);
         ++out.receiver_resets;
-        for (std::uint32_t j = cum; j < F; ++j) received[j] = 0;
+        for (std::uint32_t j = cum; j < F; ++j) frame_[j].received = false;
       }
       // Buffer the frame (exactly once — dups and late copies hit the
       // bitmap), slide the cumulative counter, ack EVERY copy.
       if (!out.message_arrived) out.arrival = Arrival{ev->node, ev->port};
-      if (!received[f]) {
-        received[f] = 1;
-        while (cum < F && received[cum]) ++cum;
+      if (!frame_[f].received) {
+        frame_[f].received = true;
+        while (cum < F && frame_[cum].received) ++cum;
       }
       if (cum == F) out.message_arrived = true;
       sim_.send(ev->node, ev->port, ack_id(k, f, cum));
@@ -213,7 +208,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     watermark_seen = std::max(watermark_seen, watermark);
     for (std::uint32_t j = base; j < watermark; ++j)
       retire(j, /*clean_sample=*/false);
-    while (base < F && acked[base]) ++base;
+    while (base < F && frame_[base].acked) ++base;
     if (base == F) {
       if (watermark_seen >= F) {
         out.delivered = true;

@@ -1,7 +1,9 @@
-// Selective-repeat sliding-window ARQ over the lossy event simulator —
-// the pipelined reliable layer that replaces stop-and-wait's
-// one-frame-per-RTT bottleneck (ISSUE 7 tentpole; SNIPPETS.md's
-// selective-repeat sender/receiver queues reduced to their invariant).
+// The one ARQ: selective-repeat sliding-window ack/retransmit over the
+// lossy event simulator (SNIPPETS.md's selective-repeat sender/receiver
+// queues reduced to their invariant).  Stop-and-wait is its window-1
+// preset: `window = frames_per_message = 1` puts one DATA frame on the
+// wire, arms one timer, and resends with backoff until an ACK returns or
+// the retry budget is spent.
 //
 // One send() moves one MESSAGE of `frames_per_message` frames across the
 // edge at (from, out_port), keeping up to `window` frames in flight at
@@ -11,38 +13,42 @@
 //     timer per in-flight frame, and resends exactly the frames whose
 //     timers fire (selective repeat — never go-back-N's wasteful replay);
 //   * the receiver buffers out-of-order arrivals in a bitmap and acks
-//     EVERY copy it sees with a (frame, cumulative) pair: the selective
-//     half retires that frame from the sender's window, the cumulative
-//     half retires every frame below it — so one surviving ack can repair
-//     many lost ones;
+//     EVERY copy it sees (acks get lost too) with a (frame, cumulative)
+//     pair: the selective half retires that frame from the sender's
+//     window, the cumulative half retires every frame below it — so one
+//     surviving ack can repair many lost ones;
 //   * frames are processed exactly once and the message is complete only
 //     when the receiver's cumulative counter covers it — exactly-once,
 //     in-order delivery by construction.
 //
-// The contract mirrors net/reliable.h one level up:
+// The result is the strongest one-hop contract a lossy channel admits:
 //
 //   * delivered == true   — every frame of the message was acked: the far
 //                           end provably holds the whole message, in
-//                           order, exactly once.
-//   * delivered == false  — some frame spent its per-frame retry budget;
-//                           the sender knows nothing (any subset of frames
-//                           and acks may be the lost half — the same
-//                           two-generals gap).  `message_arrived` is the
-//                           simulator's ground truth, for soundness tests
-//                           only.
+//                           order, and processed it exactly once.
+//   * delivered == false  — some frame spent its per-frame retry budget
+//                           and the sender KNOWS NOTHING: any subset of
+//                           frames and acks may be the lost half (the
+//                           two-generals gap).  `message_arrived` reports
+//                           the ground truth the simulator happens to
+//                           know, for soundness tests only; no protocol
+//                           on the sender side may read it.
+//
+// This is what lets sessions written against Transport's send-semantics
+// run unchanged over loss: a send that returns delivered means exactly
+// what Transport::send's return means, and a failed one aborts the
+// session into the "uncertified after budget" verdict (DESIGN.md §2.10).
 //
 // Timeouts come from the shared Jacobson/Karn estimator (net/rto.h):
 // never-retransmitted frames feed it unambiguous RTT samples, timeouts
-// back it off, and the backed-off value persists until the next clean
-// sample.  Every schedule remains a pure function of (graph, seed, call
-// sequence) — the adaptation consumes no randomness of its own — so
-// enable_trace() replay stays byte-identical and reports thread-count
-// invariant (pinned by the window replay-regression test).
+// back it off, and the backed-off value persists across transfers until
+// the next clean sample.  Every schedule remains a pure function of
+// (graph, seed, call sequence) — the adaptation consumes no randomness of
+// its own — so enable_trace() replay stays byte-identical and reports
+// thread-count invariant (pinned by the window replay-regression test).
 //
-// With window == 1 the pipeline degenerates to stop-and-wait pacing —
-// that is the E14 baseline the sliding window is measured against; the
-// bench sweeps window x loss and reports virtual time per delivered
-// message.
+// Window 1 pays one RTT per frame; E14 sweeps window x loss and reports
+// virtual time per delivered message against that pacing.
 //
 // Fault semantics (DESIGN.md §2.12): a corrupted copy fails the frame
 // check sequence and is dropped unprocessed — corruption degrades to loss
@@ -58,12 +64,14 @@
 // globally-unique frame ids mean recovery can never double-deliver.
 // Crash-free, watermark-completion is provably identical to
 // all-frames-acked (receiver state is monotone), so the PR 7 replay pins
-// hold byte for byte.
+// hold byte for byte.  At window 1 the out-of-order buffer is always
+// empty: a crashing peer costs retries, never a second processing.
 //
-// Model note: selective repeat needs O(window) bits of LINK-layer state
-// per endpoint (the in-flight bitmap).  The ROUTING layer above stays
-// stateless — the paper's model constrains the routing layer, not the
-// radio (same argument as net/reliable.h).
+// Model note: the ARQ needs O(window) bits of LINK-layer state per
+// endpoint (the open transfer id and the in-flight bitmap; O(1) at window
+// 1).  The ROUTING layer above stays stateless — nodes still store nothing
+// between messages; the paper's model constrains the routing layer, not
+// the radio.
 #pragma once
 
 #include <cstdint>
@@ -76,19 +84,23 @@
 namespace uesr::net {
 
 struct WindowOptions {
-  /// In-flight frame cap; 1 degenerates to stop-and-wait pacing.  >= 1.
+  /// In-flight frame cap; 1 is stop-and-wait pacing.  >= 1.
   std::uint32_t window = 8;
   /// Frames per message (the segmentation that makes the window matter
   /// across one hop).  In [1, 2^15).
   std::uint32_t frames_per_message = 8;
-  /// Per-frame retransmission budget; a single frame exhausting it aborts
-  /// the whole transfer.  Must be < 2^16 - 1.
+  /// Per-frame retransmission budget (the wire sees at most
+  /// max_retries + 1 DATA copies of a frame); a single frame exhausting it
+  /// aborts the whole transfer.  Must be < 2^16 - 1.
   std::uint32_t max_retries = 8;
   /// Timeout estimation (shared Jacobson/Karn state across transfers).
+  /// rto.adaptive = false is the fixed schedule: every frame starts at
+  /// rto.initial and doubles locally per retry, clamped at rto.max.
   RtoOptions rto{};
-  /// Adaptive-RTO granularity: true keeps one estimator per directed link
-  /// instead of one per transport (see net/reliable.h — the ROADMAP
-  /// per-link follow-on).  Ignored when !rto.adaptive.
+  /// Adaptive-RTO granularity: false keeps ONE estimator for the whole
+  /// transport; true keeps one PER DIRECTED LINK, so transfers crossing a
+  /// slow edge never inflate the timeout of a fast one (the TrafficEngine
+  /// lossy mode engages it).  Ignored when !rto.adaptive.
   bool per_link_rto = false;
 };
 
@@ -154,6 +166,19 @@ class WindowTransport {
   std::uint64_t transfers_ = 0;
   std::uint64_t total_retransmits_ = 0;
   std::uint64_t total_backoffs_ = 0;
+  /// One frame's state within a transfer: the sender's half, then the
+  /// receiver's bitmap bit.
+  struct FrameState {
+    SimTime sent_at = 0;    ///< launch time of the latest copy
+    SimTime fixed_rto = 0;  ///< fixed mode's locally doubled timeout
+    /// Retransmissions so far; also the live timer's attempt number.
+    std::uint32_t attempt = 0;
+    bool acked = false;
+    bool received = false;  ///< receiver holds it (volatile above `cum`)
+  };
+  /// Per-transfer scratch, indexed by frame: kept across send() calls so a
+  /// transfer reuses its capacity (each send() resets it with assign()).
+  std::vector<FrameState> frame_;
 };
 
 }  // namespace uesr::net

@@ -36,7 +36,6 @@ ChaosParams stormy(core::ArqKind arq) {
   p.dup = 0.02;
   p.corrupt = 0.03;
   p.latency_max = 3;
-  p.reliable.max_retries = 8;
   p.window.max_retries = 8;
   p.window.frames_per_message = 3;
   p.window.window = 2;
@@ -59,7 +58,7 @@ ChaosParams stormy(core::ArqKind arq) {
 // ---- the seeded soundness fuzzer ---------------------------------------
 // Each trial of chaos_experiment runs under its OWN sampled FaultPlan
 // (seed counter_hash(counter_hash(seed, i), 1)), so pairs == sampled
-// plans.  Across the zoo and both ARQs this sweeps 200+ random fault
+// plans.  Across the zoo and both ARQ shapes this sweeps 200+ random fault
 // schedules; the §2.12 acceptance gate is unsound == 0 on every one.
 
 TEST(ChaosFuzzer, HundredsOfSampledPlansAcrossTheZooStaySound) {
@@ -119,7 +118,7 @@ TEST(ChaosExperiment, AllKnobsZeroDegeneratesToThePerfectChannel) {
 TEST(ChaosExperiment, SplitGraphCertificatesSurviveChaos) {
   const Graph g = split_gnp(6, 0.4, 41);
   ChaosParams p = stormy(core::ArqKind::kStopAndWait);
-  p.reliable.max_retries = 20;  // let full failed walks complete
+  p.window.max_retries = 20;  // let full failed walks complete
   const ChaosCell cell = chaos_experiment(g, 30, p, 91);
   EXPECT_EQ(cell.unsound, 0);
   // Cross-component pairs can only certify or degrade — never deliver
@@ -188,7 +187,6 @@ TEST(ChaosTraffic, StaticEngineUnderScriptedAndSampledChaosStaysSound) {
     cfg.link.loss = 0.05;
     cfg.link.corrupt = 0.05;
     cfg.arq = arq;
-    cfg.reliable.max_retries = 8;
     cfg.window.max_retries = 8;
     cfg.window.frames_per_message = 2;
     // A scripted crash window and corruption burst on top of sampled chaos
@@ -211,7 +209,7 @@ TEST(ChaosTraffic, DynamicEngineUnderChaosStaysSoundAndTerminates) {
   const Workload w = poisson_workload(12, 24, 1.0, 91);
   core::LossyTrafficConfig cfg;
   cfg.link.loss = 0.05;
-  cfg.reliable.max_retries = 5;
+  cfg.window.max_retries = 5;
   cfg.chaos = traffic_chaos();
   const LossyTrafficCell cell =
       lossy_traffic_experiment(sc, /*epoch_period=*/48, /*max_epochs=*/10, w,
@@ -230,8 +228,6 @@ TEST(ChaosTraffic, PerLinkRtoRunsThroughTheEngineThreadInvariantly) {
     cfg.link.loss = 0.1;
     cfg.link.latency_max = 6;
     cfg.arq = arq;
-    cfg.reliable.max_retries = 8;
-    cfg.reliable.per_link_rto = true;  // adaptive_rto defaults true
     cfg.window.max_retries = 8;
     cfg.window.frames_per_message = 2;
     cfg.window.per_link_rto = true;

@@ -115,8 +115,8 @@ TEST(ThreadInvariance, LossyExperimentReports) {
   params.loss = 0.15;
   params.dup = 0.05;
   params.latency_max = 4;
-  params.reliable.max_retries = 6;
-  params.reliable.rto = 4;
+  params.max_retries = 6;
+  params.rto = 4;
   const LossyCell base = lossy_experiment(g, 16, params, 123, /*threads=*/1);
   EXPECT_EQ(base.pairs, 16);
   EXPECT_EQ(base.ues_errors, 0);
@@ -131,8 +131,8 @@ TEST(ThreadInvariance, LossyExperimentReportsSplitGraph) {
   const Graph split = test_support::split_gnp(6, 0.5, 27);
   LossyParams params;
   params.loss = 0.1;
-  params.reliable.max_retries = 20;
-  params.reliable.rto = 2;
+  params.max_retries = 20;
+  params.rto = 2;
   const LossyCell base = lossy_experiment(split, 14, params, 321, 1);
   EXPECT_EQ(base.ues_errors, 0);
   EXPECT_GT(base.ues_certified + base.ues_uncertified, 0);

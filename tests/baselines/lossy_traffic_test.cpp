@@ -66,7 +66,7 @@ TEST(LossyTraffic, SelectiveRepeatAtZeroLossMatchesStopAndWaitVerdicts) {
 }
 
 // The adversarial static sweeps: dup-only, loss-only, loss+dup, and the
-// one-sided regime, for both ARQs.  Soundness is absolute (unsound == 0)
+// one-sided regime, for both ARQ shapes.  Soundness is absolute (unsound == 0)
 // and every session resolves to exactly one verdict.
 TEST(LossyTraffic, StaticRegimeSweepsStaySound) {
   const Graph g = split_graph();
@@ -90,7 +90,6 @@ TEST(LossyTraffic, StaticRegimeSweepsStaySound) {
       cfg.link.latency_max = 4;
       cfg.one_sided_down = r.one_sided;
       cfg.arq = arq;
-      cfg.reliable.max_retries = 6;
       cfg.window.max_retries = 6;
       cfg.window.frames_per_message = 2;
       cfg.window.window = 2;
@@ -126,7 +125,6 @@ TEST(LossyTraffic, ComposedLossAndChurnStaysSound) {
     core::LossyTrafficConfig cfg;
     cfg.link.loss = 0.1;
     cfg.arq = arq;
-    cfg.reliable.max_retries = 5;
     cfg.window.max_retries = 5;
     cfg.window.frames_per_message = 4;
     const LossyTrafficCell cell = lossy_traffic_experiment(
@@ -146,7 +144,7 @@ TEST(LossyTraffic, FrozenScheduleResolvesBlockedSessionsToUncertified) {
   const Workload w = all_pairs_workload(8);
   core::LossyTrafficConfig cfg;
   cfg.link.loss = 1.0;
-  cfg.reliable.max_retries = 2;
+  cfg.window.max_retries = 2;
   const LossyTrafficCell cell =
       lossy_traffic_experiment(sc, 32, /*max_epochs=*/3, w, cfg, 23, 1);
   EXPECT_EQ(cell.sessions, 56);
@@ -208,7 +206,7 @@ TEST(ThreadInvariance, LossyTrafficStatic) {
   cfg.link.dup = 0.05;
   cfg.link.latency_max = 4;
   cfg.one_sided_down = 0.05;
-  cfg.reliable.max_retries = 6;
+  cfg.window.max_retries = 6;
   const LossyTrafficCell base = lossy_traffic_experiment(g, w, cfg, 123, 1);
   EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
@@ -253,7 +251,6 @@ TEST(LossyTraffic, DynamicEngineReportsArePinned) {
     cfg.link = {.latency_max = 3, .loss = 0.05};
     cfg.one_sided_down = 0.02;
     cfg.arq = arq;
-    cfg.reliable.max_retries = 6;
     cfg.window.max_retries = 6;
     cfg.window.frames_per_message = 2;
     cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,

@@ -135,8 +135,8 @@ TEST(LossyRouteSoundness, LossOnlyRegime) {
   Fixture fx(split_gnp(5, 0.6, 13));
   LossyTrafficConfig options;
   options.link.loss = 0.3;
-  options.reliable.max_retries = 2;  // tight budget: uncertified happens
-  options.reliable.rto = 4;
+  options.window.max_retries = 2;  // tight budget: uncertified happens
+  options.window.rto.initial = 4;
   const RegimeTally tally = sweep_all_pairs(fx, options, 0x1055);
   EXPECT_GT(tally.uncertified, 0);  // the budget really bit
   EXPECT_GT(tally.delivered, 0);    // and some walks still completed
@@ -146,8 +146,8 @@ TEST(LossyRouteSoundness, LossOnlyGenerousBudgetStillSound) {
   Fixture fx(split_gnp(4, 0.7, 17));
   LossyTrafficConfig options;
   options.link.loss = 0.25;
-  options.reliable.max_retries = 40;  // delivery of each hop near-certain
-  options.reliable.rto = 2;
+  options.window.max_retries = 40;  // delivery of each hop near-certain
+  options.window.rto.initial = 2;
   const RegimeTally tally = sweep_all_pairs(fx, options, 0x9e9e);
   EXPECT_GT(tally.delivered, 0);
   EXPECT_GT(tally.certified, 0);  // failure certs survive loss, soundly
@@ -166,8 +166,8 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
     for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
       if (s == t) continue;
       LossyTrafficConfig options;
-      options.reliable.max_retries = 2;
-      options.reliable.rto = 4;
+      options.window.max_retries = 2;
+      options.window.rto.initial = 4;
       options.net_seed = util::counter_hash(0x51de, s * 1000 + t);
       LossyRouteSession session(fx.net, *fx.seq, s, t, options);
       // Down ~15% of directed half-edges, one side only.
@@ -199,8 +199,8 @@ TEST(LossyRouteSession, BroadcastRunsUnderLoss) {
   Fixture fx(graph::connected_gnp(8, 0.4, 23));
   LossyTrafficConfig options;
   options.link.loss = 0.1;
-  options.reliable.max_retries = 30;
-  options.reliable.rto = 2;
+  options.window.max_retries = 30;
+  options.window.rto.initial = 2;
   LossyRouteSession session(fx.net, *fx.seq, 0, net::kNoTarget, options);
   const LossyVerdict v = session.run();
   // A completed broadcast exhausts the sequence and rewinds: that is the
@@ -217,8 +217,8 @@ TEST(LossyRouteSession, UncertifiedSessionsMayStillHaveDelivered) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     LossyTrafficConfig options;
     options.link.loss = 0.1;
-    options.reliable.max_retries = 2;
-    options.reliable.rto = 4;
+    options.window.max_retries = 2;
+    options.window.rto.initial = 4;
     options.net_seed = util::counter_hash(0x2be1, seed);
     LossyRouteSession session(fx.net, *fx.seq, 0, 5, options);
     session.run();
@@ -236,7 +236,7 @@ TEST(LossyRouteSession, SameSeedSameVerdictAndFrames) {
     LossyTrafficConfig options;
     options.link.loss = 0.2;
     options.link.dup = 0.1;
-    options.reliable.rto = 4;
+    options.window.rto.initial = 4;
     LossyRouteSession session(fx.net, *fx.seq, 1, 7, options);
     verdicts[run] = session.run();
     frames[run] = session.wire_frames();
@@ -351,7 +351,7 @@ TEST(LossyDynamicRoute, BudgetExhaustionBlocksThenEpochHeals) {
   graph::DynamicGraph g(graph::path(3));
   LossyTrafficConfig options;
   options.link.loss = 1.0;
-  options.reliable.max_retries = 1;
+  options.window.max_retries = 1;
   LossyRouteSession sess(g, 0, 2, kSeqSeed, options);
   sess.step();
   EXPECT_TRUE(sess.blocked());
@@ -372,7 +372,7 @@ TEST(LossyDynamicRoute, GiveUpResolvesBlockedToUncertified) {
   graph::DynamicGraph g(graph::path(3));
   LossyTrafficConfig options;
   options.link.loss = 1.0;
-  options.reliable.max_retries = 1;
+  options.window.max_retries = 1;
   LossyRouteSession sess(g, 0, 2, kSeqSeed, options);
   sess.step();
   ASSERT_TRUE(sess.blocked());
@@ -400,7 +400,7 @@ TEST(LossyDynamicRoute, ComposedLossAndChurnVerdictsMatchCompletionEpoch) {
                                                 {3, 4}, {4, 5}}));
     LossyTrafficConfig options;
     options.link.loss = 0.15;
-    options.reliable.max_retries = 3;
+    options.window.max_retries = 3;
     options.net_seed = util::counter_hash(0xc0a1, seed);
     LossyRouteSession sess(g, 0, 5, kSeqSeed, options);
     for (int k = 0; k < 3 && !sess.finished(); ++k) sess.step();
@@ -429,7 +429,7 @@ TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
     LossyTrafficConfig options;
     options.link.loss = 0.1;
     options.one_sided_down = 0.2;
-    options.reliable.max_retries = 4;
+    options.window.max_retries = 4;
     LossyRouteSession sess(g, 0, 6, kSeqSeed, options);
     sess.run();  // gives up once blocked
     verdicts[run] = sess.verdict();
@@ -447,7 +447,7 @@ TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
 TEST(LossyRouteEpochZero, StaticMatchesDynamicOnAFrozenGraph) {
   // Same reduction, same sequence, same config: the static session and a
   // dynamic one whose graph never commits (run() gives up once blocked)
-  // must agree on everything they report, for both ARQs, under loss,
+  // must agree on everything they report, for both ARQ shapes, under loss,
   // duplication, one-sided flips and sampled chaos at once.
   graph::DynamicGraph g(split_gnp(3, 0.7, 47));
   const ReducedGraph net = reduce_to_cubic(g.snapshot());
@@ -456,7 +456,6 @@ TEST(LossyRouteEpochZero, StaticMatchesDynamicOnAFrozenGraph) {
   LossyTrafficConfig cfg;
   cfg.link = {.latency_max = 4, .loss = 0.1, .dup = 0.1};
   cfg.one_sided_down = 0.03;
-  cfg.reliable.max_retries = 6;
   cfg.window.max_retries = 6;
   cfg.window.frames_per_message = 2;
   cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,

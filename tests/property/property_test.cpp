@@ -14,12 +14,14 @@
 //       seed covers at the same step);
 //   P8  the CSR layout is observationally a rotation map;
 //   P9  the lossy stack degenerates exactly: at loss = 0, zero jitter,
-//       bidirectional links, both ARQs (net::ReliableTransport and
-//       net::WindowTransport) replay the arrival sequence of
-//       net::Transport over the same walk, one acked frame per send;
-//   P10 both ARQs degenerate to the same walk: at loss = 0 the sliding
-//       window (net::WindowTransport) is arrival-for-arrival identical
-//       to stop-and-wait (net::ReliableTransport) on every topology;
+//       bidirectional links, the ARQ (net::WindowTransport) replays the
+//       arrival sequence of net::Transport over the same walk in both
+//       shapes the benches run — the stop-and-wait preset (window 1, one
+//       frame per message) and a pipelined window (window 2, four frames)
+//       — each frame acked once;
+//   P10 both ARQ shapes degenerate to the same walk: at loss = 0 a
+//       pipelined window is arrival-for-arrival identical to the
+//       stop-and-wait preset on every topology;
 //   P11 the fault layer at zero is invisible: corrupt = 0 plus an armed
 //       all-zero-rate FaultPlan leaves the lossy channel byte-identical
 //       (trace line for trace line) to the plain PR 7 transport.
@@ -37,7 +39,6 @@
 #include "graph/generators.h"
 #include "graph/geometric.h"
 #include "net/faults.h"
-#include "net/reliable.h"
 #include "net/transport.h"
 #include "net/window.h"
 #include "util/rng.h"
@@ -237,21 +238,27 @@ TEST_P(GraphZoo, RelabelInverseRoundTrip) {
 }
 
 // ---- P9: the lossy stack degenerates exactly --------------------------
-// At loss 0 both ARQs hand back net::Transport's arrival, hop for hop: the
-// lossy stack adds acks and framing, never a different walk.
+// At loss 0 the ARQ hands back net::Transport's arrival, hop for hop, as
+// the stop-and-wait preset and as a pipelined window alike: the lossy
+// stack adds acks and framing, never a different walk.
 
 TEST_P(GraphZoo, LossyTransportAtZeroLossReplaysTransport) {
   if (g_.num_nodes() == 0 || g_.degree(0) == 0) GTEST_SKIP();
   net::Transport perfect(g_);
   // Defaults: loss = 0, latency pinned at 1.
-  net::ReliableTransport sw(g_, /*seed=*/0x5eed0009, {}, {});
-  net::WindowTransport sr(g_, /*seed=*/0x5eed0009, {}, {});
+  net::WindowOptions sw_opt;
+  sw_opt.window = sw_opt.frames_per_message = 1;
+  net::WindowOptions sr_opt;
+  sr_opt.window = 2;
+  sr_opt.frames_per_message = 4;
+  net::WindowTransport sw(g_, /*seed=*/0x5eed0009, {}, sw_opt);
+  net::WindowTransport sr(g_, /*seed=*/0x5eed000b, {}, sr_opt);
   util::Pcg32 walk(0x99);
   graph::NodeId at = 0;
   for (int i = 0; i < 300; ++i) {
     const graph::Port out = walk.next_below(g_.degree(at));
     const net::Arrival a = perfect.send(at, out);
-    const net::ReliableOutcome b = sw.send(at, out);
+    const net::WindowOutcome b = sw.send(at, out);
     const net::WindowOutcome c = sr.send(at, out);
     ASSERT_TRUE(b.delivered) << "step " << i;
     ASSERT_TRUE(c.delivered) << "step " << i;
@@ -262,18 +269,25 @@ TEST_P(GraphZoo, LossyTransportAtZeroLossReplaysTransport) {
     at = a.node;
   }
   EXPECT_EQ(perfect.transmissions(), 300u);
-  // Stop-and-wait sends exactly the perfect walk's frames, each acked once.
+  // Clean links: one DATA + one ACK per frame, no resends anywhere — the
+  // preset sends exactly the perfect walk's frames, each acked once.
   EXPECT_EQ(sw.frames(), 2 * perfect.transmissions());
+  EXPECT_EQ(sr.frames(),
+            2 * sr_opt.frames_per_message * perfect.transmissions());
+  EXPECT_EQ(sw.total_retransmits(), 0u);
+  EXPECT_EQ(sr.total_retransmits(), 0u);
 }
 
-// ---- P10: both ARQs degenerate to the same walk ------------------------
+// ---- P10: both ARQ shapes degenerate to the same walk ------------------
 // At loss 0 the sliding window is invisible to the routing layer: on every
-// zoo topology, selective repeat hands back the same arrival, hop for hop,
-// as stop-and-wait — the transport-selection seam cannot change a walk.
+// zoo topology, a pipelined window hands back the same arrival, hop for
+// hop, as the stop-and-wait preset — the ARQ shape cannot change a walk.
 
 TEST_P(GraphZoo, WindowArqAtZeroLossMatchesStopAndWaitArrivals) {
   if (g_.num_nodes() == 0 || g_.degree(0) == 0) GTEST_SKIP();
-  net::ReliableTransport sw(g_, /*seed=*/0x5eed000a, {}, {});
+  net::WindowOptions sw_opt;
+  sw_opt.window = sw_opt.frames_per_message = 1;
+  net::WindowTransport sw(g_, /*seed=*/0x5eed000a, {}, sw_opt);
   net::WindowOptions wopt;
   wopt.frames_per_message = 4;
   wopt.window = 2;
@@ -282,7 +296,7 @@ TEST_P(GraphZoo, WindowArqAtZeroLossMatchesStopAndWaitArrivals) {
   graph::NodeId at = 0;
   for (int i = 0; i < 200; ++i) {
     const graph::Port out = walk.next_below(g_.degree(at));
-    const net::ReliableOutcome a = sw.send(at, out);
+    const net::WindowOutcome a = sw.send(at, out);
     const net::WindowOutcome b = sr.send(at, out);
     ASSERT_TRUE(a.delivered) << "step " << i;
     ASSERT_TRUE(b.delivered) << "step " << i;
