@@ -1,6 +1,7 @@
 // E10: micro-benchmarks (google-benchmark) for the per-step costs that
 // the paper's complexity claims are built from: symbol evaluation, walk
-// steps, rotation-map products, degree reduction, and probe round trips.
+// steps, rotation-map products, degree reduction, probe round trips, and
+// one ARQ message transfer over a lossy link.
 // Index row: DESIGN.md §4 / EXPERIMENTS.md (E10) — expected shape lives there.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "explore/walker.h"
 #include "graph/catalog.h"
 #include "graph/generators.h"
+#include "net/window.h"
 #include "reingold/products.h"
 #include "reingold/rotation_map.h"
 
@@ -240,6 +242,23 @@ void BM_RetrieveProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * (state.range(0) + 1));
 }
 BENCHMARK(BM_RetrieveProbe)->Arg(16)->Arg(256)->Arg(4096);
+
+// One selective-repeat message across one edge at loss 0.1: the per-hop
+// cost of a lossy route — ARQ plus the EventSim run queue under it — which
+// none of the engine rows above touch.  Args: window, frames per message.
+void BM_WindowTransfer(benchmark::State& state) {
+  const graph::Graph g = graph::cycle(8);
+  net::LinkModel link;
+  link.loss = 0.1;
+  net::WindowOptions opt;
+  opt.window = static_cast<std::uint32_t>(state.range(0));
+  opt.frames_per_message = static_cast<std::uint32_t>(state.range(1));
+  opt.max_retries = 16;
+  net::WindowTransport arq(g, 7, link, opt);
+  for (auto _ : state) benchmark::DoNotOptimize(arq.send(0, 0));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WindowTransfer)->Args({2, 2})->Args({16, 16});
 
 void BM_CoverCheck(benchmark::State& state) {
   graph::Graph g = graph::random_connected_regular(

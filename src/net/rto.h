@@ -43,7 +43,7 @@ struct RtoOptions {
   SimTime max = 1024;   ///< backoff/estimate ceiling; must be >= initial
   /// Timer granularity G: the lower bound on the variance term, so a
   /// perfectly constant RTT still leaves one tick of slack between the
-  /// expected ack and the timer (ties in the event heap break by push
+  /// expected ack and the timer (ties in the event queue break by push
   /// order, so a timer armed exactly at the ack's arrival time would fire
   /// first — G = 2 keeps adaptation spuriousness-free on constant links).
   SimTime granularity = 2;

@@ -53,6 +53,9 @@ EventSim::EventSim(const graph::Graph& g, std::uint64_t seed,
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     offsets_[v + 1] = offsets_[v] + g.degree(v);
   models_.resize(offsets_.back());
+  link_seeds_.resize(offsets_.back());
+  for (std::uint64_t l = 0; l < link_seeds_.size(); ++l)
+    link_seeds_[l] = util::counter_hash(seed_, l);
   down_.resize(offsets_.back(), false);
   crashed_.resize(g.num_nodes(), false);
   crash_epochs_.resize(g.num_nodes(), 0);
@@ -120,8 +123,12 @@ void EventSim::record(std::string line) {
 void EventSim::push(SimTime at, SimEvent ev) {
   ev.time = at;
   ev.seq = next_seq_++;
-  queue_.push_back(Queued{at, ev.seq, ev});
-  std::push_heap(queue_.begin(), queue_.end(), QueuedLater{});
+  // The new seq is the largest, so the event pops after every queued
+  // event due at the same time: it goes in front of all of them.
+  queue_.insert(std::partition_point(
+                    queue_.begin(), queue_.end(),
+                    [at](const SimEvent& q) { return q.time > at; }),
+                ev);
 }
 
 void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
@@ -151,7 +158,7 @@ void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
   // order is fixed: loss, latency, dup, dup-latency, THEN the corruption
   // draws — so at corrupt = 0 the stream is consumed exactly as pre-fault
   // replays did (P11).
-  util::Pcg32 rng(util::counter_hash(util::counter_hash(seed_, link), event));
+  util::Pcg32 rng(util::counter_hash(link_seeds_[link], event));
   if (m.loss > 0.0 && rng.next_double() < m.loss) {
     ++frames_lost_;
     stamp("lost");
@@ -199,23 +206,21 @@ void EventSim::set_timer(SimTime delay, std::uint64_t timer_id) {
 }
 
 void EventSim::cancel_timer(std::uint64_t timer_id) {
-  cancelled_.insert(timer_id);
-  // Compaction keeps the heap (and pending()) bounded by ~2x the live
-  // events: once cancelled entries dominate, filter them out in place and
-  // re-heapify.  Pop order is the TOTAL order (time, seq), so rebuilding
-  // the heap never changes what next() returns — determinism holds.
-  if (cancelled_.size() >= 64 && cancelled_.size() * 2 > queue_.size()) {
-    auto dead = [&](const Queued& q) {
-      if (q.event.kind != SimEventKind::kTimer) return false;
-      const auto it = cancelled_.find(q.event.timer_id);
-      if (it == cancelled_.end()) return false;
-      cancelled_.erase(it);
-      ++timers_cancelled_;
-      return true;
-    };
-    queue_.erase(std::remove_if(queue_.begin(), queue_.end(), dead),
-                 queue_.end());
-    std::make_heap(queue_.begin(), queue_.end(), QueuedLater{});
+  // From the back, the first match is the timer next() would pop first.
+  const auto it = std::find_if(
+      queue_.rbegin(), queue_.rend(), [timer_id](const SimEvent& q) {
+        return q.kind == SimEventKind::kTimer && q.timer_id == timer_id;
+      });
+  if (it == queue_.rend()) return;
+  it->kind = kDead;
+  ++dead_;
+  // Compaction keeps pending() bounded by ~2x the live events: once dead
+  // entries dominate, filter them out.  The filter keeps the order, so it
+  // never changes what next() returns — determinism holds.
+  if (dead_ >= 64 && dead_ * 2 > queue_.size()) {
+    std::erase_if(queue_, [](const SimEvent& q) { return q.kind == kDead; });
+    timers_cancelled_ += dead_;
+    dead_ = 0;
   }
 }
 
@@ -269,22 +274,19 @@ void EventSim::apply_fault(const FaultAction& f) {
 
 std::optional<SimEvent> EventSim::next() {
   while (!queue_.empty()) {
-    std::pop_heap(queue_.begin(), queue_.end(), QueuedLater{});
-    Queued q = queue_.back();
+    const SimEvent ev = queue_.back();
     queue_.pop_back();
-    now_ = q.time;
-    SimEvent& ev = q.event;
+    now_ = ev.time;
+    if (ev.kind == kDead) {  // cancelled: consume silently
+      --dead_;
+      ++timers_cancelled_;
+      continue;
+    }
     if (ev.kind == SimEventKind::kFault) {
       apply_fault(fault_actions_[ev.timer_id]);
       continue;
     }
     if (ev.kind == SimEventKind::kTimer) {
-      const auto it = cancelled_.find(ev.timer_id);
-      if (it != cancelled_.end()) {  // lazily-cancelled: consume silently
-        cancelled_.erase(it);
-        ++timers_cancelled_;
-        continue;
-      }
       if (trace_limit_ != 0) record("E " + to_string(ev));
       return ev;
     }

@@ -7,14 +7,18 @@
 // the repo's deterministic-replay contract (ROADMAP): the whole schedule is
 // a PURE FUNCTION of (seed, API-call sequence).
 //
-//   * The event queue is a binary heap keyed (time, seq), where seq is the
-//     push-order counter — ties never depend on heap internals or pointer
-//     values, so two process runs pop identical sequences.
+//   * The run queue is one vector kept sorted by descending (time, seq),
+//     where seq is the push-order counter, so the next event sits at the
+//     back.  The order is total — ties never depend on container
+//     internals or pointer values — so two process runs pop identical
+//     sequences.  Queues are short (a few to a few dozen events per ARQ
+//     session), so a sorted insert beats a heap's sift of whole events.
 //   * Every channel draw for transmission #k over directed link l comes
 //     from Pcg32(counter_hash(counter_hash(seed, l), k)) — per-(link,
 //     event) streams, never a shared one (the PR 3 RNG convention), so a
 //     replay that re-issues the same sends re-draws the same losses,
-//     latencies and duplicates.
+//     latencies and duplicates.  The inner per-link hash is tabled once
+//     at construction.
 //
 // Channel model, per DIRECTED link (departure half-edge (u, out_port); the
 // reverse direction (v, in_port) is an independent link):
@@ -54,7 +58,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.h"
@@ -100,7 +103,7 @@ struct FaultAction {
 struct SimEvent {
   SimEventKind kind = SimEventKind::kArrival;
   SimTime time = 0;
-  std::uint64_t seq = 0;  ///< push-order id (the heap tiebreak)
+  std::uint64_t seq = 0;  ///< push-order id (the queue tiebreak)
   graph::NodeId node = 0;
   graph::Port port = 0;
   graph::NodeId from = 0;
@@ -160,12 +163,15 @@ class EventSim {
   /// Schedules a timer event at now() + delay carrying `timer_id`.
   void set_timer(SimTime delay, std::uint64_t timer_id);
 
-  /// Lazy-cancels the queued timer carrying `timer_id`: the entry stays in
-  /// the heap until popped (and is then consumed silently) or until the
-  /// periodic compaction sweeps it out — so pending() stays bounded by
-  /// ~2x the live events over any run length, however many stale ARQ
-  /// timers a chaos run abandons.  At most one queued timer may carry the
-  /// id; cancelling an id that is not queued poisons its next use.
+  /// Cancels the queued timer carrying `timer_id` (the one due first, if
+  /// several carry it).  The entry is marked dead in place: next()
+  /// consumes it silently when it comes up, or a compaction sweep removes
+  /// it once dead entries outnumber live ones — so pending() stays
+  /// bounded by ~2x the live events over any run length, however many
+  /// stale ARQ timers a chaos run abandons.  Either way it counts in
+  /// timers_cancelled().  An id with no queued timer (never set, already
+  /// fired or already cancelled) is a no-op: it never touches a timer set
+  /// later under the same id.
   void cancel_timer(std::uint64_t timer_id);
 
   /// Pops the next deliverable event in (time, seq) order, advancing
@@ -177,7 +183,7 @@ class EventSim {
   std::optional<SimEvent> next();
 
   /// Events (arrivals + timers + faults) still queued, cancelled-but-not-
-  /// yet-compacted timers included.
+  /// yet-consumed timers included.
   std::size_t pending() const { return queue_.size(); }
 
   // --- wire accounting ----------------------------------------------------
@@ -201,16 +207,8 @@ class EventSim {
   const std::vector<std::string>& trace() const { return trace_; }
 
  private:
-  struct Queued {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    SimEvent event;
-  };
-  struct QueuedLater {
-    bool operator()(const Queued& a, const Queued& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
+  /// Kind of a cancelled timer still in the queue; never leaves next().
+  static constexpr auto kDead = static_cast<SimEventKind>(0xff);
 
   std::uint64_t link_id(graph::NodeId u, graph::Port p) const {
     return offsets_[u] + p;
@@ -225,16 +223,16 @@ class EventSim {
   std::uint64_t seed_;
   LinkModel default_model_;
   std::vector<std::size_t> offsets_;  ///< per-node half-edge offsets (n + 1)
+  std::vector<std::uint64_t> link_seeds_;  ///< counter_hash(seed_, link)
   /// Sparse per-link overrides / down flags, indexed by link id.
   std::vector<std::optional<LinkModel>> models_;
   std::vector<bool> down_;
   std::vector<bool> crashed_;                ///< per-node crash flags
   std::vector<std::uint64_t> crash_epochs_;  ///< per-node recovery counts
 
-  /// Binary heap in (time, seq) order (std::push_heap/pop_heap) — a plain
-  /// vector so lazy-cancel compaction can filter it in place.
-  std::vector<Queued> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;  ///< lazily-cancelled ids
+  /// Sorted by descending (time, seq): next() pops the back.
+  std::vector<SimEvent> queue_;
+  std::size_t dead_ = 0;  ///< cancelled timers still in queue_
   std::vector<FaultAction> fault_actions_;  ///< payloads of queued kFault
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;   ///< push-order event ids

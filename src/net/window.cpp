@@ -123,7 +123,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     if (fs.acked) return;
     fs.acked = true;
     --inflight;
-    sim_.cancel_timer(timer_id(k, f, fs.attempt));  // lazy heap cleanup
+    sim_.cancel_timer(timer_id(k, f, fs.attempt));  // lazy queue cleanup
     // Karn's rule: only a frame that was never retransmitted yields an
     // unambiguous RTT (its ack cannot be confirming an earlier copy).
     if (clean_sample && fs.attempt == 0 && options_.rto.adaptive) {

@@ -443,6 +443,20 @@ TEST(EventSimTimers, CancelledTimerIsConsumedSilently) {
   EXPECT_EQ(ev->timer_id, 78u);
 }
 
+// A cancel that matches no queued timer does nothing: it must not lie in
+// wait and swallow the next timer that happens to reuse the id.
+TEST(EventSimTimers, CancellingAnUnqueuedIdIsANoOp) {
+  Graph g = graph::cycle(3);
+  EventSim sim(g, 7, perfect());
+  sim.cancel_timer(5);
+  sim.set_timer(3, 5);
+  auto ev = sim.next();
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->kind, SimEventKind::kTimer);
+  EXPECT_EQ(ev->timer_id, 5u);
+  EXPECT_EQ(sim.timers_cancelled(), 0u);
+}
+
 // The satellite regression: mass lazy cancellation must not grow the heap
 // — compaction keeps pending() bounded by a small constant multiple of
 // the live events, however many stale ARQ timers a chaos run abandons.
@@ -462,6 +476,105 @@ TEST(EventSimTimers, PendingStaysBoundedUnderMassCancellation) {
   while (sim.next().has_value()) ++fired;
   EXPECT_EQ(fired, 8u);  // only the live timers ever surfaced
   EXPECT_EQ(sim.timers_cancelled(), 20000u);
+}
+
+// ---------------------------------------------------------------------------
+// Run-queue pin: the exact schedule of a scripted run.  Cancels hit queued
+// timer ids only, where lazy cancellation has one meaning, so the digest
+// must not move when the queue's internals change.
+
+/// FNV-1a over 64-bit words, low byte first.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+TEST(EventSimQueue, ScriptedScheduleIsPinned) {
+  const Graph g = graph::connected_gnp(12, 0.3, 5);
+  LinkModel m;
+  m.latency_min = 1;
+  m.latency_max = 9;
+  m.dup = 0.2;
+  m.corrupt = 0.1;
+  EventSim sim(g, /*seed=*/0x9ee7, m);
+  util::Pcg32 script(2024);
+  Fnv fnv;
+  std::vector<std::uint64_t> queued;  // set, not yet fired or cancelled
+  std::uint64_t cancels = 0;
+  std::uint64_t compactions = 0;
+  auto observe = [&] {
+    fnv.add(sim.now());
+    fnv.add(sim.pending());
+    fnv.add(sim.timers_cancelled());
+  };
+  auto pop = [&] {
+    const auto ev = sim.next();
+    fnv.add(ev.has_value());
+    if (ev) {
+      for (std::uint64_t w :
+           {std::uint64_t{static_cast<std::uint8_t>(ev->kind)}, ev->time,
+            ev->seq, std::uint64_t{ev->node}, std::uint64_t{ev->port},
+            std::uint64_t{ev->from}, std::uint64_t{ev->from_port},
+            ev->frame_id, std::uint64_t{ev->duplicate},
+            std::uint64_t{ev->corrupted}, ev->timer_id})
+        fnv.add(w);
+      if (ev->kind == SimEventKind::kTimer) std::erase(queued, ev->timer_id);
+    }
+    observe();
+    return ev.has_value();
+  };
+  for (std::uint64_t i = 0; i < 8000; ++i) {
+    const NodeId v = script.next_below(g.num_nodes());
+    const Port p = script.next_below(g.degree(v));
+    // Alternate phases: timers pile up and get cancelled (enough dead
+    // entries to cross the compaction threshold), then pops drain them.
+    const bool drain = (i / 400) % 2 == 1;
+    const std::uint32_t op = script.next_below(20);
+    if (op < (drain ? 2u : 7u)) {
+      sim.set_timer(1 + script.next_below(1100), i);
+      queued.push_back(i);
+    } else if (op < (drain ? 4u : 16u)) {
+      if (queued.empty()) continue;
+      const std::size_t k = script.next_below(
+          static_cast<std::uint32_t>(queued.size()));
+      const std::uint64_t before = sim.timers_cancelled();
+      sim.cancel_timer(queued[k]);
+      if (sim.timers_cancelled() != before) ++compactions;
+      queued[k] = queued.back();
+      queued.pop_back();
+      ++cancels;
+    } else if (op < (drain ? 6u : 18u)) {
+      sim.send(v, p, i);
+    } else if (op < (drain ? 7u : 19u)) {
+      FaultAction a;
+      // Recoveries and heals outnumber crashes and kills, so most nodes
+      // stay up and frames keep landing.
+      using K = FaultAction::Kind;
+      constexpr K kKinds[] = {K::kCrash,   K::kRecover,  K::kRecover,
+                              K::kRecover, K::kLinkDown, K::kLinkUp,
+                              K::kLinkUp,  K::kGlobalCorrupt};
+      a.kind = kKinds[script.next_below(8)];
+      a.node = v;
+      a.port = p;
+      a.corrupt = 0.3;
+      sim.schedule_fault(script.next_below(16), a);
+    } else {
+      pop();
+      continue;
+    }
+    observe();
+  }
+  while (pop()) {
+  }
+  EXPECT_GT(compactions, 0u);  // the sweep really ran mid-script
+  EXPECT_TRUE(queued.empty());
+  EXPECT_EQ(sim.timers_cancelled(), cancels);  // each consumed exactly once
+  EXPECT_EQ(fnv.h, 0x02066c165e20c417ULL);
 }
 
 /// The chaos drive: sends, timers, cancellations and scheduled faults all
