@@ -6,7 +6,6 @@
 
 #include "core/dynamic_route.h"
 #include "graph/algorithms.h"
-#include "net/dynamic_transport.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -58,8 +57,7 @@ ChurnRouter::ChurnRouter(const graph::Scenario& scenario,
 ChurnAttempt ChurnRouter::route_ues(NodeId s, NodeId t,
                                     std::uint64_t seq_seed) const {
   Replay r(*scenario_, period_, max_epochs_);
-  net::DynamicTransport transport(r.g);
-  core::DynamicRouteSession session(transport, s, t, {seq_seed});
+  core::DynamicRouteSession session(r.g, s, t, {seq_seed});
   while (!session.finished()) {
     session.step();
     // The terminate step transmits nothing; everything else is one frame.

@@ -1,10 +1,8 @@
 #include "core/lossy_route.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "explore/sequence_cache.h"
 #include "util/rng.h"
 
 namespace uesr::core {
@@ -27,43 +25,18 @@ net::WindowOptions arq_options(const LossyTrafficConfig& cfg) {
 
 }  // namespace
 
-/// One epoch's channel: the ARQ carrier and, for a dynamic session, the
-/// snapshot's reduction and T_n it walks.  The transport points into
-/// `reduced`, so the bundle lives and dies together (declaration order
-/// puts `reduced` first: the transport is destroyed before the graph it
-/// references).
-struct LossyRouteSession::Channel {
-  explore::ReducedGraph reduced;  ///< dynamic only; static borrows its own
-  std::shared_ptr<const explore::ExplorationSequence> seq;  ///< dynamic only
-  std::optional<net::WindowTransport> arq;  ///< built after `reduced`
-};
-
 LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
                                      const explore::ExplorationSequence& seq,
                                      NodeId s, NodeId t,
-                                     LossyTrafficConfig cfg)
-    : net_(&net), seq_(&seq), s_(s), t_(t), cfg_(std::move(cfg)) {
+                                     LossyTrafficConfig cfg,
+                                     std::uint64_t epoch)
+    : net_(&net), seq_(&seq), s_(s), t_(t), cfg_(std::move(cfg)),
+      session_epoch_(epoch) {
   const auto n_orig = static_cast<NodeId>(net.first_gadget.size());
   if (s >= n_orig)
     throw std::invalid_argument("LossyRouteSession: source out of range");
   if (t != net::kNoTarget && t >= n_orig)
     throw std::invalid_argument("LossyRouteSession: target out of range");
-  start();
-}
-
-LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
-                                     NodeId t, std::uint64_t seq_seed,
-                                     LossyTrafficConfig cfg)
-    : graph_(&g), seq_seed_(seq_seed), s_(s), t_(t), cfg_(std::move(cfg)) {
-  if (s >= g.num_nodes() || t >= g.num_nodes())
-    throw std::invalid_argument("LossyRouteSession: node out of range");
-  session_epoch_ = g.epoch();
-  start();
-}
-
-LossyRouteSession::~LossyRouteSession() = default;
-
-void LossyRouteSession::start() {
   if (!(cfg_.one_sided_down >= 0.0 && cfg_.one_sided_down <= 1.0))
     throw std::invalid_argument(
         "LossyRouteSession: one_sided_down outside [0, 1]");
@@ -75,35 +48,32 @@ void LossyRouteSession::start() {
   open_epoch();
 }
 
+void LossyRouteSession::restart(const explore::ReducedGraph& net,
+                                const explore::ExplorationSequence& seq,
+                                std::uint64_t epoch) {
+  if (finished()) return;
+  // The discarded epoch's frames and retries were really spent.
+  carried_frames_ += arq_->frames();
+  stats_.virtual_time += arq_->sim().now();
+  arq_.reset();  // drop the carrier before its graph may go
+  ++restarts_;
+  net_ = &net;
+  seq_ = &seq;
+  session_epoch_ = epoch;
+  open_epoch();
+}
+
 void LossyRouteSession::open_epoch() {
-  if (channel_) {
-    // The discarded epoch's frames and retries were really spent.
-    carried_frames_ += channel_->arq->frames();
-    stats_.virtual_time += channel_->arq->sim().now();
-    channel_.reset();
-    ++restarts_;
-  }
-  auto ch = std::make_unique<Channel>();
-  if (graph_) {
-    session_epoch_ = graph_->epoch();
-    ch->reduced = explore::reduce_to_cubic(graph_->snapshot());
-    ch->seq = explore::cached_standard_ues(
-        std::max<NodeId>(static_cast<NodeId>(ch->reduced.cubic.num_nodes()),
-                         1),
-        seq_seed_);
-    net_ = &ch->reduced;
-    seq_ = ch->seq.get();
-  }
   // Every stream of the epoch is a pure function of (config, epoch): same
   // scenario, same seeds, same schedule — the replayability contract.
   const graph::Graph& cubic = net_->cubic;
   const std::uint64_t channel_seed =
       util::counter_hash(cfg_.net_seed, session_epoch_);
-  ch->arq.emplace(cubic, channel_seed, cfg_.link, arq_options(cfg_));
+  arq_.emplace(cubic, channel_seed, cfg_.link, arq_options(cfg_));
   // Arm the faults before any frame moves: the scripted plan re-arms into
   // every epoch's fresh channel (plan times are per-epoch virtual time),
   // the sampled plan is drawn for this epoch's cubic graph.
-  net::EventSim& sim = ch->arq->sim();
+  net::EventSim& sim = arq_->sim();
   cfg_.faults.arm(sim);
   if (cfg_.chaos)
     net::FaultPlan::sample(cubic, *cfg_.chaos,
@@ -117,7 +87,6 @@ void LossyRouteSession::open_epoch() {
         if (flips.next_double() < cfg_.one_sided_down)
           sim.set_link_up(v, q, false);
   }
-  channel_ = std::move(ch);
   // Restart the walk from scratch (stateless nodes make restarts free).
   header_ = net::Header{};
   header_.kind = t_ == net::kNoTarget ? Kind::kBroadcast : Kind::kRoute;
@@ -129,29 +98,28 @@ void LossyRouteSession::open_epoch() {
 }
 
 net::EventSim& LossyRouteSession::sim() {
-  if (!channel_)
+  if (!arq_)
     throw std::logic_error("LossyRouteSession::sim: s == t opens no channel");
-  return channel_->arq->sim();
+  return arq_->sim();
 }
 
 std::uint64_t LossyRouteSession::wire_frames() const {
-  return carried_frames_ + (channel_ ? channel_->arq->frames() : 0);
+  return carried_frames_ + (arq_ ? arq_->frames() : 0);
 }
 
 ArqStats LossyRouteSession::arq_stats() const {
   ArqStats s = stats_;
-  if (channel_) {
-    const net::WindowTransport& arq = *channel_->arq;
-    s.srtt = arq.estimator().srtt();
-    s.rto = arq.estimator().rto();
-    s.virtual_time += arq.sim().now();
+  if (arq_) {
+    s.srtt = arq_->estimator().srtt();
+    s.rto = arq_->estimator().rto();
+    s.virtual_time += arq_->sim().now();
   }
   return s;
 }
 
 net::Arrival LossyRouteSession::reliable_hop(NodeId from, Port out_port,
                                              bool& ok) {
-  const net::WindowOutcome out = channel_->arq->send(from, out_port);
+  const net::WindowOutcome out = arq_->send(from, out_port);
   stats_.retransmits += out.retransmits;
   stats_.backoffs += out.backoffs;
   stats_.rtt_samples += out.rtt_samples;
@@ -160,9 +128,7 @@ net::Arrival LossyRouteSession::reliable_hop(NodeId from, Port out_port,
 }
 
 void LossyRouteSession::step() {
-  if (finished()) return;
-  if (graph_ && graph_->epoch() != session_epoch_) open_epoch();
-  if (blocked_) return;  // same epoch, spent budget: wait for the topology
+  if (finished() || blocked_) return;  // blocked: wait for the topology
   // Injection: s sends along d_0 = (start, port 0) and consumes no symbol;
   // every later hop is the pure per-node decision.
   NodeId from = start_gadget_;
@@ -186,15 +152,10 @@ void LossyRouteSession::step() {
   const net::Arrival arr = reliable_hop(from, out_port, ok);
   if (!ok) {
     // Retry budget spent: the chain of custody is broken and the sender
-    // knows nothing (the data or its ack may be the lost half).  Under
-    // churn the next epoch may heal the link, so sleep until then; a
-    // static session has no next epoch and asserts nothing.
-    if (graph_) {
-      blocked_ = true;
-    } else {
-      verdict_ = LossyVerdict::kUncertified;
-      completion_epoch_ = session_epoch_;
-    }
+    // knows nothing (the data or its ack may be the lost half).  The next
+    // epoch may heal the link, so sleep until the owner restarts the
+    // session or gives it up.
+    blocked_ = true;
     return;
   }
   at_ = arr;
@@ -207,14 +168,14 @@ void LossyRouteSession::step() {
 
 LossyVerdict LossyRouteSession::run() {
   while (!finished()) {
-    if (blocked()) give_up();  // nothing commits an epoch during run()
-    else step();
+    step();
+    give_up();  // nothing commits an epoch during run()
   }
   return verdict_;
 }
 
 void LossyRouteSession::give_up() {
-  if (finished() || !blocked_) return;
+  if (!blocked_) return;
   verdict_ = LossyVerdict::kUncertified;
   completion_epoch_ = session_epoch_;
 }

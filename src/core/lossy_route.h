@@ -41,18 +41,17 @@
 //
 // The same session composes this with churn (links flapping in the
 // topology AND dropping frames in the channel, in one replayable
-// scenario); a static session is simply epoch 0 of a graph that never
-// commits — one channel builder, one hop, one step.
+// scenario): its owner restart()s it onto each new epoch's network, and a
+// static session is simply epoch 0 of a network that never moves — one
+// channel builder, one hop, one step.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "core/route.h"
 #include "explore/degree_reduce.h"
 #include "explore/sequence.h"
-#include "graph/dynamic.h"
 #include "net/faults.h"
 #include "net/window.h"
 
@@ -118,43 +117,40 @@ struct LossyTrafficConfig {
 /// Resumable lossy routing: each step() performs one reliable hop (or the
 /// free terminate step that ends a walk).
 ///
-/// Constructed over a DynamicGraph, the session restarts whenever the
-/// epoch moves (the §2.8 rule of core/dynamic_route.h), so every completed
-/// walk ran entirely within one epoch over one channel: kDelivered /
-/// kFailureCertified are exact statements about completion_epoch().  A hop
-/// that spends its retry budget does NOT end such a session (under churn
-/// the link may heal): it goes `blocked()` and waits for the next epoch,
-/// the dynamic face of the ChurnRouter wait rule.  The owner
-/// (TrafficEngine, or a test loop) calls give_up() once the schedule is
-/// frozen — only then does the verdict become kUncertified.  A static
-/// session knows no epoch can come, so a spent budget resolves it to
-/// kUncertified at once.
+/// A session walks one epoch's network over that epoch's channel.  Under
+/// churn its owner moves it to the next epoch with restart() (the §2.8
+/// rule of core/dynamic_route.h), so every completed walk ran entirely
+/// within one epoch over one channel: kDelivered / kFailureCertified are
+/// exact statements about completion_epoch().  A hop that spends its retry
+/// budget does NOT end the session (under churn the link may heal): it
+/// goes `blocked()` and waits for the next epoch, the dynamic face of the
+/// ChurnRouter wait rule.  The owner (TrafficEngine, or a test loop) calls
+/// give_up() once no epoch can come — a static network never has one —
+/// and only then does the verdict become kUncertified.
 class LossyRouteSession {
  public:
-  /// Static: `net` and `seq` must outlive the session (the same contract
-  /// as RouteSession); t == net::kNoTarget broadcasts.
+  /// `net` and `seq` must outlive the session, or its next restart() (the
+  /// same contract as RouteSession); t == net::kNoTarget broadcasts.
+  /// `epoch` keys the channel's streams: 0 for a static network.
   LossyRouteSession(const explore::ReducedGraph& net,
                     const explore::ExplorationSequence& seq, graph::NodeId s,
-                    graph::NodeId t, LossyTrafficConfig cfg = {});
-  /// Dynamic: `g` must outlive the session; each epoch walks a fresh
-  /// reduction and the cached T_n of family `seq_seed`.  Epoch commits
-  /// must happen strictly between step() calls (the TrafficEngine round
-  /// contract).
-  LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
-                    graph::NodeId t, std::uint64_t seq_seed,
-                    LossyTrafficConfig cfg = {});
-  ~LossyRouteSession();
+                    graph::NodeId t, LossyTrafficConfig cfg = {},
+                    std::uint64_t epoch = 0);
   LossyRouteSession(const LossyRouteSession&) = delete;
   LossyRouteSession& operator=(const LossyRouteSession&) = delete;
 
-  /// One reliable hop against the current epoch (restarting transparently
-  /// when the epoch moved).  No-op once finished() or while blocked() in
-  /// an unchanged epoch.
+  /// One reliable hop against the current epoch.  No-op once finished()
+  /// or while blocked().
   void step();
-  /// Drives to completion against the topology as it stands and returns
-  /// the verdict.  No epoch can commit during run(), so a blocked dynamic
-  /// session gives up.
+  /// Drives to completion on the current network and returns the verdict.
+  /// No epoch can come during run(), so a blocked session gives up.
   LossyVerdict run();
+  /// The epoch moved: discards the walk and its channel (their frames
+  /// stay counted) and re-injects at s on `net`/`seq` over a fresh channel
+  /// keyed by `epoch`, clearing blocked().  Counts one restart.  `net`
+  /// must have the same original nodes.  No-op once finished().
+  void restart(const explore::ReducedGraph& net,
+               const explore::ExplorationSequence& seq, std::uint64_t epoch);
 
   bool finished() const { return verdict_ != LossyVerdict::kInProgress; }
   LossyVerdict verdict() const { return verdict_; }
@@ -164,13 +160,9 @@ class LossyRouteSession {
   }
   bool uncertified() const { return verdict_ == LossyVerdict::kUncertified; }
 
-  /// A hop spent its retry budget this epoch: the session sleeps until the
-  /// topology changes.  Reports false again as soon as the epoch moved
-  /// (the next step() rebuilds and resumes).  Never true once finished(),
-  /// never true for a static session.
-  bool blocked() const {
-    return blocked_ && graph_->epoch() == session_epoch_;
-  }
+  /// A hop spent its retry budget on this epoch's channel: the session
+  /// sleeps until restart() or give_up().  Never true once finished().
+  bool blocked() const { return blocked_; }
   /// The owner promises no further epoch will come (schedule frozen): a
   /// blocked session resolves to kUncertified; an in-flight one keeps
   /// stepping (the frozen topology still lets it finish).  No-op unless
@@ -192,35 +184,28 @@ class LossyRouteSession {
   ArqStats arq_stats() const;
 
   /// The current epoch's simulator, for per-link model overrides and
-  /// one-sided flips BEFORE stepping (a restart builds a fresh one).
+  /// one-sided flips BEFORE stepping (restart() builds a fresh one).
   /// Throws std::logic_error for an s == t session, which opens no
   /// channel.
   net::EventSim& sim();
 
   std::uint64_t restarts() const { return restarts_; }
-  /// Epoch the verdict is about (0 for a static session); meaningful once
+  /// Epoch the verdict is about (0 on a static network); meaningful once
   /// finished().
   std::uint64_t completion_epoch() const { return completion_epoch_; }
 
  private:
-  struct Channel;  ///< one epoch's ARQ carrier (+ reduction and T_n, dynamic)
-
-  /// Validates the config and opens epoch 0's (or the graph's current
-  /// epoch's) channel; an s == t session delivers without one.
-  void start();
-  /// Builds the channel for the current epoch and restarts the walk.
+  /// Builds the channel for session_epoch_ and restarts the walk.
   void open_epoch();
   net::Arrival reliable_hop(graph::NodeId from, graph::Port out_port,
                             bool& ok);
 
-  const graph::DynamicGraph* graph_ = nullptr;  ///< null: static session
-  std::uint64_t seq_seed_ = 0;
-  /// The epoch's reduction and T_n: borrowed (static) or owned by channel_.
+  /// The epoch's reduction and T_n (borrowed).
   const explore::ReducedGraph* net_ = nullptr;
   const explore::ExplorationSequence* seq_ = nullptr;
   graph::NodeId s_, t_;
   LossyTrafficConfig cfg_;
-  std::unique_ptr<Channel> channel_;
+  std::optional<net::WindowTransport> arq_;  ///< the epoch's ARQ carrier
   net::Header header_;
   net::Arrival at_{};
   graph::NodeId start_gadget_ = 0;

@@ -13,18 +13,32 @@ using graph::NodeId;
 using graph::Port;
 
 MultiWalkArena::MultiWalkArena(const explore::ReducedGraph& net,
-                               const explore::ExplorationSequence& seq)
-    : net_(&net),
-      seq_(&seq),
-      seq_length_(seq.length()),
-      far_(net.cubic.far_node_data()),
-      ports_(&net.cubic.far_ports()),
-      original_of_(net.original_of.data()) {
-  if (!net.cubic.is_cubic())
-    throw std::invalid_argument("MultiWalkArena: reduced graph must be cubic");
+                               const explore::ExplorationSequence& seq) {
+  rebind(net, seq);
   symbols_.resize(kBlockLanes * kSymbolWindow);
   win_lo_.resize(kBlockLanes);
   win_len_.assign(kBlockLanes, 0);
+}
+
+void MultiWalkArena::rebind(const explore::ReducedGraph& net,
+                            const explore::ExplorationSequence& seq) {
+  if (!net.cubic.is_cubic())
+    throw std::invalid_argument("MultiWalkArena: reduced graph must be cubic");
+  net_ = &net;
+  seq_ = &seq;
+  seq_length_ = seq.length();
+  far_ = net.cubic.far_node_data();
+  ports_ = &net.cubic.far_ports();
+  original_of_ = net.original_of.data();
+}
+
+void MultiWalkArena::restart(std::size_t w, NodeId s) {
+  if (s >= net_->first_gadget.size())
+    throw std::invalid_argument("MultiWalkArena: source out of range");
+  node_[w] = net_->entry_gadget(s);  // pre-injection: start gadget
+  port_[w] = 0;
+  flags_[w] = 0;
+  index_[w] = 0;
 }
 
 std::size_t MultiWalkArena::admit(NodeId s, NodeId t) {

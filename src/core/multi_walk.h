@@ -26,9 +26,10 @@
 // Semantics are pinned to RouteSession step for step: same transmission
 // counts, same turn-around ticks, same verdicts (tests/core/
 // multi_walk_test.cpp drives both in lockstep).  The arena handles
-// exactly the hot case — kRoute sessions with s != t over a static,
-// perfect-link cubic reduction; everything else stays on the scalar
-// lanes.
+// exactly the hot case — kRoute sessions with s != t over a perfect-link
+// cubic reduction; under churn the owner rebind()s it to each new epoch's
+// network and restart()s the walks in flight (the §2.8 restart rule).
+// Broadcasts, hybrids and lossy routes stay on the scalar lanes.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +58,17 @@ class MultiWalkArena {
   /// `seq`, must outlive the arena.
   MultiWalkArena(const explore::ReducedGraph& net,
                  const explore::ExplorationSequence& seq);
+
+  /// Moves the arena onto another epoch's network over the same original
+  /// nodes (`net` cubic; with `seq`, outliving the arena).  Walk rows
+  /// stay; every walk still in flight must be restart()ed before it steps
+  /// again (its node is a gadget of the old reduction).
+  void rebind(const explore::ReducedGraph& net,
+              const explore::ExplorationSequence& seq);
+  /// The §2.8 restart: walk w goes back to injection at its source s on
+  /// the current network, index 0 and flags clear; its transmissions stay
+  /// counted (they were really sent).
+  void restart(std::size_t w, graph::NodeId s);
 
   /// Admits the walk s -> t (original names, s != t); returns its walk
   /// index (dense, in admission order).  State is never freed: a finished
@@ -134,13 +146,13 @@ class MultiWalkArena {
   explore::Symbol lane_symbol(std::size_t w, std::size_t r, std::uint64_t j,
                               std::uint64_t left);
 
-  // Shared immutable structure (borrowed).
-  const explore::ReducedGraph* net_;
-  const explore::ExplorationSequence* seq_;
-  std::uint64_t seq_length_;
-  const graph::NodeId* far_;            // packed cubic rotation map
-  const util::PackedArray* ports_;
-  const graph::NodeId* original_of_;
+  // Shared immutable structure (borrowed; rebind() swaps it).
+  const explore::ReducedGraph* net_ = nullptr;
+  const explore::ExplorationSequence* seq_ = nullptr;
+  std::uint64_t seq_length_ = 0;
+  const graph::NodeId* far_ = nullptr;  // packed cubic rotation map
+  const util::PackedArray* ports_ = nullptr;
+  const graph::NodeId* original_of_ = nullptr;
 
   // Per-walk SoA state, indexed by walk id.
   std::vector<graph::NodeId> node_;     // current gadget (start pre-inject)

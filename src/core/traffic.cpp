@@ -7,9 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "core/dynamic_route.h"
 #include "core/multi_walk.h"
-#include "explore/sequence_cache.h"
 #include "net/message.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -58,9 +56,12 @@ struct TrafficEngine::Lane {
   /// Lossy only: the session spent a retry budget and sleeps until the
   /// next epoch (stepping it is free and futile).
   virtual bool blocked() const { return false; }
-  /// Lossy only: the schedule froze — resolve a blocked session to its
-  /// no-verdict end state.
+  /// Lossy only: the schedule is frozen — resolve a blocked session to its
+  /// no-verdict end state (no-op unless blocked).
   virtual void give_up() {}
+  /// Lossy only (the one scalar lane dynamic mode runs): the epoch moved,
+  /// walk `net` from s.
+  virtual void restart(const EpochNetwork& /*net*/) {}
 };
 
 namespace {
@@ -125,40 +126,16 @@ struct HybridLane final : TrafficEngine::Lane {
   }
 };
 
-/// Dynamic-mode Algorithm Route: restarts on epoch changes (§2.8); the
-/// verdict is exact for completion_epoch.
-struct DynamicRouteLane final : TrafficEngine::Lane {
-  DynamicRouteSession session;
-
-  DynamicRouteLane(const net::DynamicTransport& transport, NodeId s,
-                   NodeId t, std::uint64_t seq_seed)
-      : session(transport, s, t, {seq_seed}) {}
-  void step() override { session.step(); }
-  bool finished() const override { return session.finished(); }
-  std::uint64_t transmissions() const override {
-    return session.transmissions();
-  }
-  void finalize(SessionReport& r) const override {
-    r.delivered = session.delivered();
-    r.failure_certified = session.failure_certified();
-    r.restarts = session.restarts();
-    r.completion_epoch = session.completion_epoch();
-  }
-};
-
 /// Lossy route, static or dynamic: one private channel + ARQ per session
-/// (the PR 7 seam).  State-disjoint by construction — each lane owns its
-/// EventSim — so parallel rounds stay bit-identical for any thread count.
+/// over the engine's network.  State-disjoint by construction — each lane
+/// owns its EventSim — so parallel rounds stay bit-identical for any
+/// thread count.
 struct LossyRouteLane final : TrafficEngine::Lane {
   LossyRouteSession session;
 
-  LossyRouteLane(const explore::ReducedGraph& net,
-                 const explore::ExplorationSequence& seq, NodeId s, NodeId t,
+  LossyRouteLane(const EpochNetwork& net, NodeId s, NodeId t,
                  LossyTrafficConfig cfg)
-      : session(net, seq, s, t, std::move(cfg)) {}
-  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
-                 std::uint64_t seq_seed, LossyTrafficConfig cfg)
-      : session(g, s, t, seq_seed, std::move(cfg)) {}
+      : session(net.reduced, *net.seq, s, t, std::move(cfg), net.epoch) {}
   void step() override { session.step(); }
   bool finished() const override { return session.finished(); }
   std::uint64_t transmissions() const override {
@@ -166,12 +143,14 @@ struct LossyRouteLane final : TrafficEngine::Lane {
   }
   bool blocked() const override { return session.blocked(); }
   void give_up() override { session.give_up(); }
+  void restart(const EpochNetwork& net) override {
+    session.restart(net.reduced, *net.seq, net.epoch);
+  }
   void finalize(SessionReport& r) const override {
     r.delivered = session.delivered();
     r.failure_certified = session.failure_certified();
     r.uncertified = session.uncertified();
     r.hops = session.hops();
-    r.restarts = session.restarts();
     r.completion_epoch = session.completion_epoch();
     const ArqStats st = session.arq_stats();
     r.retransmits = st.retransmits;
@@ -186,8 +165,8 @@ struct TrafficEngine::PoolHolder {
   explicit PoolHolder(unsigned threads) : pool(threads) {}
 };
 
-/// One shard of the static perfect-link route fast path: a disjoint SoA
-/// arena plus its in-flight session ids.  A round steps each shard from
+/// One shard of the perfect-link route fast path: a disjoint SoA arena
+/// plus its in-flight session ids.  A round steps each shard from
 /// exactly one worker (parallel_for over shards, chunk 1), and every
 /// per-session outcome is independent of which shard the session landed
 /// on, so reports are bit-identical for any shard count.
@@ -203,20 +182,11 @@ struct TrafficEngine::Shard {
 };
 
 TrafficEngine::TrafficEngine(const graph::Graph& g, TrafficOptions options)
-    : options_(options), graph_(&g), reduced_(explore::reduce_to_cubic(g)) {
+    : options_(options), graph_(&g) {
   if (options_.batch == 0)
     throw std::invalid_argument("TrafficEngine: batch >= 1");
-  seq_ = explore::cached_standard_ues(
-      std::max<NodeId>(reduced_.cubic.num_nodes(), 1), options_.seq_seed);
   pool_ = std::make_unique<PoolHolder>(options_.threads);
-  if (!options_.lossy) {
-    // Static perfect-link mode: route sessions run on sharded SoA arenas.
-    const unsigned shard_count =
-        options_.shards ? options_.shards : pool_->pool.size();
-    shards_.reserve(shard_count);
-    for (unsigned i = 0; i < shard_count; ++i)
-      shards_.push_back(std::make_unique<Shard>(reduced_, *seq_));
-  }
+  sync_network();
 }
 
 TrafficEngine::TrafficEngine(const graph::Scenario& scenario,
@@ -228,7 +198,6 @@ TrafficEngine::TrafficEngine(const graph::Scenario& scenario,
     throw std::invalid_argument("TrafficEngine: epoch_period >= 1");
   dynamic_graph_ =
       std::make_unique<graph::DynamicGraph>(scenario_->initial());
-  transport_ = std::make_unique<net::DynamicTransport>(*dynamic_graph_);
   next_epoch_tick_ = options_.epoch_period;
   pool_ = std::make_unique<PoolHolder>(options_.threads);
 }
@@ -319,15 +288,16 @@ void TrafficEngine::activate_arrivals(std::uint64_t grant) {
       continue;
     }
     const SessionSpec& spec = specs_[id];
-    // Route fast path: static perfect-link kRoute sessions land on a SoA
-    // arena shard (id % shards) instead of a scalar lane; the degenerate
-    // s == t session never transmits and completes at activation.
+    // Route fast path: perfect-link kRoute sessions land on a SoA arena
+    // shard (id % shards) instead of a scalar lane; the degenerate s == t
+    // session never transmits and completes at activation.
     if (!shards_.empty() && spec.kind == TrafficKind::kRoute) {
       if (spec.s == spec.t) {
         SessionReport& r = reports_[id];
         r.finished = true;
         r.delivered = true;
         r.completed_at = spec.admit_at;
+        r.completion_epoch = net_->epoch;
         --unfinished_;
       } else {
         Shard& sh = *shards_[id % shards_.size()];
@@ -342,22 +312,16 @@ void TrafficEngine::activate_arrivals(std::uint64_t grant) {
       LossyTrafficConfig cfg = *options_.lossy;
       cfg.net_seed = util::counter_hash(cfg.net_seed, id);
       cfg.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
-      lanes_[id] = dynamic() ? std::make_unique<LossyRouteLane>(
-                                   *dynamic_graph_, spec.s, spec.t,
-                                   options_.seq_seed, std::move(cfg))
-                             : std::make_unique<LossyRouteLane>(
-                                   reduced_, *seq_, spec.s, spec.t,
-                                   std::move(cfg));
-    } else if (dynamic()) {
-      lanes_[id] = std::make_unique<DynamicRouteLane>(
-          *transport_, spec.s, spec.t, options_.seq_seed);
+      lanes_[id] = std::make_unique<LossyRouteLane>(*net_, spec.s, spec.t,
+                                                    std::move(cfg));
     } else if (spec.kind == TrafficKind::kBroadcast) {
-      lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_, spec.s);
-    } else {  // kHybrid (static perfect-link kRoute took the arena above)
+      lanes_[id] =
+          std::make_unique<BroadcastLane>(net_->reduced, *net_->seq, spec.s);
+    } else {  // kHybrid (static only; perfect-link kRoute took the arena)
       lanes_[id] = std::make_unique<HybridLane>(
           options_.hybrid_walker(*graph_, spec.s, spec.t, spec.hybrid_ttl,
                                  util::counter_hash(options_.walker_seed, id)),
-          reduced_, *seq_, spec.s, spec.t);
+          net_->reduced, *net_->seq, spec.s, spec.t);
     }
     active_.push_back(id);
   }
@@ -377,6 +341,36 @@ void TrafficEngine::advance_epochs_to(std::uint64_t tick) {
     ++epochs_done_;
     next_epoch_tick_ += options_.epoch_period;
   }
+}
+
+void TrafficEngine::sync_network() {
+  if (net_ && net_->epoch == epoch()) return;
+  auto next = std::make_unique<const EpochNetwork>(epoch_network(
+      graph_ ? *graph_ : dynamic_graph_->snapshot(), options_.seq_seed,
+      epoch()));
+  if (!options_.lossy && shards_.empty()) {
+    const unsigned shard_count =
+        options_.shards ? options_.shards : pool_->pool.size();
+    shards_.reserve(shard_count);
+    for (unsigned i = 0; i < shard_count; ++i)
+      shards_.push_back(
+          std::make_unique<Shard>(next->reduced, *next->seq));
+  } else {
+    // The epoch moved: every session in flight re-injects at s on the new
+    // network (§2.8), serially, so restarts stay thread-count invariant.
+    for (auto& sh : shards_) {
+      sh->arena.rebind(next->reduced, *next->seq);
+      for (std::size_t id : sh->active) {
+        sh->arena.restart(arena_walk_[id], specs_[id].s);
+        ++reports_[id].restarts;
+      }
+    }
+    for (std::size_t id : active_) {
+      lanes_[id]->restart(*next);
+      ++reports_[id].restarts;
+    }
+  }
+  net_ = std::move(next);  // only now may the old network go
 }
 
 std::size_t TrafficEngine::run_round() {
@@ -410,13 +404,12 @@ std::size_t TrafficEngine::run_round() {
   // slot_window).  The grant reads global state only, so it — and with it
   // every report — is identical for any thread/shard count.
   const std::uint64_t grant = std::min(options_.batch, ticks_to_epoch());
+  // Lazily: only a round with sessions to activate or in flight gets here.
+  sync_network();
   activate_arrivals(grant);
-  // Lossy mode: once the epoch schedule froze (a static graph never had
-  // one), no blocked session can ever heal — resolve them to their
-  // no-verdict end state (serial, in id order) so run() terminates.
-  // Degrading, never falsely certifying.
-  if (options_.lossy && ticks_to_epoch() == kNever)
-    for (std::size_t id : active_) lanes_[id]->give_up();
+  // Once the epoch schedule froze (a static graph never had one), no
+  // blocked lossy session can ever heal.
+  const bool frozen = ticks_to_epoch() == kNever;
 
   util::ThreadPool& pool = pool_->pool;
   // Arena phase: whole shards in parallel, one worker per shard; inside a
@@ -452,6 +445,7 @@ std::size_t TrafficEngine::run_round() {
                     clock_ + win.start + (r.transmissions - sh.tx_before[k]);
                 r.delivered = sh.arena.delivered(w);
                 r.failure_certified = !r.delivered;
+                r.completion_epoch = net_->epoch;
               } else if (win.departs) {
                 r.finished = true;
                 r.departed = true;
@@ -488,6 +482,10 @@ std::size_t TrafficEngine::run_round() {
             lane.step();
             used += lane.transmissions() - before;
           }
+          // A frozen schedule resolves a blocked session to its
+          // no-verdict end state at the tick its budget ran out, so run()
+          // terminates — degrading, never falsely certifying.
+          if (frozen) lane.give_up();
           SessionReport& r = reports_[id];
           if (lane.finished()) {
             r.finished = true;

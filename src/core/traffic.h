@@ -41,9 +41,14 @@
 //     fair per-attempt comparisons), all sessions here live through one
 //     shared schedule — the production shape.
 //
-// Identical exploration sequences are shared, not rebuilt, across
-// sessions via explore::SequenceCache (static mode builds one T_n for the
-// whole engine; dynamic restarts hit the cache per epoch size).
+// One network per epoch: the engine owns ONE EpochNetwork (the degree
+// reduction plus the cached T_n, core/dynamic_route.h) that every session
+// borrows.  Static mode builds it in the constructor and it never moves —
+// a static engine is a dynamic one whose epoch never commits.  Dynamic
+// mode builds each epoch's network at the first round of that epoch with
+// sessions to activate or in flight, and moves every in-flight session
+// onto it: an arena walk re-injects at s (keeping its transmissions), a
+// lossy session restart()s.  Each restart counts in the report.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +57,13 @@
 #include <optional>
 #include <vector>
 
+#include "core/dynamic_route.h"
 #include "core/hybrid.h"
 #include "core/lossy_route.h"
 #include "core/route.h"
-#include "explore/degree_reduce.h"
-#include "explore/sequence.h"
 #include "graph/churn.h"
 #include "graph/dynamic.h"
 #include "graph/graph.h"
-#include "net/dynamic_transport.h"
 
 namespace uesr::core {
 
@@ -98,9 +101,10 @@ struct SessionReport {
   /// flight — finished with no verdict (delivered / failure_certified
   /// both stay false).
   bool departed = false;
-  /// Lossy mode only: some hop spent its retry budget and no epoch could
-  /// heal it — the graceful no-verdict degradation (never a wrong
-  /// certificate; see core/lossy_route.h).
+  /// Lossy mode only: some hop spent its retry budget once the schedule
+  /// was frozen (always, on a static graph), so no epoch could heal it —
+  /// the graceful no-verdict degradation (never a wrong certificate; see
+  /// core/lossy_route.h).
   bool uncertified = false;
   std::uint64_t transmissions = 0;
   std::uint64_t admitted_at = 0;
@@ -111,7 +115,8 @@ struct SessionReport {
   std::uint64_t completed_at = 0;
   /// Broadcast only: distinct original nodes the payload visited.
   std::uint64_t distinct_visited = 0;
-  /// Dynamic mode only: epoch restarts and the epoch the verdict is about.
+  /// Dynamic mode only: epoch restarts (departed sessions count theirs
+  /// too) and the epoch the verdict is about.
   std::uint64_t restarts = 0;
   std::uint64_t completion_epoch = 0;
   /// Lossy mode only: successful link transfers and ARQ behaviour
@@ -162,10 +167,11 @@ struct TrafficOptions {
   /// Worker lanes (0 = UESR_THREADS env, else hardware).  Data cells are
   /// bit-identical for any value.
   unsigned threads = 1;
-  /// Session shards for the static perfect-link route fast path: each
-  /// shard owns a disjoint MultiWalkArena (sessions land on shard
-  /// id % shards) and rounds step whole shards in parallel, one worker per
-  /// shard, with the SoA block kernel.  0 = one shard per worker lane.
+  /// Session shards for the perfect-link route fast path, static or
+  /// dynamic: each shard owns a disjoint MultiWalkArena (sessions land on
+  /// shard id % shards) and rounds step whole shards in parallel, one
+  /// worker per shard, with the SoA block kernel.  0 = one shard per
+  /// worker lane.
   /// Reports are bit-identical for ANY value (sessions are state-disjoint
   /// and the round's slot grant is computed globally), so this is purely a
   /// parallelism/locality knob — DESIGN.md §2.13.
@@ -184,14 +190,14 @@ struct TrafficOptions {
 
 class TrafficEngine {
  public:
-  /// Static mode: all sessions share `g` (which must outlive the engine),
-  /// one degree reduction, and one cached T_n sized for it.
+  /// Static mode: all sessions share `g` (which must outlive the engine)
+  /// and its one network, built here.
   explicit TrafficEngine(const graph::Graph& g, TrafficOptions options = {});
 
   /// Dynamic mode: the engine owns a fresh replay of `scenario` and
-  /// advances it on the shared clock.  Route sessions only (broadcast and
-  /// hybrid semantics are not defined under epoch restarts; admit()
-  /// throws for them).
+  /// advances it on the shared clock; no network is built until a round
+  /// needs one.  Route sessions only (broadcast and hybrid semantics are
+  /// not defined under epoch restarts; admit() throws for them).
   TrafficEngine(const graph::Scenario& scenario, TrafficOptions options);
 
   ~TrafficEngine();
@@ -210,10 +216,11 @@ class TrafficEngine {
   void attach_arrivals(ArrivalSource& source);
 
   /// Runs one scheduling round of min(batch, ticks to the next epoch)
-  /// slots: activates every arrival due inside the round, steps each
-  /// session in flight through its own slot window (in parallel), retires
-  /// finished and departed sessions, advances the clock and — in dynamic
-  /// mode — the scenario.  When no session is in flight the clock first
+  /// slots: moves the sessions in flight onto the current epoch's network
+  /// (dynamic mode), activates every arrival due inside the round, steps
+  /// each session in flight through its own slot window (in parallel),
+  /// retires finished and departed sessions, advances the clock and — in
+  /// dynamic mode — the scenario.  When no session is in flight the clock first
   /// fast-forwards to the next arrival.  Returns the number of admitted
   /// sessions not yet finished.
   std::size_t run_round();
@@ -228,7 +235,7 @@ class TrafficEngine {
   std::uint64_t clock() const { return clock_; }
   /// Dynamic mode: the committed epoch of the shared topology (0 static).
   std::uint64_t epoch() const;
-  bool dynamic() const { return transport_ != nullptr; }
+  bool dynamic() const { return dynamic_graph_ != nullptr; }
 
   std::size_t session_count() const { return reports_.size(); }
   std::size_t unfinished_count() const { return unfinished_; }
@@ -247,27 +254,31 @@ class TrafficEngine {
   /// Clock ticks until the next scenario epoch (dynamic), or forever.
   std::uint64_t ticks_to_epoch() const;
   void advance_epochs_to(std::uint64_t tick);
+  /// Builds the committed epoch's network unless it is current, and
+  /// restarts every session in flight on it (building the arena shards
+  /// with the first one).
+  void sync_network();
 
   TrafficOptions options_;
 
-  // Static mode: the shared network; one reduction + one shared sequence.
+  // Static mode: the shared graph.
   const graph::Graph* graph_ = nullptr;
-  explore::ReducedGraph reduced_;
-  std::shared_ptr<const explore::ExplorationSequence> seq_;
 
   // Dynamic mode: an owned scenario replay on the shared clock.
   std::unique_ptr<graph::Scenario> scenario_;
   std::unique_ptr<graph::DynamicGraph> dynamic_graph_;
-  std::unique_ptr<net::DynamicTransport> transport_;
   std::uint64_t epochs_done_ = 0;
   std::uint64_t next_epoch_tick_ = 0;
 
+  /// The network every session walks (null until the first round of a
+  /// dynamic engine).
+  std::unique_ptr<const EpochNetwork> net_;
   std::uint64_t clock_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< indexed by session id
   std::vector<SessionReport> reports_;        ///< indexed by session id
   std::vector<SessionSpec> specs_;            ///< indexed by session id
   /// Route fast path: session shards, each owning a disjoint SoA arena
-  /// (static perfect-link mode only; empty otherwise).  arena_walk_[id] is
+  /// (perfect-link mode only; empty otherwise).  arena_walk_[id] is
   /// the session's walk index inside its shard (id % shards_.size()).
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::size_t> arena_walk_;

@@ -1,6 +1,6 @@
 // Deterministic event-driven simulator of an asynchronous lossy network.
 //
-// Everything above this layer (Transport, DynamicTransport, TrafficEngine)
+// Everything above this layer (Transport, the dynamic router, TrafficEngine)
 // runs on a synchronous slotted clock over perfect links; the paper's
 // setting is the opposite — frames are late, lost, duplicated, and links
 // die one direction at a time.  EventSim supplies that regime while keeping

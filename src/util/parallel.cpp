@@ -132,6 +132,7 @@ std::uint64_t default_chunk(std::uint64_t n, unsigned threads,
 void parallel_for(ThreadPool& pool, std::uint64_t n, std::uint64_t chunk,
                   const std::function<void(const ChunkRange&)>& body) {
   const std::uint64_t chunks = chunk_count(n, chunk);
+  if (chunks == 0) return;  // no work: do not wake the pool
   std::atomic<std::uint64_t> next{0};
   pool.run([&](unsigned) {
     for (;;) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <stdexcept>
 
 #include "core/traffic.h"
@@ -241,36 +242,60 @@ std::uint64_t report_digest(const std::vector<core::SessionReport>& reports) {
       });
 }
 
+/// The pinned dynamic lossy engine: loss, one-sided flips and sampled
+/// chaos re-drawn per (session, epoch) over node churn, all pairs of 6.
+std::unique_ptr<core::TrafficEngine> pinned_lossy_engine(core::ArqKind arq) {
+  core::LossyTrafficConfig cfg;
+  cfg.link = {.latency_max = 3, .loss = 0.05};
+  cfg.one_sided_down = 0.02;
+  cfg.arq = arq;
+  cfg.window.max_retries = 6;
+  cfg.window.frames_per_message = 2;
+  cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,
+                               .crash_rate = 0.01, .crash_min = 8,
+                               .crash_max = 32, .corrupt_burst_rate = 0.04,
+                               .corrupt_level = 0.3};
+  core::TrafficOptions opt;
+  opt.seq_seed = 29;
+  opt.epoch_period = 48;
+  opt.max_epochs = 6;
+  opt.lossy = cfg;
+  auto engine = std::make_unique<core::TrafficEngine>(
+      graph::NodeChurnScenario(graph::connected_gnp(6, 0.5, 5), 0.2, 0.45,
+                               11),
+      opt);
+  engine->admit_all(all_pairs_workload(6).sessions);
+  engine->run();
+  return engine;
+}
+
 // Golden pin of the dynamic lossy engine: the invariance suites above only
-// compare runs with each other, so this fixes the values themselves —
-// loss, one-sided flips and sampled chaos re-drawn per (session, epoch).
+// compare runs with each other, so this fixes the values themselves.
 TEST(LossyTraffic, DynamicEngineReportsArePinned) {
   for (core::ArqKind arq :
        {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {
-    core::LossyTrafficConfig cfg;
-    cfg.link = {.latency_max = 3, .loss = 0.05};
-    cfg.one_sided_down = 0.02;
-    cfg.arq = arq;
-    cfg.window.max_retries = 6;
-    cfg.window.frames_per_message = 2;
-    cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,
-                                 .crash_rate = 0.01, .crash_min = 8,
-                                 .crash_max = 32, .corrupt_burst_rate = 0.04,
-                                 .corrupt_level = 0.3};
-    core::TrafficOptions opt;
-    opt.seq_seed = 29;
-    opt.epoch_period = 48;
-    opt.max_epochs = 6;
-    opt.lossy = cfg;
-    core::TrafficEngine engine(
-        graph::NodeChurnScenario(graph::connected_gnp(6, 0.5, 5), 0.2, 0.45,
-                                 11),
-        opt);
-    engine.admit_all(all_pairs_workload(6).sessions);
-    engine.run();
-    EXPECT_EQ(report_digest(engine.reports()),
-              arq == core::ArqKind::kStopAndWait ? 0x8699e26a4f20397aULL
-                                                 : 0xf2df1a1693823aa7ULL);
+    const auto engine = pinned_lossy_engine(arq);
+    EXPECT_EQ(report_digest(engine->reports()),
+              arq == core::ArqKind::kStopAndWait ? 0x08984605121ec7deULL
+                                                 : 0x4c817ced441c2930ULL);
+  }
+}
+
+// A session gives up only once the schedule froze, and only after trying
+// the final topology: every uncertified verdict is about the last epoch,
+// never one that a later commit superseded.
+TEST(LossyTraffic, UncertifiedVerdictsAreAboutTheFrozenEpoch) {
+  for (core::ArqKind arq :
+       {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {
+    const auto engine = pinned_lossy_engine(arq);
+    int uncertified = 0;
+    for (const core::SessionReport& r : engine->reports()) {
+      if (!r.uncertified) continue;
+      ++uncertified;
+      EXPECT_EQ(r.completion_epoch, engine->epoch())
+          << "session " << r.s << "->" << r.t;
+    }
+    EXPECT_GT(uncertified, 0);  // budgets really died
   }
 }
 

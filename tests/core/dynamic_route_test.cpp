@@ -27,12 +27,11 @@ TEST(DynamicRoute, MatchesStaticOutcomeOnFrozenTopology) {
   // Multi-component graph: delivered iff a path exists, certified failure
   // otherwise — identical to the static router's contract.
   DynamicGraph g(graph::gnp(24, 0.09, 11));
-  net::DynamicTransport tr(g);
   for (auto [s, t] : {std::pair<NodeId, NodeId>{0, 17},
                       {3, 9},
                       {5, 21},
                       {1, 23}}) {
-    DynamicRouteSession sess(tr, s, t);
+    DynamicRouteSession sess(g, s, t);
     run_to_end(sess);
     const bool truth = graph::has_path(g.snapshot(), s, t);
     EXPECT_EQ(sess.delivered(), truth) << s << "->" << t;
@@ -44,8 +43,7 @@ TEST(DynamicRoute, MatchesStaticOutcomeOnFrozenTopology) {
 
 TEST(DynamicRoute, SourceEqualsTargetIsImmediate) {
   DynamicGraph g(graph::cycle(4));
-  net::DynamicTransport tr(g);
-  DynamicRouteSession sess(tr, 2, 2);
+  DynamicRouteSession sess(g, 2, 2);
   EXPECT_TRUE(sess.finished());
   EXPECT_TRUE(sess.delivered());
   EXPECT_EQ(sess.transmissions(), 0u);
@@ -53,8 +51,7 @@ TEST(DynamicRoute, SourceEqualsTargetIsImmediate) {
 
 TEST(DynamicRoute, IsolatedSourceCertifiesFailure) {
   DynamicGraph g(graph::from_edges(4, {{1, 2}, {2, 3}}));
-  net::DynamicTransport tr(g);
-  DynamicRouteSession sess(tr, 0, 3);
+  DynamicRouteSession sess(g, 0, 3);
   run_to_end(sess);
   EXPECT_FALSE(sess.delivered());
   EXPECT_TRUE(sess.failure_certified());
@@ -62,8 +59,7 @@ TEST(DynamicRoute, IsolatedSourceCertifiesFailure) {
 
 TEST(DynamicRoute, RestartsWhenEpochMovesMidWalk) {
   DynamicGraph g(graph::path(12));
-  net::DynamicTransport tr(g);
-  DynamicRouteSession sess(tr, 0, 11);
+  DynamicRouteSession sess(g, 0, 11);
   // A few transmissions into the walk, flip an edge: the session must
   // notice, restart against the new snapshot, and still deliver (the
   // component stays intact).
@@ -82,8 +78,7 @@ TEST(DynamicRoute, DeliversAfterTopologyHeals) {
   // must pick it up and deliver — the certificate the first epoch was
   // heading toward would have been stale.
   DynamicGraph g(graph::from_edges(6, {{0, 1}, {2, 3}, {3, 4}, {4, 5}}));
-  net::DynamicTransport tr(g);
-  DynamicRouteSession sess(tr, 0, 5);
+  DynamicRouteSession sess(g, 0, 5);
   for (int k = 0; k < 3 && !sess.finished(); ++k) sess.step();
   ASSERT_FALSE(sess.finished());  // tiny component: walk still rewinding
   g.add_edge(1, 2);
@@ -97,8 +92,7 @@ TEST(DynamicRoute, CertificateIsAboutTheCompletionEpoch) {
   // Connected at epoch 0; the target's link is cut mid-walk.  Whatever the
   // session reports must match ground truth at its completion epoch.
   DynamicGraph g(graph::path(8));
-  net::DynamicTransport tr(g);
-  DynamicRouteSession sess(tr, 0, 7);
+  DynamicRouteSession sess(g, 0, 7);
   for (int k = 0; k < 2 && !sess.finished(); ++k) sess.step();
   g.remove_edge(6, 7);
   g.commit();
@@ -111,8 +105,7 @@ TEST(DynamicRoute, CertificateIsAboutTheCompletionEpoch) {
 
 TEST(DynamicRoute, TransmissionsAccumulateAcrossRestarts) {
   DynamicGraph g(graph::cycle(10));
-  net::DynamicTransport tr(g);
-  DynamicRouteSession sess(tr, 0, 5);
+  DynamicRouteSession sess(g, 0, 5);
   for (int k = 0; k < 4; ++k) sess.step();
   const std::uint64_t before = sess.transmissions();
   EXPECT_EQ(before, 4u);
@@ -126,9 +119,8 @@ TEST(DynamicRoute, TransmissionsAccumulateAcrossRestarts) {
 
 TEST(DynamicRoute, Validation) {
   DynamicGraph g(graph::cycle(3));
-  net::DynamicTransport tr(g);
-  EXPECT_THROW(DynamicRouteSession(tr, 0, 9), std::invalid_argument);
-  EXPECT_THROW(DynamicRouteSession(tr, 7, 0), std::invalid_argument);
+  EXPECT_THROW(DynamicRouteSession(g, 0, 9), std::invalid_argument);
+  EXPECT_THROW(DynamicRouteSession(g, 7, 0), std::invalid_argument);
 }
 
 }  // namespace

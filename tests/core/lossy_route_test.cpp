@@ -9,10 +9,12 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
+#include "core/dynamic_route.h"
 #include "core/route.h"
-#include "explore/sequence_cache.h"
+#include "graph/dynamic.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "support/split_gnp.h"
@@ -309,35 +311,46 @@ TEST(LossyRouteSelectiveRepeat, ArqStatsSurfaceRetransmissionBehaviour) {
 }
 
 // ---------------------------------------------------------------------------
-// Loss + churn composed: the session over a DynamicGraph.
+// Loss + churn composed: the session restart()ed onto each epoch's network.
 // ---------------------------------------------------------------------------
 
+/// The committed epoch's network, as TrafficEngine builds it.
+EpochNetwork network_of(const graph::DynamicGraph& g) {
+  return epoch_network(g.snapshot(), kSeqSeed, g.epoch());
+}
+
 TEST(LossyDynamicRoute, PerfectChannelDeliversAndCertifies) {
-  graph::DynamicGraph g(graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}}));
-  LossyRouteSession ok(g, 0, 2, kSeqSeed, {});
+  // A session opened at epoch 3 states its verdicts about epoch 3.
+  const EpochNetwork net = epoch_network(
+      graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}}), kSeqSeed, 3);
+  LossyRouteSession ok(net.reduced, *net.seq, 0, 2, {}, net.epoch);
   ok.run();
   EXPECT_TRUE(ok.delivered());
-  EXPECT_EQ(ok.completion_epoch(), 0u);
-  LossyRouteSession fail(g, 0, 4, kSeqSeed, {});
+  EXPECT_EQ(ok.completion_epoch(), 3u);
+  LossyRouteSession fail(net.reduced, *net.seq, 0, 4, {}, net.epoch);
   fail.run();
   EXPECT_TRUE(fail.failure_certified());
-  EXPECT_EQ(fail.completion_epoch(), 0u);
+  EXPECT_EQ(fail.completion_epoch(), 3u);
 }
 
 TEST(LossyDynamicRoute, SourceEqualsTargetIsImmediate) {
-  graph::DynamicGraph g(graph::cycle(4));
-  LossyRouteSession sess(g, 2, 2, kSeqSeed, {});
+  const EpochNetwork net = epoch_network(graph::cycle(4), kSeqSeed, 2);
+  LossyRouteSession sess(net.reduced, *net.seq, 2, 2, {}, net.epoch);
   EXPECT_TRUE(sess.finished());
   EXPECT_TRUE(sess.delivered());
   EXPECT_EQ(sess.hops(), 0u);
+  EXPECT_EQ(sess.completion_epoch(), 2u);
 }
 
 TEST(LossyDynamicRoute, RestartsWhenEpochMovesMidWalk) {
   graph::DynamicGraph g(graph::path(12));
-  LossyRouteSession sess(g, 0, 11, kSeqSeed, {});
+  const EpochNetwork e0 = network_of(g);
+  LossyRouteSession sess(e0.reduced, *e0.seq, 0, 11, {}, e0.epoch);
   for (int k = 0; k < 5 && !sess.finished(); ++k) sess.step();
   g.add_edge(0, 11);
   g.commit();
+  const EpochNetwork e1 = network_of(g);
+  sess.restart(e1.reduced, *e1.seq, e1.epoch);
   sess.run();
   EXPECT_TRUE(sess.delivered());
   EXPECT_EQ(sess.restarts(), 1u);
@@ -347,21 +360,25 @@ TEST(LossyDynamicRoute, RestartsWhenEpochMovesMidWalk) {
 TEST(LossyDynamicRoute, BudgetExhaustionBlocksThenEpochHeals) {
   // A dead channel spends every hop budget: the session must go blocked
   // (NOT uncertified — under churn the link may heal), then resume when
-  // the epoch moves and the channel is rebuilt clean.
+  // it restarts on the next epoch over a channel rebuilt clean.
   graph::DynamicGraph g(graph::path(3));
   LossyTrafficConfig options;
   options.link.loss = 1.0;
   options.window.max_retries = 1;
-  LossyRouteSession sess(g, 0, 2, kSeqSeed, options);
+  const EpochNetwork e0 = network_of(g);
+  LossyRouteSession sess(e0.reduced, *e0.seq, 0, 2, options, e0.epoch);
   sess.step();
   EXPECT_TRUE(sess.blocked());
   EXPECT_FALSE(sess.finished());
   sess.step();  // no-op while blocked in an unchanged epoch
   EXPECT_TRUE(sess.blocked());
   // Epoch moves; the rebuilt channel is seeded per-epoch, but loss = 1.0
-  // still kills everything — prove blocked() resets and re-blocks.
+  // still kills everything — prove restart() clears blocked() and the
+  // session re-blocks.
   g.add_edge(0, 2);
   g.commit();
+  const EpochNetwork e1 = network_of(g);
+  sess.restart(e1.reduced, *e1.seq, e1.epoch);
   EXPECT_FALSE(sess.blocked());  // epoch moved: eligible to step again
   sess.step();
   EXPECT_TRUE(sess.blocked());
@@ -369,11 +386,11 @@ TEST(LossyDynamicRoute, BudgetExhaustionBlocksThenEpochHeals) {
 }
 
 TEST(LossyDynamicRoute, GiveUpResolvesBlockedToUncertified) {
-  graph::DynamicGraph g(graph::path(3));
+  Fixture fx(graph::path(3));
   LossyTrafficConfig options;
   options.link.loss = 1.0;
   options.window.max_retries = 1;
-  LossyRouteSession sess(g, 0, 2, kSeqSeed, options);
+  LossyRouteSession sess(fx.net, *fx.seq, 0, 2, options);
   sess.step();
   ASSERT_TRUE(sess.blocked());
   sess.give_up();
@@ -382,8 +399,8 @@ TEST(LossyDynamicRoute, GiveUpResolvesBlockedToUncertified) {
 }
 
 TEST(LossyDynamicRoute, GiveUpIsNoOpUnlessBlocked) {
-  graph::DynamicGraph g(graph::path(3));
-  LossyRouteSession sess(g, 0, 2, kSeqSeed, {});
+  Fixture fx(graph::path(3));
+  LossyRouteSession sess(fx.net, *fx.seq, 0, 2);
   sess.give_up();  // in flight, not blocked: keeps stepping
   EXPECT_FALSE(sess.finished());
   sess.run();
@@ -402,11 +419,15 @@ TEST(LossyDynamicRoute, ComposedLossAndChurnVerdictsMatchCompletionEpoch) {
     options.link.loss = 0.15;
     options.window.max_retries = 3;
     options.net_seed = util::counter_hash(0xc0a1, seed);
-    LossyRouteSession sess(g, 0, 5, kSeqSeed, options);
+    const EpochNetwork e0 = network_of(g);
+    LossyRouteSession sess(e0.reduced, *e0.seq, 0, 5, options, e0.epoch);
     for (int k = 0; k < 3 && !sess.finished(); ++k) sess.step();
+    std::optional<EpochNetwork> e1;
     if (!sess.finished()) {
       g.remove_edge(2, 3);  // cut the bridge mid-walk
       g.commit();
+      e1 = network_of(g);
+      sess.restart(e1->reduced, *e1->seq, e1->epoch);
     }
     sess.run();  // gives up once blocked
     ASSERT_TRUE(sess.finished());
@@ -422,7 +443,7 @@ TEST(LossyDynamicRoute, ComposedLossAndChurnVerdictsMatchCompletionEpoch) {
 }
 
 TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
-  graph::DynamicGraph g(graph::connected_gnp(8, 0.4, 43));
+  Fixture fx(graph::connected_gnp(8, 0.4, 43));
   LossyVerdict verdicts[2];
   std::uint64_t frames[2];
   for (int run = 0; run < 2; ++run) {
@@ -430,7 +451,7 @@ TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
     options.link.loss = 0.1;
     options.one_sided_down = 0.2;
     options.window.max_retries = 4;
-    LossyRouteSession sess(g, 0, 6, kSeqSeed, options);
+    LossyRouteSession sess(fx.net, *fx.seq, 0, 6, options);
     sess.run();  // gives up once blocked
     verdicts[run] = sess.verdict();
     frames[run] = sess.wire_frames();
@@ -440,57 +461,11 @@ TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
 }
 
 // ---------------------------------------------------------------------------
-// One session, two constructors: a static session is epoch 0 of a graph
-// that never commits.
+// Config validation.
 // ---------------------------------------------------------------------------
-
-TEST(LossyRouteEpochZero, StaticMatchesDynamicOnAFrozenGraph) {
-  // Same reduction, same sequence, same config: the static session and a
-  // dynamic one whose graph never commits (run() gives up once blocked)
-  // must agree on everything they report, for both ARQ shapes, under loss,
-  // duplication, one-sided flips and sampled chaos at once.
-  graph::DynamicGraph g(split_gnp(3, 0.7, 47));
-  const ReducedGraph net = reduce_to_cubic(g.snapshot());
-  const auto seq = explore::cached_standard_ues(
-      static_cast<NodeId>(net.cubic.num_nodes()), kSeqSeed);
-  LossyTrafficConfig cfg;
-  cfg.link = {.latency_max = 4, .loss = 0.1, .dup = 0.1};
-  cfg.one_sided_down = 0.03;
-  cfg.window.max_retries = 6;
-  cfg.window.frames_per_message = 2;
-  cfg.chaos = net::ChaosConfig{.horizon = 1 << 9, .slot = 32,
-                               .crash_rate = 0.02, .crash_min = 8,
-                               .crash_max = 32, .corrupt_burst_rate = 0.05};
-  int uncertified = 0, verdicts = 0;
-  for (ArqKind arq : {ArqKind::kStopAndWait, ArqKind::kSelectiveRepeat}) {
-    cfg.arq = arq;
-    for (NodeId s = 0; s < g.num_nodes(); ++s) {
-      for (NodeId t = 0; t < g.num_nodes(); ++t) {
-        if (s == t) continue;
-        cfg.net_seed = util::counter_hash(0xe0, s * 1000 + t);
-        cfg.chaos_seed = util::counter_hash(0xc4, s * 1000 + t);
-        LossyRouteSession fixed(net, *seq, s, t, cfg);
-        LossyRouteSession frozen(g, s, t, kSeqSeed, cfg);
-        const LossyVerdict v = fixed.run();
-        ASSERT_EQ(v, frozen.run()) << "s=" << s << " t=" << t;
-        EXPECT_EQ(fixed.hops(), frozen.hops());
-        EXPECT_EQ(fixed.wire_frames(), frozen.wire_frames());
-        EXPECT_EQ(fixed.target_reached(), frozen.target_reached());
-        EXPECT_EQ(fixed.arq_stats(), frozen.arq_stats());  // every field
-        EXPECT_EQ(frozen.restarts(), 0u);
-        EXPECT_EQ(frozen.completion_epoch(), 0u);
-        uncertified += v == LossyVerdict::kUncertified;
-        verdicts += v != LossyVerdict::kUncertified;
-      }
-    }
-  }
-  EXPECT_GT(uncertified, 0);  // budgets really died (static: at once)
-  EXPECT_GT(verdicts, 0);
-}
 
 TEST(LossyRouteEpochZero, RejectsOutOfRangeAndNaNProbabilities) {
   Fixture fx(graph::cycle(4));
-  graph::DynamicGraph g(graph::cycle(4));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (double bad : {nan, -0.1, 1.5}) {
     for (int knob = 0; knob < 4; ++knob) {
@@ -502,9 +477,6 @@ TEST(LossyRouteEpochZero, RejectsOutOfRangeAndNaNProbabilities) {
         default: cfg.one_sided_down = bad; break;
       }
       EXPECT_THROW(LossyRouteSession(fx.net, *fx.seq, 0, 2, cfg),
-                   std::invalid_argument)
-          << "knob " << knob << " = " << bad;
-      EXPECT_THROW(LossyRouteSession(g, 0, 2, kSeqSeed, cfg),
                    std::invalid_argument)
           << "knob " << knob << " = " << bad;
     }

@@ -65,6 +65,38 @@ TEST(MultiWalk, SingleWalkLockstepEveryTransmission) {
     }
 }
 
+// The §2.8 restart: after rebind() to another epoch's network, a restarted
+// walk runs exactly like a fresh RouteSession there, on top of the
+// transmissions it already spent.
+TEST(MultiWalk, RestartAfterRebindMatchesFreshWalk) {
+  const ReducedGraph net_a =
+      explore::reduce_to_cubic(graph::random_connected_regular(24, 3, 42));
+  const ReducedGraph net_b =
+      explore::reduce_to_cubic(graph::connected_gnp(24, 0.2, 9));
+  const auto seq_a = explore::standard_ues(net_a.cubic.num_nodes(), 7);
+  const auto seq_b = explore::standard_ues(net_b.cubic.num_nodes(), 7);
+  for (NodeId s = 0; s < 4; ++s) {
+    const NodeId t = 23 - s;
+    MultiWalkArena arena(net_a, *seq_a);
+    const std::size_t w = arena.admit(s, t);
+    arena.step_walk(w, 5 + s);
+    ASSERT_FALSE(arena.finished(w));
+    const std::uint64_t spent = arena.transmissions(w);
+    arena.rebind(net_b, *seq_b);
+    arena.restart(w, s);
+    RouteSession ref(net_b, *seq_b, s, t);
+    std::uint64_t guard = 10'000'000;
+    while (!ref.finished() && guard-- > 0) {
+      arena.step_walk(w, 3);
+      grant(ref, 3);
+      ASSERT_EQ(arena.transmissions(w), spent + ref.transmissions());
+      ASSERT_EQ(arena.current_original(w), ref.current_original());
+    }
+    ASSERT_TRUE(arena.finished(w));
+    EXPECT_EQ(arena.delivered(w), ref.status() == net::Status::kSuccess);
+  }
+}
+
 TEST(MultiWalk, IrregularBudgetPatternMatchesReference) {
   // Budgets that straddle turn-around and terminate ticks in every phase
   // relation: the grant partition must never be observable.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "baselines/workload.h"
+#include "explore/sequence_cache.h"
 #include "graph/algorithms.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
@@ -414,6 +415,61 @@ TEST(TrafficEngine, DynamicEngineReportsArePinned) {
   }
   engine.run();
   EXPECT_EQ(report_digest(engine.reports()), 0xc1d443b859ebd43aULL);
+}
+
+// The DynamicEngineReportsArePinned schedule on the sharded arena: epoch
+// restarts run serially between rounds, so no threads x shards split may
+// move a report off the golden value.
+TEST(ShardInvariance, DynamicEngineAcrossThreadsAndShards) {
+  graph::NodeChurnScenario sc(graph::connected_gnp(14, 0.3, 5),
+                              /*p_leave=*/0.15, /*p_join=*/0.5, 11);
+  for (unsigned threads : {1u, 4u, 8u}) {
+    for (unsigned shards : {1u, 4u, 16u}) {
+      TrafficOptions opt;
+      opt.epoch_period = 40;
+      opt.max_epochs = 10;
+      opt.threads = threads;
+      opt.shards = shards;
+      TrafficEngine engine(sc, opt);
+      for (NodeId i = 0; i < 60; ++i) {
+        const std::uint64_t at = 9 * i + i % 7;
+        engine.admit({.s = i % 14, .t = (5 * i + 3) % 14, .admit_at = at,
+                      .depart_at = i % 4 == 0 ? at + 20 + i : 0});
+      }
+      engine.run();
+      std::uint64_t restarts = 0;
+      for (const SessionReport& r : engine.reports()) restarts += r.restarts;
+      EXPECT_GT(restarts, 0u);  // walks really crossed epochs
+      EXPECT_EQ(report_digest(engine.reports()), 0xc1d443b859ebd43aULL)
+          << "threads=" << threads << " shards=" << shards;
+    }
+  }
+}
+
+// Dynamic mode builds one network per committed epoch and every session
+// in flight borrows it: T_n lookups are bounded by the epochs, not by
+// sessions x epochs — on the arena and on the lossy lanes alike.
+TEST(TrafficEngine, OneNetworkPerEpoch) {
+  graph::NodeChurnScenario sc(graph::connected_gnp(14, 0.3, 5),
+                              /*p_leave=*/0.15, /*p_join=*/0.5, 11);
+  for (bool lossy : {false, true}) {
+    TrafficOptions opt;
+    opt.epoch_period = 24;
+    opt.max_epochs = 10;
+    if (lossy) opt.lossy = LossyTrafficConfig{};
+    TrafficEngine engine(sc, opt);
+    for (NodeId s = 0; s < 14; ++s)
+      engine.admit({.s = s, .t = static_cast<NodeId>((s + 5) % 14)});
+    const explore::SequenceCache& cache = explore::SequenceCache::global();
+    const std::uint64_t before = cache.hits() + cache.misses();
+    engine.run();
+    const std::uint64_t lookups = cache.hits() + cache.misses() - before;
+    std::uint64_t restarts = 0;
+    for (const SessionReport& r : engine.reports()) restarts += r.restarts;
+    EXPECT_GT(restarts, 0u) << "lossy=" << lossy;
+    EXPECT_GT(engine.epoch(), 0u);
+    EXPECT_LE(lookups, engine.epoch() + 1) << "lossy=" << lossy;
+  }
 }
 
 TEST(TrafficEngine, ArrivalsEveryTickKeepRoundsWhole) {
