@@ -5,7 +5,7 @@
 // A FaultPlan is PURE DATA — a time-sorted list of (at, FaultAction)
 // entries.  arm(sim) schedules every entry into the simulator's event
 // queue (EventSim::schedule_fault), where next() applies them silently at
-// their exact virtual instants, interleaved with arrivals and timers — so
+// their exact virtual instants, interleaved with arrivals and deadlines — so
 // a crash window can open in the middle of one reliable transfer and
 // close in the middle of the next.  Because the plan is data and the
 // simulator's channel draws are (seed, link, event)-keyed, an armed plan

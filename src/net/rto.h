@@ -14,7 +14,7 @@
 // the determinism contract intact: the RTO an ARQ arms is a pure function
 // of (seed, call sequence), so enable_trace() replays stay byte-identical
 // and every report stays thread-count invariant no matter how adaptively
-// the timers move.
+// the deadlines move.
 //
 // Karn's rule is split between this class and its callers:
 //   * callers feed sample() ONLY from frames that were never retransmitted
@@ -43,8 +43,8 @@ struct RtoOptions {
   SimTime max = 1024;   ///< backoff/estimate ceiling; must be >= initial
   /// Timer granularity G: the lower bound on the variance term, so a
   /// perfectly constant RTT still leaves one tick of slack between the
-  /// expected ack and the timer (ties in the event queue break by push
-  /// order, so a timer armed exactly at the ack's arrival time would fire
+  /// expected ack and the deadline (ties in the event queue break by push
+  /// order, so a deadline set exactly at the ack's arrival time would fire
   /// first — G = 2 keeps adaptation spuriousness-free on constant links).
   SimTime granularity = 2;
   bool adaptive = true;  ///< false: rto() == initial forever (PR 6 mode)

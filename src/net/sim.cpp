@@ -12,10 +12,16 @@ using graph::Port;
 
 namespace {
 
+constexpr std::uint64_t kForever = ~std::uint64_t{0};
+
 void validate_model(const LinkModel& m, const char* who) {
   if (m.latency_max < m.latency_min)
     throw std::invalid_argument(std::string(who) +
                                 ": latency_max < latency_min");
+  // One 32-bit draw picks the latency, so the span must fit below 2^32 - 1.
+  if (m.latency_max - m.latency_min >= 0xffffffffULL)
+    throw std::invalid_argument(std::string(who) +
+                                ": latency_max - latency_min >= 2^32 - 1");
   // Written so that NaN fails too (every comparison with NaN is false).
   if (!(m.loss >= 0.0 && m.loss <= 1.0))
     throw std::invalid_argument(std::string(who) + ": loss outside [0, 1]");
@@ -29,10 +35,8 @@ void validate_model(const LinkModel& m, const char* who) {
 SimTime draw_latency(const LinkModel& m, util::Pcg32& rng) {
   const SimTime span = m.latency_max - m.latency_min;
   if (span == 0) return m.latency_min;
-  // Spans beyond 32 bits never occur in practice; clamp defensively.
-  const auto bound = static_cast<std::uint32_t>(
-      span >= 0xffffffffULL ? 0xffffffffUL : span + 1);
-  return m.latency_min + rng.next_below(bound);
+  // validate_model keeps span + 1 within 32 bits.
+  return m.latency_min + rng.next_below(static_cast<std::uint32_t>(span + 1));
 }
 
 /// The seeded bit-flip of a corrupted copy: one random bit of the frame id
@@ -198,32 +202,6 @@ void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
   }
 }
 
-void EventSim::set_timer(SimTime delay, std::uint64_t timer_id) {
-  SimEvent ev;
-  ev.kind = SimEventKind::kTimer;
-  ev.timer_id = timer_id;
-  push(now_ + delay, ev);
-}
-
-void EventSim::cancel_timer(std::uint64_t timer_id) {
-  // From the back, the first match is the timer next() would pop first.
-  const auto it = std::find_if(
-      queue_.rbegin(), queue_.rend(), [timer_id](const SimEvent& q) {
-        return q.kind == SimEventKind::kTimer && q.timer_id == timer_id;
-      });
-  if (it == queue_.rend()) return;
-  it->kind = kDead;
-  ++dead_;
-  // Compaction keeps pending() bounded by ~2x the live events: once dead
-  // entries dominate, filter them out.  The filter keeps the order, so it
-  // never changes what next() returns — determinism holds.
-  if (dead_ >= 64 && dead_ * 2 > queue_.size()) {
-    std::erase_if(queue_, [](const SimEvent& q) { return q.kind == kDead; });
-    timers_cancelled_ += dead_;
-    dead_ = 0;
-  }
-}
-
 void EventSim::schedule_fault(SimTime delay, const FaultAction& action) {
   switch (action.kind) {
     case FaultAction::Kind::kCrash:
@@ -242,7 +220,7 @@ void EventSim::schedule_fault(SimTime delay, const FaultAction& action) {
   }
   SimEvent ev;
   ev.kind = SimEventKind::kFault;
-  ev.timer_id = fault_actions_.size();  // index into fault_actions_
+  ev.frame_id = fault_actions_.size();  // index into fault_actions_
   fault_actions_.push_back(action);
   push(now_ + delay, ev);
 }
@@ -272,23 +250,25 @@ void EventSim::apply_fault(const FaultAction& f) {
     record("F t=" + std::to_string(now_) + " " + to_string(f));
 }
 
+std::optional<SimEvent> EventSim::next_before(const Deadline& d) {
+  if (auto ev = pop_before(d)) return ev;
+  now_ = std::max(now_, d.time);
+  return std::nullopt;
+}
+
 std::optional<SimEvent> EventSim::next() {
-  while (!queue_.empty()) {
+  return pop_before({kForever, kForever});
+}
+
+std::optional<SimEvent> EventSim::pop_before(const Deadline& d) {
+  while (!queue_.empty() &&
+         Deadline{queue_.back().time, queue_.back().seq} < d) {
     const SimEvent ev = queue_.back();
     queue_.pop_back();
     now_ = ev.time;
-    if (ev.kind == kDead) {  // cancelled: consume silently
-      --dead_;
-      ++timers_cancelled_;
-      continue;
-    }
     if (ev.kind == SimEventKind::kFault) {
-      apply_fault(fault_actions_[ev.timer_id]);
+      apply_fault(fault_actions_[ev.frame_id]);
       continue;
-    }
-    if (ev.kind == SimEventKind::kTimer) {
-      if (trace_limit_ != 0) record("E " + to_string(ev));
-      return ev;
     }
     if (down_[link_id(ev.from, ev.from_port)]) {
       // The direction died while the frame was in flight.
@@ -310,11 +290,8 @@ std::optional<SimEvent> EventSim::next() {
 }
 
 std::string to_string(const SimEvent& ev) {
-  std::string s = "t=" + std::to_string(ev.time) +
-                  " seq=" + std::to_string(ev.seq);
-  if (ev.kind == SimEventKind::kTimer)
-    return s + " timer id=" + std::to_string(ev.timer_id);
-  return s + " arr node=" + std::to_string(ev.node) + " port=" +
+  return "t=" + std::to_string(ev.time) + " seq=" + std::to_string(ev.seq) +
+         " arr node=" + std::to_string(ev.node) + " port=" +
          std::to_string(ev.port) + " from=" + std::to_string(ev.from) + "." +
          std::to_string(ev.from_port) + " f=" + std::to_string(ev.frame_id) +
          (ev.duplicate ? " dup" : "") + (ev.corrupted ? " corrupt" : "");

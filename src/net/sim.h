@@ -41,7 +41,7 @@
 // Node crash/recovery (the fault-injection layer, DESIGN.md §2.12): a
 // crashed node neither transmits (sends drop at departure, before any
 // channel draw) nor receives (arrivals drop at their delivery instant);
-// timers keep firing — they model the DRIVING protocol loop, not the
+// deadlines keep firing — they model the DRIVING protocol loop, not the
 // node's volatile state.  Each recovery bumps the node's crash epoch
 // (crash_epochs), the generation stamp the ARQ layers use to wipe volatile
 // receiver state (amnesia).  Faults can be flipped directly
@@ -49,10 +49,14 @@
 // times (schedule_fault — the FaultPlan backend, net/faults.h), so a crash
 // window can open and close in the middle of one reliable transfer.
 //
-// EventSim moves frames and timers; it owns no protocol logic.  The
-// ack/retransmit layer is net/window.h (selective repeat, with
-// stop-and-wait as its window-1 preset), and the certificate semantics of
-// routing over all of this is DESIGN.md §2.10.
+// EventSim moves frames and applies faults; it owns no protocol logic and
+// keeps no timers.  A protocol that must act when nothing arrives takes a
+// Deadline (deadline()) and waits on it with next_before(): the deadline
+// draws a push-order seq like any queued event, so it fires exactly where
+// an event pushed at that moment would have popped.  The ack/retransmit
+// layer is net/window.h (selective repeat, with stop-and-wait as its
+// window-1 preset), and the certificate semantics of routing over all of
+// this is DESIGN.md §2.10.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +81,17 @@ struct LinkModel {
   double corrupt = 0.0;     ///< P(delivered copy arrives damaged), in [0, 1]
 };
 
-enum class SimEventKind : std::uint8_t { kArrival, kTimer, kFault };
+enum class SimEventKind : std::uint8_t { kArrival, kFault };
+
+/// A point in the queue's (time, seq) order that no event occupies: the
+/// instant a caller's wait ends if nothing arrives first (see
+/// EventSim::deadline and next_before).
+struct Deadline {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+
+  friend auto operator<=>(const Deadline&, const Deadline&) = default;
+};
 
 /// One state flip applied at an exact virtual time (see schedule_fault).
 struct FaultAction {
@@ -96,10 +110,12 @@ struct FaultAction {
   friend bool operator==(const FaultAction&, const FaultAction&) = default;
 };
 
-/// One popped event.  For kArrival, (node, port) is where the frame lands
-/// and (from, from_port) the departure half-edge it was sent on; frame_id
-/// is the sender's tag, `duplicate` marks a channel-made extra copy and
-/// `corrupted` a damaged one (the CRC verdict the ARQ layers honour).
+/// One queued event; next() only ever returns arrivals.  (node, port) is
+/// where the frame lands and (from, from_port) the departure half-edge it
+/// was sent on; frame_id is the sender's tag, `duplicate` marks a
+/// channel-made extra copy and `corrupted` a damaged one (the CRC verdict
+/// the ARQ layers honour).  A queued kFault keeps its payload's index in
+/// frame_id.
 struct SimEvent {
   SimEventKind kind = SimEventKind::kArrival;
   SimTime time = 0;
@@ -111,7 +127,6 @@ struct SimEvent {
   std::uint64_t frame_id = 0;
   bool duplicate = false;
   bool corrupted = false;
-  std::uint64_t timer_id = 0;
 };
 
 class EventSim {
@@ -145,7 +160,7 @@ class EventSim {
   std::uint64_t crash_epochs(graph::NodeId v) const;
 
   /// Schedules `action` to apply at now() + delay, interleaved with
-  /// arrivals/timers in exact (time, push-order) order; next() applies it
+  /// arrivals in exact (time, push-order) order; next() applies it
   /// silently (never returns it).  The FaultPlan backend (net/faults.h).
   void schedule_fault(SimTime delay, const FaultAction& action);
 
@@ -160,30 +175,25 @@ class EventSim {
   /// (seed, link, event)-keyed stream.
   void send(graph::NodeId from, graph::Port out_port, std::uint64_t frame_id);
 
-  /// Schedules a timer event at now() + delay carrying `timer_id`.
-  void set_timer(SimTime delay, std::uint64_t timer_id);
+  /// The instant now() + delay, placed in the queue order as an event
+  /// pushed right now would be: after every queued event due at that time,
+  /// before every later push.  Draws one push-order seq, nothing else.
+  Deadline deadline(SimTime delay) { return {now_ + delay, next_seq_++}; }
 
-  /// Cancels the queued timer carrying `timer_id` (the one due first, if
-  /// several carry it).  The entry is marked dead in place: next()
-  /// consumes it silently when it comes up, or a compaction sweep removes
-  /// it once dead entries outnumber live ones — so pending() stays
-  /// bounded by ~2x the live events over any run length, however many
-  /// stale ARQ timers a chaos run abandons.  Either way it counts in
-  /// timers_cancelled().  An id with no queued timer (never set, already
-  /// fired or already cancelled) is a no-op: it never touches a timer set
-  /// later under the same id.
-  void cancel_timer(std::uint64_t timer_id);
+  /// Pops the next deliverable event that sorts before `d` in (time, seq)
+  /// order, advancing now().  Frames whose link direction is down at their
+  /// delivery instant die silently (counted in frames_died_midflight),
+  /// arrivals at crashed nodes drop (frames_crash_dropped) and scheduled
+  /// faults are applied — the scan continues past all of them.  Returns
+  /// nullopt when nothing deliverable precedes `d`: the deadline fired,
+  /// and now() has moved to its time (never backwards).
+  std::optional<SimEvent> next_before(const Deadline& d);
 
-  /// Pops the next deliverable event in (time, seq) order, advancing
-  /// now().  Frames whose link direction is down at their delivery instant
-  /// die silently (counted in frames_died_midflight), arrivals at crashed
-  /// nodes drop (frames_crash_dropped), cancelled timers are consumed and
-  /// scheduled faults applied — the scan continues past all of them.
-  /// Returns nullopt when the queue is empty.
+  /// next_before() with no deadline: returns nullopt only once the queue
+  /// is empty, leaving now() at the last event popped.
   std::optional<SimEvent> next();
 
-  /// Events (arrivals + timers + faults) still queued, cancelled-but-not-
-  /// yet-consumed timers included.
+  /// Events (arrivals + faults) still queued.
   std::size_t pending() const { return queue_.size(); }
 
   // --- wire accounting ----------------------------------------------------
@@ -196,7 +206,6 @@ class EventSim {
   std::uint64_t frames_crash_dropped() const { return frames_crashed_; }
   /// Arrival events actually handed to the caller by next().
   std::uint64_t frames_delivered() const { return frames_delivered_; }
-  std::uint64_t timers_cancelled() const { return timers_cancelled_; }
 
   // --- deterministic replay trace -----------------------------------------
   /// Records one line per channel decision (send outcome) and per popped
@@ -207,15 +216,15 @@ class EventSim {
   const std::vector<std::string>& trace() const { return trace_; }
 
  private:
-  /// Kind of a cancelled timer still in the queue; never leaves next().
-  static constexpr auto kDead = static_cast<SimEventKind>(0xff);
-
   std::uint64_t link_id(graph::NodeId u, graph::Port p) const {
     return offsets_[u] + p;
   }
   void check_half_edge(graph::NodeId u, graph::Port p, const char* who) const;
   void check_node(graph::NodeId v, const char* who) const;
   void push(SimTime at, SimEvent ev);
+  /// The one pop loop behind next() and next_before(); leaves now() at
+  /// the last event it popped.
+  std::optional<SimEvent> pop_before(const Deadline& d);
   void apply_fault(const FaultAction& f);
   void record(std::string line);
 
@@ -232,10 +241,9 @@ class EventSim {
 
   /// Sorted by descending (time, seq): next() pops the back.
   std::vector<SimEvent> queue_;
-  std::size_t dead_ = 0;  ///< cancelled timers still in queue_
   std::vector<FaultAction> fault_actions_;  ///< payloads of queued kFault
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;   ///< push-order event ids
+  std::uint64_t next_seq_ = 0;   ///< push-order ids (events and deadlines)
   std::uint64_t next_send_ = 0;  ///< per-send channel-draw counter
 
   std::uint64_t transmissions_ = 0;
@@ -245,7 +253,6 @@ class EventSim {
   std::uint64_t frames_corrupted_ = 0;
   std::uint64_t frames_crashed_ = 0;
   std::uint64_t frames_delivered_ = 0;
-  std::uint64_t timers_cancelled_ = 0;
 
   std::size_t trace_limit_ = 0;
   std::vector<std::string> trace_;

@@ -29,13 +29,6 @@ std::uint32_t cum_of(std::uint64_t id) {
   return static_cast<std::uint32_t>((id >> 16) & kFieldMask);
 }
 
-// Timer ids carry (transfer, frame, attempt): a stale attempt's timer — or
-// any timer of a finished transfer — is inert.
-std::uint64_t timer_id(std::uint64_t k, std::uint32_t f,
-                       std::uint32_t attempt) {
-  return (k << 31) | (static_cast<std::uint64_t>(f) << 16) | attempt;
-}
-
 }  // namespace
 
 WindowTransport::WindowTransport(const graph::Graph& g, std::uint64_t seed,
@@ -108,8 +101,8 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     fs.sent_at = sim_.now();
     sim_.send(from, out_port, data_id(k, f));
     ++out.data_copies;
-    const SimTime rto = options_.rto.adaptive ? est.rto() : fs.fixed_rto;
-    sim_.set_timer(rto, timer_id(k, f, fs.attempt));
+    fs.deadline =
+        sim_.deadline(options_.rto.adaptive ? est.rto() : fs.fixed_rto);
   };
   const auto fill = [&] {
     while (next_new < F && inflight < options_.window) {
@@ -123,7 +116,6 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     if (fs.acked) return;
     fs.acked = true;
     --inflight;
-    sim_.cancel_timer(timer_id(k, f, fs.attempt));  // lazy queue cleanup
     // Karn's rule: only a frame that was never retransmitted yields an
     // unambiguous RTT (its ack cannot be confirming an earlier copy).
     if (clean_sample && fs.attempt == 0 && options_.rto.adaptive) {
@@ -133,23 +125,23 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
   };
 
   fill();
-  while (auto ev = sim_.next()) {
-    if (ev->kind == SimEventKind::kTimer) {
-      if (transfer_of(ev->timer_id) != k) continue;  // stale transfer
-      const std::uint32_t f =
-          static_cast<std::uint32_t>((ev->timer_id >> 16) & kFieldMask);
-      const std::uint32_t att =
-          static_cast<std::uint32_t>(ev->timer_id & 0xffff);
-      FrameState& fs = frame_[f];
-      if (fs.acked || att != fs.attempt) continue;  // stale attempt
-      if (fs.attempt >= options_.max_retries) {
-        // This frame's budget is spent: the transfer dies.  Cancel the
-        // other in-flight frames' timers on the way out.
-        for (std::uint32_t j = 0; j < next_new; ++j)
-          if (!frame_[j].acked && j != f)
-            sim_.cancel_timer(timer_id(k, j, frame_[j].attempt));
-        break;
-      }
+  for (;;) {
+    // Wait on the earliest deadline among the unacked in-flight frames
+    // [base, next_new).  There is none only after a renege (everything
+    // selectively acked, watermark short): then drain the queue dry.
+    std::uint32_t due = F;
+    for (std::uint32_t j = base; j < next_new; ++j)
+      if (!frame_[j].acked &&
+          (due == F || frame_[j].deadline < frame_[due].deadline))
+        due = j;
+    const auto ev =
+        due < F ? sim_.next_before(frame_[due].deadline) : sim_.next();
+    if (!ev) {
+      // The queue ran dry (the transfer ends undelivered), or frame
+      // `due`'s deadline passed unacked.
+      if (due == F) break;
+      FrameState& fs = frame_[due];
+      if (fs.attempt >= options_.max_retries) break;  // budget spent: dies
       ++fs.attempt;
       ++out.retransmits;
       ++total_retransmits_;
@@ -160,7 +152,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
       // pipeline's advantage.  Fixed mode keeps the per-frame PR 6
       // schedule.
       if (options_.rto.adaptive) {
-        if (f == base) {
+        if (due == base) {
           est.backoff();
           ++out.backoffs;
           ++total_backoffs_;
@@ -170,7 +162,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
         ++out.backoffs;
         ++total_backoffs_;
       }
-      launch(f);
+      launch(due);
       continue;
     }
     if (ev->corrupted) {

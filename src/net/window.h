@@ -2,16 +2,19 @@
 // lossy event simulator (SNIPPETS.md's selective-repeat sender/receiver
 // queues reduced to their invariant).  Stop-and-wait is its window-1
 // preset: `window = frames_per_message = 1` puts one DATA frame on the
-// wire, arms one timer, and resends with backoff until an ACK returns or
-// the retry budget is spent.
+// wire, sets one deadline, and resends with backoff until an ACK returns
+// or the retry budget is spent.
 //
 // One send() moves one MESSAGE of `frames_per_message` frames across the
 // edge at (from, out_port), keeping up to `window` frames in flight at
 // once:
 //
-//   * the sender launches frames into the window, arms one retransmission
-//     timer per in-flight frame, and resends exactly the frames whose
-//     timers fire (selective repeat — never go-back-N's wasteful replay);
+//   * the sender launches frames into the window, gives each in-flight
+//     frame its own retransmission deadline, waits on the earliest one
+//     (EventSim::next_before), and resends exactly the frames whose
+//     deadlines pass unacked (selective repeat — never go-back-N's
+//     wasteful replay).  The deadlines live here, not in the simulator's
+//     queue, so an ack only marks its frame: nothing is ever cancelled;
 //   * the receiver buffers out-of-order arrivals in a bitmap and acks
 //     EVERY copy it sees (acks get lost too) with a (frame, cumulative)
 //     pair: the selective half retires that frame from the sender's
@@ -52,7 +55,7 @@
 //
 // Fault semantics (DESIGN.md §2.12): a corrupted copy fails the frame
 // check sequence and is dropped unprocessed — corruption degrades to loss
-// and the per-frame timers recover it.  Node crash amnesia follows the
+// and the per-frame deadlines recover it.  Node crash amnesia follows the
 // TCP-SACK reneging discipline: the receiver's in-order delivered prefix
 // (`cum`) is durable app state, but the out-of-order buffer above it is
 // VOLATILE — a crash/recovery of the receiving node wipes it (tracked by
@@ -171,8 +174,8 @@ class WindowTransport {
   struct FrameState {
     SimTime sent_at = 0;    ///< launch time of the latest copy
     SimTime fixed_rto = 0;  ///< fixed mode's locally doubled timeout
-    /// Retransmissions so far; also the live timer's attempt number.
-    std::uint32_t attempt = 0;
+    Deadline deadline{};    ///< when the latest copy counts as lost
+    std::uint32_t attempt = 0;  ///< retransmissions so far
     bool acked = false;
     bool received = false;  ///< receiver holds it (volatile above `cum`)
   };

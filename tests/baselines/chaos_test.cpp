@@ -90,7 +90,7 @@ TEST(ChaosFuzzer, HundredsOfSampledPlansAcrossTheZooStaySound) {
   }
   EXPECT_GE(total.pairs, 200);  // >= 200 independently sampled FaultPlans
   // The chaos really engaged: frames were damaged, crashed endpoints
-  // really dropped traffic, timers really fired — and the stack still
+  // really dropped traffic, deadlines really fired — and the stack still
   // delivered most of the time.
   EXPECT_GT(total.corrupted, 0u);
   EXPECT_GT(total.crash_drops, 0u);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,18 +53,36 @@ TEST(EventSim, HeapOrdersByTimeThenPushSeq) {
   sim.set_link_model(0, 0, slow);
   sim.send(0, 0, 1);  // arrives at t=5
   sim.send(1, 1, 2);  // arrives at t=1
-  sim.set_timer(5, 99);  // t=5, pushed after frame 1's arrival
-  auto a = sim.next();
+  FaultAction burst;
+  burst.kind = FaultAction::Kind::kGlobalCorrupt;
+  burst.corrupt = 1.0;
+  sim.schedule_fault(5, burst);        // t=5, queued before the deadline
+  const Deadline d = sim.deadline(5);  // t=5, after everything so far
+  sim.send(0, 0, 3);                   // t=5, pushed after the deadline
+  EXPECT_EQ(d.time, 5u);
+  auto a = sim.next_before(d);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->frame_id, 2u);
-  auto b = sim.next();  // same time as the timer, lower push seq
+  auto b = sim.next_before(d);  // the deadline's time, lower push seq
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->kind, SimEventKind::kArrival);
   EXPECT_EQ(b->frame_id, 1u);
+  EXPECT_EQ(sim.link_model(0, 0).corrupt, 0.0);
+  // The deadline fires before frame 3, once the fault has applied.
+  EXPECT_FALSE(sim.next_before(d).has_value());
+  EXPECT_EQ(sim.now(), 5u);
+  EXPECT_EQ(sim.link_model(0, 0).corrupt, 1.0);
+  EXPECT_EQ(sim.pending(), 1u);
   auto c = sim.next();
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->kind, SimEventKind::kTimer);
-  EXPECT_EQ(c->timer_id, 99u);
+  EXPECT_EQ(c->frame_id, 3u);
+  EXPECT_EQ(c->time, 5u);
+  // A deadline that has already passed fires at once and never moves
+  // the clock back.
+  sim.send(0, 0, 4);  // arrives at t=10
+  ASSERT_TRUE(sim.next().has_value());
+  EXPECT_FALSE(sim.next_before(d).has_value());
+  EXPECT_EQ(sim.now(), 10u);
 }
 
 TEST(EventSim, FullLossDropsEverything) {
@@ -156,10 +175,25 @@ TEST(EventSim, ValidatesArguments) {
   EXPECT_THROW(EventSim(g, 7, inverted), std::invalid_argument);
 }
 
+// One 32-bit draw picks a latency, so a span it cannot cover is an error,
+// not a silently truncated range.
+TEST(EventSim, LatencySpanBeyondThirtyTwoBitsIsRejected) {
+  Graph g = graph::cycle(3);
+  LinkModel wide;
+  wide.latency_min = 3;
+  wide.latency_max = 3 + 0xffffffffULL;
+  EXPECT_THROW(EventSim(g, 7, wide), std::invalid_argument);
+  EventSim sim(g, 7);
+  EXPECT_THROW(sim.set_link_model(0, 0, wide), std::invalid_argument);
+  wide.latency_max = 3 + 0xfffffffeULL;  // the widest span one draw covers
+  EXPECT_NO_THROW(EventSim(g, 7, wide));
+  EXPECT_NO_THROW(sim.set_link_model(0, 0, wide));
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic-replay regression suite (the ROADMAP contract, pinned).
-// A scripted random driver issues sends/timers/flips; the trace must be a
-// pure function of (seed, script).
+// A scripted random run issues sends/deadlines/flips; the trace must be
+// a pure function of (seed, script).
 // ---------------------------------------------------------------------------
 
 LinkModel chaos() {
@@ -171,16 +205,27 @@ LinkModel chaos() {
   return m;
 }
 
+/// One pop of a scripted run: waits on the held deadline if there is
+/// one (dropping it once it fires), else pops plainly.
+void scripted_pop(EventSim& sim, std::optional<Deadline>& due) {
+  if (!due) {
+    sim.next();
+  } else if (!sim.next_before(*due)) {
+    due.reset();
+  }
+}
+
 /// Issues `ops` scripted operations against the sim, interleaving sends,
-/// timers, one-sided flips and pops — all drawn from the script seed.
+/// deadlines, one-sided flips and pops — all drawn from the script seed.
 void drive(EventSim& sim, const Graph& g, std::uint64_t script_seed, int ops) {
   util::Pcg32 script(script_seed);
+  std::optional<Deadline> due;
   for (int i = 0; i < ops; ++i) {
     const NodeId v = script.next_below(g.num_nodes());
     const Port p = script.next_below(g.degree(v));
     switch (script.next_below(8)) {
       case 0:
-        sim.set_timer(1 + script.next_below(16), i);
+        due = sim.deadline(1 + script.next_below(16));
         break;
       case 1:
         sim.set_link_up(v, p, false);
@@ -190,7 +235,7 @@ void drive(EventSim& sim, const Graph& g, std::uint64_t script_seed, int ops) {
         break;
       case 3:
       case 4:
-        sim.next();
+        scripted_pop(sim, due);
         break;
       default:
         sim.send(v, p, i);
@@ -271,8 +316,8 @@ TEST(EventSimReplay, CountersAreReplayedExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-injection layer: frame corruption, node crash/recovery, scheduled
-// faults, and lazy timer cancellation.
+// Fault-injection layer: frame corruption, node crash/recovery and
+// scheduled faults.
 // ---------------------------------------------------------------------------
 
 TEST(EventSimFaults, FullCorruptionFlagsEveryDeliveryWithOneFlippedBit) {
@@ -429,59 +474,11 @@ TEST(EventSimFaults, ScheduleFaultValidatesTargets) {
   EXPECT_THROW(sim.set_node_crashed(9, true), std::invalid_argument);
 }
 
-TEST(EventSimTimers, CancelledTimerIsConsumedSilently) {
-  Graph g = graph::cycle(3);
-  EventSim sim(g, 7, perfect());
-  sim.set_timer(5, 77);
-  sim.cancel_timer(77);
-  EXPECT_FALSE(sim.next().has_value());
-  EXPECT_EQ(sim.timers_cancelled(), 1u);
-  // A fresh timer under a new id still fires.
-  sim.set_timer(3, 78);
-  auto ev = sim.next();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->timer_id, 78u);
-}
-
-// A cancel that matches no queued timer does nothing: it must not lie in
-// wait and swallow the next timer that happens to reuse the id.
-TEST(EventSimTimers, CancellingAnUnqueuedIdIsANoOp) {
-  Graph g = graph::cycle(3);
-  EventSim sim(g, 7, perfect());
-  sim.cancel_timer(5);
-  sim.set_timer(3, 5);
-  auto ev = sim.next();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->kind, SimEventKind::kTimer);
-  EXPECT_EQ(ev->timer_id, 5u);
-  EXPECT_EQ(sim.timers_cancelled(), 0u);
-}
-
-// The satellite regression: mass lazy cancellation must not grow the heap
-// — compaction keeps pending() bounded by a small constant multiple of
-// the live events, however many stale ARQ timers a chaos run abandons.
-TEST(EventSimTimers, PendingStaysBoundedUnderMassCancellation) {
-  Graph g = graph::cycle(3);
-  EventSim sim(g, 7, perfect());
-  for (int i = 0; i < 8; ++i) sim.set_timer(1u << 20, 1000000 + i);  // live
-  std::size_t max_pending = 0;
-  for (std::uint64_t i = 0; i < 20000; ++i) {
-    sim.set_timer(1000 + (i % 7), i);
-    sim.cancel_timer(i);
-    max_pending = std::max(max_pending, sim.pending());
-  }
-  EXPECT_LT(max_pending, 300u);  // ~2x the compaction threshold, not 20k
-  // Every cancelled timer is eventually consumed or compacted, silently.
-  std::size_t fired = 0;
-  while (sim.next().has_value()) ++fired;
-  EXPECT_EQ(fired, 8u);  // only the live timers ever surfaced
-  EXPECT_EQ(sim.timers_cancelled(), 20000u);
-}
-
 // ---------------------------------------------------------------------------
-// Run-queue pin: the exact schedule of a scripted run.  Cancels hit queued
-// timer ids only, where lazy cancellation has one meaning, so the digest
-// must not move when the queue's internals change.
+// Run-queue pin: the exact schedule of a scripted run, with a caller
+// holding many deadlines at once (as a selective-repeat window does) and
+// abandoning some of them.  The digest must not move when the queue's
+// internals change.
 
 /// FNV-1a over 64-bit words, low byte first.
 struct Fnv {
@@ -504,16 +501,19 @@ TEST(EventSimQueue, ScriptedScheduleIsPinned) {
   EventSim sim(g, /*seed=*/0x9ee7, m);
   util::Pcg32 script(2024);
   Fnv fnv;
-  std::vector<std::uint64_t> queued;  // set, not yet fired or cancelled
-  std::uint64_t cancels = 0;
-  std::uint64_t compactions = 0;
+  std::vector<Deadline> held;  // taken, not yet fired or abandoned
+  std::uint64_t fired = 0;
+  std::uint64_t abandoned = 0;
   auto observe = [&] {
     fnv.add(sim.now());
     fnv.add(sim.pending());
-    fnv.add(sim.timers_cancelled());
   };
+  // Waits on the earliest held deadline; returns false once nothing is
+  // held and the queue is empty.
   auto pop = [&] {
-    const auto ev = sim.next();
+    const auto due = std::min_element(held.begin(), held.end());
+    const bool waited = due != held.end();
+    const auto ev = waited ? sim.next_before(*due) : sim.next();
     fnv.add(ev.has_value());
     if (ev) {
       for (std::uint64_t w :
@@ -521,33 +521,33 @@ TEST(EventSimQueue, ScriptedScheduleIsPinned) {
             ev->seq, std::uint64_t{ev->node}, std::uint64_t{ev->port},
             std::uint64_t{ev->from}, std::uint64_t{ev->from_port},
             ev->frame_id, std::uint64_t{ev->duplicate},
-            std::uint64_t{ev->corrupted}, ev->timer_id})
+            std::uint64_t{ev->corrupted}})
         fnv.add(w);
-      if (ev->kind == SimEventKind::kTimer) std::erase(queued, ev->timer_id);
+    } else if (waited) {
+      fnv.add(due->time);
+      fnv.add(due->seq);
+      held.erase(due);
+      ++fired;
     }
     observe();
-    return ev.has_value();
+    return ev.has_value() || waited;
   };
   for (std::uint64_t i = 0; i < 8000; ++i) {
     const NodeId v = script.next_below(g.num_nodes());
     const Port p = script.next_below(g.degree(v));
-    // Alternate phases: timers pile up and get cancelled (enough dead
-    // entries to cross the compaction threshold), then pops drain them.
+    // Alternate phases: deadlines pile up and get abandoned, then pops
+    // drain them.
     const bool drain = (i / 400) % 2 == 1;
     const std::uint32_t op = script.next_below(20);
     if (op < (drain ? 2u : 7u)) {
-      sim.set_timer(1 + script.next_below(1100), i);
-      queued.push_back(i);
+      held.push_back(sim.deadline(1 + script.next_below(1100)));
     } else if (op < (drain ? 4u : 16u)) {
-      if (queued.empty()) continue;
+      if (held.empty()) continue;
       const std::size_t k = script.next_below(
-          static_cast<std::uint32_t>(queued.size()));
-      const std::uint64_t before = sim.timers_cancelled();
-      sim.cancel_timer(queued[k]);
-      if (sim.timers_cancelled() != before) ++compactions;
-      queued[k] = queued.back();
-      queued.pop_back();
-      ++cancels;
+          static_cast<std::uint32_t>(held.size()));
+      held[k] = held.back();
+      held.pop_back();
+      ++abandoned;
     } else if (op < (drain ? 6u : 18u)) {
       sim.send(v, p, i);
     } else if (op < (drain ? 7u : 19u)) {
@@ -571,23 +571,26 @@ TEST(EventSimQueue, ScriptedScheduleIsPinned) {
   }
   while (pop()) {
   }
-  EXPECT_GT(compactions, 0u);  // the sweep really ran mid-script
-  EXPECT_TRUE(queued.empty());
-  EXPECT_EQ(sim.timers_cancelled(), cancels);  // each consumed exactly once
-  EXPECT_EQ(fnv.h, 0x02066c165e20c417ULL);
+  EXPECT_GT(fired, 0u);
+  EXPECT_GT(abandoned, 0u);
+  EXPECT_TRUE(held.empty());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(fnv.h, 0xe4b981f5edaf3371ULL);
 }
 
-/// The chaos drive: sends, timers, cancellations and scheduled faults all
-/// drawn from one script stream — the fault-layer replay anchor.
+/// The chaos drive: sends, deadlines taken and abandoned, and scheduled
+/// faults, all drawn from one script stream — the fault-layer replay
+/// anchor.
 void drive_faults(EventSim& sim, const Graph& g, std::uint64_t script_seed,
                   int ops) {
   util::Pcg32 script(script_seed);
+  std::optional<Deadline> due;
   for (int i = 0; i < ops; ++i) {
     const NodeId v = script.next_below(g.num_nodes());
     const Port p = script.next_below(g.degree(v));
     switch (script.next_below(12)) {
       case 0:
-        sim.set_timer(1 + script.next_below(16), i);
+        due = sim.deadline(1 + script.next_below(16));
         break;
       case 1: {
         FaultAction a;
@@ -620,12 +623,11 @@ void drive_faults(EventSim& sim, const Graph& g, std::uint64_t script_seed,
         break;
       }
       case 5:
-        // May hit a queued, fired, or never-set id — all deterministic.
-        sim.cancel_timer(script.next_below(static_cast<std::uint32_t>(i + 1)));
+        due.reset();  // abandons the held deadline, if any
         break;
       case 6:
       case 7:
-        sim.next();
+        scripted_pop(sim, due);
         break;
       default:
         sim.send(v, p, i);
@@ -641,7 +643,7 @@ TEST(EventSimFaults, FaultScheduleReplayIsByteIdentical) {
   LinkModel m = chaos();
   m.corrupt = 0.1;
   std::vector<std::string> traces[2];
-  std::uint64_t corrupted[2], crashed[2], cancelled[2], delivered[2];
+  std::uint64_t corrupted[2], crashed[2], delivered[2];
   for (int run = 0; run < 2; ++run) {
     EventSim sim(g, /*seed=*/0xabcdef, m);
     sim.enable_trace(100000);
@@ -649,7 +651,6 @@ TEST(EventSimFaults, FaultScheduleReplayIsByteIdentical) {
     traces[run] = sim.trace();
     corrupted[run] = sim.frames_corrupted();
     crashed[run] = sim.frames_crash_dropped();
-    cancelled[run] = sim.timers_cancelled();
     delivered[run] = sim.frames_delivered();
   }
   ASSERT_FALSE(traces[0].empty());
@@ -658,7 +659,6 @@ TEST(EventSimFaults, FaultScheduleReplayIsByteIdentical) {
     ASSERT_EQ(traces[0][i], traces[1][i]) << "trace line " << i;
   EXPECT_EQ(corrupted[0], corrupted[1]);
   EXPECT_EQ(crashed[0], crashed[1]);
-  EXPECT_EQ(cancelled[0], cancelled[1]);
   EXPECT_EQ(delivered[0], delivered[1]);
   EXPECT_GT(corrupted[0], 0u);  // the chaos regime really fired
   EXPECT_GT(crashed[0], 0u);

@@ -125,6 +125,25 @@ TEST(WindowTransport, PerfectChannelSendsEachFrameOnce) {
   EXPECT_EQ(wt.frames(), 16u);
 }
 
+// The deadlines live in the transport, so a delivered transfer leaves
+// nothing behind in the simulator's queue: it stays bounded by the frames
+// actually in flight, however many transfers run.
+TEST(WindowTransport, DeliveredTransferLeavesNothingQueued) {
+  const Graph g = graph::cycle(6);
+  WindowOptions window4;
+  window4.window = window4.frames_per_message = 4;
+  for (const WindowOptions& opts : {stop_and_wait(), window4}) {
+    WindowTransport wt(g, 3, {}, opts);
+    NodeId at = 0;
+    for (int i = 0; i < 20; ++i) {
+      const WindowOutcome out = wt.send(at, 0);
+      ASSERT_TRUE(out.delivered) << shape(opts);
+      EXPECT_EQ(wt.sim().pending(), 0u) << shape(opts) << ", send " << i;
+      at = out.arrival.node;
+    }
+  }
+}
+
 TEST(WindowTransport, PipelineBeatsStopAndWaitPacingAtLossZero) {
   // The whole point of the window: on a perfect unit-latency link a full
   // window moves F frames in ~one RTT, while window = 1 pays F RTTs.

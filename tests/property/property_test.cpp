@@ -332,7 +332,7 @@ TEST_P(GraphZoo, FaultLayerAtZeroIsByteInvisible) {
   std::uint64_t frames[2] = {0, 0};
   for (int run = 0; run < 2; ++run) {
     net::LinkModel m;
-    m.loss = 0.15;  // real retransmissions: timers and backoff in play
+    m.loss = 0.15;  // real retransmissions: deadlines and backoff in play
     m.latency_max = 4;
     if (run == 1) m.corrupt = 0.0;  // the corruption knob, explicitly zero
     net::WindowTransport tr(g_, /*seed=*/0x5eed000c, m, wopt);
