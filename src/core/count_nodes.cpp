@@ -13,6 +13,7 @@ namespace uesr::core {
 using explore::ExplorationSequence;
 using explore::ReducedGraph;
 using explore::SymbolStream;
+using explore::advance_port;
 using explore::wrap_port;
 using graph::HalfEdge;
 using graph::NodeId;
@@ -68,7 +69,7 @@ graph::NodeId retrieve(const ReducedGraph& net, const ExplorationSequence& seq,
   // Forward phase, symbols streamed in blocks.
   SymbolStream symbols(seq);
   for (std::uint64_t index = 0; index < i; ++index) {
-    Port out = wrap_port(at.port + symbols.next(), 3);
+    Port out = advance_port(at.port, symbols.next(), 3);
     HalfEdge far = g.rotate(at.node, out);
     at = {far.node, far.port};
     ++tx;
@@ -98,7 +99,7 @@ graph::NodeId retrieve_neighbor(const ReducedGraph& net,
   ++tx;
   SymbolStream symbols(seq);
   for (std::uint64_t index = 0; index < i; ++index) {
-    Port out = wrap_port(at.port + symbols.next(), 3);
+    Port out = advance_port(at.port, symbols.next(), 3);
     HalfEdge far = g.rotate(at.node, out);
     at = {far.node, far.port};
     ++tx;
@@ -182,7 +183,7 @@ class FastOracle final : public ProbeOracle {
     heads_.push_back(a.node);
     SymbolStream symbols(seq);
     for (std::uint64_t j = 0; j < length; ++j) {
-      d = {a.node, wrap_port(a.port + symbols.next(), 3)};
+      d = {a.node, advance_port(a.port, symbols.next(), 3)};
       a = g.rotate(d.node, d.port);
       heads_.push_back(a.node);
     }

@@ -8,16 +8,20 @@
 namespace uesr::core {
 
 using explore::Symbol;
+using explore::advance_port;
 using explore::wrap_port;
 using graph::NodeId;
 using graph::Port;
 
+namespace {
+
+Port mod3(Symbol t) { return static_cast<Port>(t < 3 ? t : t % 3); }
+
+}  // namespace
+
 MultiWalkArena::MultiWalkArena(const explore::ReducedGraph& net,
                                const explore::ExplorationSequence& seq) {
   rebind(net, seq);
-  symbols_.resize(kBlockLanes * kSymbolWindow);
-  win_lo_.resize(kBlockLanes);
-  win_len_.assign(kBlockLanes, 0);
 }
 
 void MultiWalkArena::rebind(const explore::ReducedGraph& net,
@@ -30,6 +34,8 @@ void MultiWalkArena::rebind(const explore::ReducedGraph& net,
   far_ = net.cubic.far_node_data();
   ports_ = &net.cubic.far_ports();
   original_of_ = net.original_of.data();
+  prefix_.clear();  // keeps its capacity for the next epoch
+  prefix_len_ = 0;
 }
 
 void MultiWalkArena::restart(std::size_t w, NodeId s) {
@@ -68,32 +74,25 @@ std::size_t MultiWalkArena::walk_state_bytes() const {
   return node_.size() * (sizeof(NodeId) * 2 + 2 + sizeof(std::uint64_t) * 2);
 }
 
-Symbol MultiWalkArena::lane_symbol(std::size_t w, std::size_t r,
-                                   std::uint64_t j, std::uint64_t left) {
-  if (j - win_lo_[r] >= win_len_[r]) {  // underflow wraps: miss
-    // Refill ahead of the walk direction, exactly like RouteSession's
-    // window (window size never affects symbols — pure pass-through), but
-    // never past what the lane can consume in the `left` slots it has
-    // left this call.
-    const std::uint64_t n = std::min<std::uint64_t>(kSymbolWindow, left);
-    std::uint64_t lo, hi;
-    if ((flags_[w] & kBackward) == 0) {
-      lo = j;
-      hi = std::min(seq_length_, j + n - 1);
-    } else {
-      hi = j;
-      lo = j >= n ? j - n + 1 : 1;
-    }
-    seq_->fill(lo, hi - lo + 1, symbols_.data() + r * kSymbolWindow);
-    win_lo_[r] = lo;
-    win_len_[r] = hi - lo + 1;
-  }
-  return symbols_[r * kSymbolWindow + (j - win_lo_[r])];
+Port MultiWalkArena::symbol_miss(std::uint64_t j) {
+  const std::uint64_t limit = std::min(seq_length_, kPrefixCap);
+  if (j > limit) return mod3(seq_->symbol(j));
+  const std::uint64_t len =
+      std::min(limit, std::max({j, 2 * prefix_len_, std::uint64_t{1024}}));
+  const std::size_t words = static_cast<std::size_t>((len + 31) / 32);
+  prefix_.reserve(words);  // exact, so capacity stays within the cap
+  prefix_.resize(words, 0);
+  std::vector<Symbol> fresh(static_cast<std::size_t>(len - prefix_len_));
+  seq_->fill(prefix_len_ + 1, fresh.size(), fresh.data());
+  for (std::uint64_t k = prefix_len_; k < len; ++k)
+    prefix_[k >> 5] |= std::uint64_t{mod3(fresh[k - prefix_len_])}
+                       << (2 * (k & 31));
+  prefix_len_ = len;
+  return lane_symbol(j);
 }
 
 template <bool kIsBackward>
-bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
-                               std::uint64_t left, NodeId* landed) {
+bool MultiWalkArena::step_lane(std::size_t w, NodeId* landed) {
   std::uint8_t flags = flags_[w];
   Port out;
   if constexpr (!kIsBackward) {
@@ -128,7 +127,7 @@ bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
     } else {
       const std::uint64_t next = index_[w] + 1;
       index_[w] = next;
-      out = wrap_port(port_[w] + lane_symbol(w, r, next, left), 3);
+      out = advance_port(port_[w], lane_symbol(next), 3);
     }
   } else {
     if (index_[w] == 0) {
@@ -137,9 +136,7 @@ bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
       return false;
     }
     const std::uint64_t j = index_[w];
-    const Symbol s = lane_symbol(w, r, j, left);
-    const Port t = s < 3 ? static_cast<Port>(s) : static_cast<Port>(s % 3);
-    out = wrap_port(port_[w] + 3 - t, 3);
+    out = wrap_port(port_[w] + 3 - lane_symbol(j), 3);
     index_[w] = j - 1;
   }
   const std::size_t i = 3 * static_cast<std::size_t>(node_[w]) + out;
@@ -165,8 +162,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
     // Lanes live in direction-partitioned lists (scratch-row indices):
     // interleaved directions would make the forward/backward branch
     // effectively random per step, and the mispredicts would dominate the
-    // sweep.  Rows are bound to walks for the whole block, so symbol
-    // windows survive lane retirements.  Every step consumes exactly one
+    // sweep.  Every step consumes exactly one
     // slot (the backward terminate consumes zero and retires its lane),
     // so the slot index doubles as every live lane's spent budget — no
     // per-lane accounting on the hot path.  Budget retirements happen in
@@ -184,7 +180,6 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
     std::size_t nb = 0;
     std::uint64_t next_stop = ~std::uint64_t{0};
     for (std::size_t r = 0; r < lanes; ++r) {
-      win_len_[r] = 0;  // scratch rows are per-call
       const std::size_t w = walks[base + r];
       if (finished(w) || budget[r] == 0) continue;
       if ((flags_[w] & kBackward) != 0)
@@ -209,7 +204,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
         const std::size_t r = fwd[k];
         const std::size_t w = walks[base + r];
         NodeId land = kNoCheck;
-        const bool turned = step_lane<false>(w, r, budget[r] - slot, &land);
+        const bool turned = step_lane<false>(w, &land);
         if (land != kNoCheck) {
           landed[checks] = land;
           landed_w[checks++] = w;
@@ -223,7 +218,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
         const std::size_t r = bwd[k];
         const std::size_t w = walks[base + r];
         NodeId land = kNoCheck;
-        if (step_lane<true>(w, r, budget[r] - slot, &land)) {
+        if (step_lane<true>(w, &land)) {
           bwd_next[nb2++] = r;
         } else {
           // The free terminate: the walk finished having spent one slot

@@ -16,12 +16,13 @@
 //     half-edge region &far_nodes[3*node] one slot ahead of its use;
 //   * branch-free rotate3 — the packed far-node/2-bit-port pair from
 //     graph::Graph's cubic layout, no offsets, no HalfEdge structs;
-//   * shared symbols — ONE ExplorationSequence object (from the
-//     SequenceCache) feeds every lane through per-call scratch windows
-//     (kBlockLanes x kSymbolWindow, ~16 KB transient), so a million walks
-//     hold no per-walk symbol storage.  A refill is sized to the lane's
-//     unspent budget, so a walk granted few slots pays for few symbols;
-//     budgets are per-walk, per-call scratch (step_block's array).
+//   * one symbol prefix — t_j mod 3 packed 2 bits per entry, grown inside
+//     step_block on a miss at j to max(j, 2·len, 1024) symbols (capped at
+//     kPrefixCap) with one bulk fill(); a read is one shift-and-mask load
+//     and no walk holds symbol storage.  Mod 3 is exact (both step rules
+//     reduce t_j first); past the cap a read hashes seq.symbol(j).  t_j
+//     stays a pure function of j (Theorem 4), so the memo moves no walk.
+//     rebind() drops it: a new epoch's sequence may reuse the old address.
 //
 // Semantics are pinned to RouteSession step for step: same transmission
 // counts, same turn-around ticks, same verdicts (tests/core/
@@ -45,14 +46,10 @@ namespace uesr::core {
 class MultiWalkArena {
  public:
   /// Lanes per block sweep: enough independent loads to saturate the
-  /// memory system, small enough that the scratch symbol windows stay
-  /// cache-resident.
+  /// memory system.
   static constexpr std::size_t kBlockLanes = 64;
-  /// Upper bound on the symbols one window refill fetches; a refill never
-  /// fetches more than the lane can consume in the rest of its budget this
-  /// call, so one virtual fill() serves up to a whole round's forward run
-  /// and a one-slot grant costs at most one symbol.
-  static constexpr std::size_t kSymbolWindow = 64;
+  /// Most symbols the prefix memoizes: 2^20 at 2 bits each is 256 KiB.
+  static constexpr std::uint64_t kPrefixCap = std::uint64_t{1} << 20;
 
   /// `net` must be cubic (every reduce_to_cubic output is) and, with
   /// `seq`, must outlive the arena.
@@ -62,7 +59,8 @@ class MultiWalkArena {
   /// Moves the arena onto another epoch's network over the same original
   /// nodes (`net` cubic; with `seq`, outliving the arena).  Walk rows
   /// stay; every walk still in flight must be restart()ed before it steps
-  /// again (its node is a gadget of the old reduction).
+  /// again (its node is a gadget of the old reduction).  The symbol prefix
+  /// is dropped, even when `seq` has the old sequence's address.
   void rebind(const explore::ReducedGraph& net,
               const explore::ExplorationSequence& seq);
   /// The §2.8 restart: walk w goes back to injection at its source s on
@@ -108,6 +106,10 @@ class MultiWalkArena {
 
   /// Heap bytes of per-walk state (the §2.13 memory accounting).
   std::size_t walk_state_bytes() const;
+  /// Heap bytes of the shared symbol prefix: at most kPrefixCap / 4.
+  std::size_t symbol_prefix_bytes() const {
+    return prefix_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   static constexpr std::uint8_t kInjected = 1;
@@ -120,18 +122,16 @@ class MultiWalkArena {
   /// a real gadget node: reductions keep 3n well under 2^32 - 1).
   static constexpr graph::NodeId kNoCheck = ~graph::NodeId{0};
 
-  /// One step() of lane r (scratch row r, walk walks_[r]) with `left` >= 1
-  /// slots of its budget still unspent.  kIsBackward is the lane's
-  /// direction at entry (the sweeps keep lanes partitioned so it is
-  /// statically known).  Forward: returns whether the lane
-  /// turned backward (always one transmission).  Backward: returns
-  /// whether the lane is still stepping (false = the free terminate just
-  /// finished it, zero transmissions).  When the step needs a target
-  /// check, writes the landing node to *landed (and prefetches
-  /// original_of_ there) for the block's deferred flag sweep.
+  /// One step() of walk w.  kIsBackward is the walk's direction at entry
+  /// (the sweeps keep lanes partitioned so it is statically known).
+  /// Forward: returns whether the walk turned backward (always one
+  /// transmission).  Backward: returns whether the walk is still stepping
+  /// (false = the free terminate just finished it, zero transmissions).
+  /// When the step needs a target check, writes the landing node to
+  /// *landed (and prefetches original_of_ there) for the block's deferred
+  /// flag sweep.
   template <bool kIsBackward>
-  bool step_lane(std::size_t w, std::size_t r, std::uint64_t left,
-                 graph::NodeId* landed);
+  bool step_lane(std::size_t w, graph::NodeId* landed);
 
   /// Warms entry v's packed rotation lines (far-node triple + port word)
   /// one slot ahead of their use.
@@ -141,10 +141,14 @@ class MultiWalkArena {
     __builtin_prefetch(far_ + i + 2, 0, 1);  // 12 B span may cross a line
     __builtin_prefetch(ports_->word_of(i), 0, 1);
   }
-  /// Symbol j for lane r, refilling its window (at most `left` symbols)
-  /// on a miss.
-  explore::Symbol lane_symbol(std::size_t w, std::size_t r, std::uint64_t j,
-                              std::uint64_t left);
+  /// t_j mod 3 (1 <= j <= sequence length): one load from the prefix.
+  graph::Port lane_symbol(std::uint64_t j) {
+    if (j > prefix_len_) return symbol_miss(j);
+    const std::uint64_t k = j - 1;
+    return static_cast<graph::Port>((prefix_[k >> 5] >> (2 * (k & 31))) & 3);
+  }
+  /// Cold path: grows the prefix to cover j, or hashes t_j past the cap.
+  graph::Port symbol_miss(std::uint64_t j);
 
   // Shared immutable structure (borrowed; rebind() swaps it).
   const explore::ReducedGraph* net_ = nullptr;
@@ -162,13 +166,10 @@ class MultiWalkArena {
   std::vector<std::uint64_t> index_;    // header.index (symbols consumed)
   std::vector<std::uint64_t> tx_;
 
-  // Per-call scratch: lane r's symbol window is
-  // symbols_[r*kSymbolWindow .. +win_len_[r]) covering indices starting at
-  // win_lo_[r].  Reset (len 0) at the start of every block; each refill is
-  // sized to the lane's unspent budget (<= kSymbolWindow).
-  std::vector<explore::Symbol> symbols_;
-  std::vector<std::uint64_t> win_lo_;
-  std::vector<std::uint64_t> win_len_;
+  // Symbol prefix: t_{k+1} mod 3 at bits 2*(k % 32) of word k / 32, for
+  // k < prefix_len_.  Capacity never passes kPrefixCap / 32 words.
+  std::vector<std::uint64_t> prefix_;
+  std::uint64_t prefix_len_ = 0;
 };
 
 }  // namespace uesr::core

@@ -8,6 +8,7 @@
 namespace uesr::core {
 
 using explore::ExplorationSequence;
+using explore::advance_port;
 using explore::wrap_port;
 using graph::NodeId;
 using graph::Port;
@@ -49,7 +50,7 @@ StepOutcome step_node(const NodeView& node, Port in_port, Header& header,
     // Ordinary forward step: consume symbol j+1.
     std::uint64_t next = header.index + 1;
     header.index = next;
-    o.out_port = wrap_port(in_port + symbol_at(next), node.degree);
+    o.out_port = advance_port(in_port, symbol_at(next), node.degree);
     return o;
   }
   // Backward mode: we are at the tail of departure edge d_j, arrived on the

@@ -47,7 +47,7 @@ WalkTrace trace_walk(const graph::Graph& g, graph::HalfEdge start,
   visit(a.node);
   SymbolStream symbols(seq);
   for (std::uint64_t j = 1; j <= steps; ++j) {
-    d = {a.node, wrap_port(a.port + symbols.next(), g.degree(a.node))};
+    d = {a.node, advance_port(a.port, symbols.next(), g.degree(a.node))};
     a = g.rotate(d.node, d.port);
     tr.departures.push_back(d);
     visit(a.node);
@@ -65,7 +65,7 @@ graph::HalfEdge walk_position(const graph::Graph& g, graph::HalfEdge start,
   HalfEdge a = g.rotate(d.node, d.port);
   SymbolStream symbols(seq);
   for (std::uint64_t i = 1; i <= j; ++i) {
-    d = {a.node, wrap_port(a.port + symbols.next(), g.degree(a.node))};
+    d = {a.node, advance_port(a.port, symbols.next(), g.degree(a.node))};
     a = g.rotate(d.node, d.port);
   }
   return d;
@@ -108,7 +108,7 @@ std::optional<std::uint64_t> cover_walk(const Graph& g, HalfEdge start,
     scratch.symbols.resize(block);
     seq.fill(j + 1, block, scratch.symbols.data());
     for (std::size_t k = 0; k < block; ++k) {
-      d = {a.node, wrap_port(a.port + scratch.symbols[k], g.degree(a.node))};
+      d = {a.node, advance_port(a.port, scratch.symbols[k], g.degree(a.node))};
       a = g.rotate(d.node, d.port);
       ++j;
       visit(a.node);

@@ -25,14 +25,22 @@
 
 namespace uesr::explore {
 
-/// (x mod deg) for x = port + symbol sums.  Exactly equivalent to x % deg
-/// (including the uint32 wrap-around of the sum) but skips the hardware
-/// divide in the ubiquitous x < 2*deg case of small symbols — and keeps
+/// (x mod deg) for x = port + reduced-symbol sums.  Exactly equivalent to
+/// x % deg but skips the hardware divide in the ubiquitous x < 2*deg case
+/// (forward steps reduce the symbol first: advance_port) — and keeps
 /// that case a conditional move, not a branch: whether x wraps past deg is
 /// data-dependent coin-flip noise a predictor cannot learn.
 inline graph::Port wrap_port(std::uint32_t x, graph::Port deg) {
   if (x >= 2 * deg) return x % deg;  // cold: symbols are < deg in practice
   return x < deg ? x : x - deg;
+}
+
+/// (p + t) mod deg for the forward rule d_{j+1}.port = (a_j.port + t) mod
+/// deg.  Reduces t first, so a symbol near 2^32 cannot wrap the uint32 sum
+/// (wrap_port(1 + 0xFFFFFFFF, 3) is 0, but (1 + 0xFFFFFFFF) mod 3 is 1)
+/// and every forward step agrees with reverse_step, which reduces t too.
+inline graph::Port advance_port(graph::Port p, Symbol t, graph::Port deg) {
+  return wrap_port(p + (t < deg ? t : t % deg), deg);
 }
 
 /// One forward step: given the departure half-edge of step j and symbol
@@ -43,7 +51,7 @@ inline graph::Port wrap_port(std::uint32_t x, graph::Port deg) {
 inline graph::HalfEdge forward_step(const graph::Graph& g,
                                     graph::HalfEdge d_j, Symbol t_next) {
   graph::HalfEdge a = g.rotate(d_j.node, d_j.port);
-  return {a.node, wrap_port(a.port + t_next, g.degree(a.node))};
+  return {a.node, advance_port(a.port, t_next, g.degree(a.node))};
 }
 
 /// One reverse step: given the departure half-edge of step j and symbol

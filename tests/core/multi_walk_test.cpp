@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -215,10 +218,13 @@ class CountingSequence final : public explore::ExplorationSequence {
   mutable std::uint64_t symbols_ = 0;
 };
 
-TEST(MultiWalk, RefillsNeverOutrunTheBudget) {
-  // Symbols are a pure function of the index, so a refill needs no more
-  // of them than the lane can consume this call: a one-slot grant may
-  // compute at most one symbol, in either walk direction.
+TEST(MultiWalk, SymbolWorkNeverOutrunsTheWalk) {
+  // Symbols are a pure function of the index and the arena memoizes them
+  // in one prefix that at most doubles per growth, so however finely the
+  // slots are granted, the symbols computed stay within twice the deepest
+  // index the walk reached plus the 1024-symbol first growth.  Symbol work
+  // that scaled with grants instead (one refill per one-slot call) breaks
+  // the bound.
   const graph::Graph g = graph::lollipop(7, 9);
   const ReducedGraph net = explore::reduce_to_cubic(g);
   const auto inner = explore::standard_ues(net.cubic.num_nodes(), 3);
@@ -228,18 +234,116 @@ TEST(MultiWalk, RefillsNeverOutrunTheBudget) {
     RouteSession ref(net, *inner, 0, t);
     const std::size_t w = arena.admit(0, t);
     std::uint64_t calls = 0;
+    std::uint64_t deepest = 0;
     const std::uint64_t before = seq.symbols();
     while (!arena.finished(w) && calls < 10'000'000) {
-      const std::uint64_t filled = seq.symbols();
       arena.step_walk(w, 1);
       ++calls;
-      ASSERT_LE(seq.symbols() - filled, 1u) << "call " << calls;
+      deepest = std::max(deepest, arena.index(w));
+      ASSERT_LE(seq.symbols() - before, 2 * deepest + 1024)
+          << "call " << calls;
     }
     ASSERT_TRUE(arena.finished(w));
     while (!ref.finished()) ref.step();
     EXPECT_EQ(arena.transmissions(w), ref.transmissions());
-    EXPECT_LE(seq.symbols() - before, calls);
+    EXPECT_GT(calls, seq.symbols() - before);  // far fewer symbols than calls
   }
+}
+
+TEST(MultiWalk, SymbolsNearTwoToThe32StayInLockstep) {
+  // The arena stores t_j mod 3; RouteSession reduces t_j before adding
+  // the port.  Symbols whose uint32 sum with a port wraps must give the
+  // same walk on both, forward to the target or to exhaustion and back.
+  const graph::Graph g = graph::disjoint_copies(graph::lollipop(4, 3), 2);
+  const ReducedGraph net = explore::reduce_to_cubic(g);
+  const explore::Symbol big[] = {0xFFFFFFFFu, 0xFFFFFFFEu, 1, 2, 0xFFFFFFFEu};
+  std::vector<explore::Symbol> symbols;
+  for (int i = 0; i < 3000; ++i)
+    symbols.push_back(big[(i * 3 + i / 11) % std::size(big)]);
+  const explore::FixedExplorationSequence seq(symbols, net.cubic.num_nodes(),
+                                              "big");
+  for (NodeId t : {NodeId{3}, NodeId{6}, NodeId{9}}) {  // 9: other copy
+    MultiWalkArena arena(net, seq);
+    RouteSession ref(net, seq, 0, t);
+    const std::size_t w = arena.admit(0, t);
+    std::uint64_t guard = 100'000;
+    while (!ref.finished() && guard-- > 0) {
+      arena.step_walk(w, 1);
+      grant(ref, 1);
+      expect_lockstep(arena, w, ref, "symbols near 2^32");
+    }
+    ASSERT_TRUE(arena.finished(w));
+  }
+}
+
+TEST(MultiWalk, CertificateWalkCrossesThePrefixCap) {
+  // A ~100-gadget component has T_n of 24 * 96^2 * 7 = 1,548,288 symbols,
+  // past the 2^20-symbol prefix.  A walk to the other component runs all
+  // of it forward and rewinds it, crossing the cap both ways; symbol by
+  // symbol near the cap it must match RouteSession.
+  const graph::Graph g =
+      graph::disjoint_copies(graph::random_connected_regular(16, 3, 5), 2);
+  const ReducedGraph net = explore::reduce_to_cubic(g);
+  const auto inner = explore::standard_ues(net.cubic.num_nodes(), 3);
+  constexpr std::uint64_t kCap = MultiWalkArena::kPrefixCap;
+  ASSERT_GT(inner->length(), kCap + 4096);
+  const CountingSequence seq(*inner);
+  MultiWalkArena arena(net, seq);
+  RouteSession ref(net, *inner, 0, 20);  // 20 lives in the other copy
+  const std::size_t w = arena.admit(0, 20);
+  bool crossed_forward = false;
+  std::uint64_t guard = 10'000'000;
+  while (!ref.finished() && guard-- > 0) {
+    const std::uint64_t j = arena.index(w);
+    const std::uint64_t budget = j + 64 > kCap && j < kCap + 64 ? 1 : 4093;
+    arena.step_walk(w, budget);
+    grant(ref, budget);
+    expect_lockstep(arena, w, ref, "across the prefix cap");
+    crossed_forward = crossed_forward || arena.index(w) > kCap;
+  }
+  ASSERT_TRUE(crossed_forward);
+  ASSERT_TRUE(arena.finished(w));
+  EXPECT_FALSE(arena.delivered(w));
+  EXPECT_EQ(arena.symbol_prefix_bytes(), kCap / 4);
+  // The prefix is filled once; every symbol past it is hashed once going
+  // forward and once rewinding.
+  EXPECT_EQ(seq.symbols(), kCap + 2 * (inner->length() - kCap));
+}
+
+TEST(MultiWalk, RebindDropsThePrefixEvenAtTheSameAddress) {
+  // After an epoch change the new sequence may live where the old one did;
+  // the arena must read the new symbols, not the old prefix.
+  const ReducedGraph net =
+      explore::reduce_to_cubic(graph::lollipop(7, 9));
+  auto symbols_of = [&](std::uint64_t seed) {
+    const auto src = explore::standard_ues(net.cubic.num_nodes(), seed);
+    std::vector<explore::Symbol> out(20'000);
+    src->fill(1, out.size(), out.data());
+    return out;
+  };
+  std::optional<explore::FixedExplorationSequence> seq;
+  seq.emplace(symbols_of(1), net.cubic.num_nodes(), "epoch 0");
+  const explore::ExplorationSequence* first = &*seq;
+  MultiWalkArena arena(net, *seq);
+  const std::size_t w = arena.admit(0, 15);
+  arena.step_walk(w, 500);  // grows the prefix over epoch 0's symbols
+  ASSERT_GT(arena.symbol_prefix_bytes(), 0u);
+  seq.reset();
+  seq.emplace(symbols_of(2), net.cubic.num_nodes(), "epoch 1");
+  ASSERT_EQ(first, &*seq);
+  arena.rebind(net, *seq);
+  arena.restart(w, 0);
+  const std::uint64_t spent = arena.transmissions(w);
+  RouteSession ref(net, *seq, 0, 15);
+  std::uint64_t guard = 1'000'000;
+  while (!ref.finished() && guard-- > 0) {
+    arena.step_walk(w, 7);
+    grant(ref, 7);
+    ASSERT_EQ(arena.transmissions(w), spent + ref.transmissions());
+    ASSERT_EQ(arena.current_original(w), ref.current_original());
+  }
+  ASSERT_TRUE(arena.finished(w));
+  EXPECT_EQ(arena.delivered(w), ref.status() == net::Status::kSuccess);
 }
 
 TEST(MultiWalk, PartitionIntoBlocksIsInvisible) {
@@ -302,9 +406,17 @@ TEST(MultiWalk, WalkStateStaysLean) {
   const ReducedGraph net = explore::reduce_to_cubic(graph::petersen());
   const auto seq = explore::standard_ues(net.cubic.num_nodes(), 1);
   MultiWalkArena arena(net, *seq);
-  for (int i = 0; i < 1000; ++i) arena.admit(0, 5);
+  std::vector<std::size_t> walks;
+  for (int i = 0; i < 1000; ++i) walks.push_back(arena.admit(0, 5));
   // 26 B per walk: 2x u32 + 2x u8 + 2x u64 (the §2.13 budget).
   EXPECT_LE(arena.walk_state_bytes() / arena.size(), 40u);
+  // Plus one symbol prefix per arena, however many walks share it.
+  EXPECT_EQ(arena.symbol_prefix_bytes(), 0u);  // grown by stepping only
+  const std::vector<std::uint64_t> budgets(walks.size(), 1'000'000);
+  arena.step_block(walks.data(), walks.size(), budgets.data());
+  EXPECT_TRUE(arena.finished(walks.back()));
+  EXPECT_GT(arena.symbol_prefix_bytes(), 0u);
+  EXPECT_LE(arena.symbol_prefix_bytes(), 256u * 1024);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "explore/walker.h"
 
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +115,33 @@ TEST(Walker, BackwardReplayRetracesWholeWalk) {
     EXPECT_EQ(d, tr.departures[j - 1]) << "at step " << j;
   }
   EXPECT_EQ(d, (HalfEdge{0, 0}));
+}
+
+TEST(Walker, SymbolsNearTwoToThe32RoundTrip) {
+  // Forward steps reduce the symbol before adding the port: (1 + t) mod 3
+  // for t = 0xFFFFFFFF is 1 (2^32 = 1 mod 3), where the uint32 sum would
+  // wrap to 0.  A walk over such symbols must equal the walk over the
+  // reduced symbols, and the reverse rule must retrace it.
+  Graph g = reduce_to_cubic(graph::lollipop(4, 3)).cubic;
+  const Symbol big[] = {0xFFFFFFFFu, 0xFFFFFFFEu, 1, 0xFFFFFFFFu, 2, 0};
+  std::vector<Symbol> raw, reduced;
+  for (int i = 0; i < 300; ++i) {
+    raw.push_back(big[(i * 5 + i / 7) % std::size(big)]);
+    reduced.push_back(raw.back() % 3);
+  }
+  const FixedExplorationSequence seq(raw, g.num_nodes(), "big");
+  const FixedExplorationSequence ref(reduced, g.num_nodes(), "reduced");
+  WalkTrace tr = trace_walk(g, {0, 0}, seq, 300);
+  EXPECT_EQ(tr.departures, trace_walk(g, {0, 0}, ref, 300).departures);
+  HalfEdge d = tr.departures.back();
+  for (std::uint64_t j = 300; j >= 1; --j) {
+    EXPECT_EQ(forward_step(g, tr.departures[j - 1], seq.symbol(j)),
+              tr.departures[j]) << "at step " << j;
+    d = reverse_step(g, d, seq.symbol(j));
+    ASSERT_EQ(d, tr.departures[j - 1]) << "at step " << j;
+  }
+  EXPECT_EQ(advance_port(1, 0xFFFFFFFFu, 3), 1u);
+  EXPECT_EQ(advance_port(2, 0xFFFFFFFEu, 3), 1u);
 }
 
 TEST(Walker, VisitedSetMatchesDepartureEndpoints) {
