@@ -31,23 +31,12 @@ void MultiWalkArena::rebind(const explore::ReducedGraph& net,
   net_ = &net;
   seq_ = &seq;
   seq_length_ = seq.length();
-  far_ = net.cubic.far_node_data();
-  ports_ = &net.cubic.far_ports();
-  original_of_ = net.original_of.data();
+  rot3_ = net.cubic.rot3_data();
   prefix_.clear();  // keeps its capacity for the next epoch
   prefix_len_ = 0;
 }
 
-void MultiWalkArena::restart(std::size_t w, NodeId s) {
-  if (s >= net_->first_gadget.size())
-    throw std::invalid_argument("MultiWalkArena: source out of range");
-  node_[w] = net_->entry_gadget(s);  // pre-injection: start gadget
-  port_[w] = 0;
-  flags_[w] = 0;
-  index_[w] = 0;
-}
-
-std::size_t MultiWalkArena::admit(NodeId s, NodeId t) {
+void MultiWalkArena::check_pair(NodeId s, NodeId t) const {
   const auto n_orig = static_cast<NodeId>(net_->first_gadget.size());
   if (s >= n_orig)
     throw std::invalid_argument("MultiWalkArena: source out of range");
@@ -56,22 +45,30 @@ std::size_t MultiWalkArena::admit(NodeId s, NodeId t) {
   if (s == t)
     throw std::invalid_argument(
         "MultiWalkArena: s == t never transmits; handle it at admission");
-  const std::size_t w = node_.size();
-  node_.push_back(net_->entry_gadget(s));  // pre-injection: start gadget
-  port_.push_back(0);
+}
+
+void MultiWalkArena::restart(std::size_t w, NodeId s, NodeId t) {
+  check_pair(s, t);
+  pos_[w] = graph::pack_rot3(net_->entry_gadget(s), 0);  // pre-injection
+  flags_[w] = 0;
+  target_[w] = range_of(t);
+  index_[w] = 0;
+}
+
+std::size_t MultiWalkArena::admit(NodeId s, NodeId t) {
+  check_pair(s, t);
+  const std::size_t w = pos_.size();
+  pos_.push_back(graph::pack_rot3(net_->entry_gadget(s), 0));
   flags_.push_back(0);
-  target_.push_back(t);
+  target_.push_back(range_of(t));
   index_.push_back(0);
   tx_.push_back(0);
   return w;
 }
 
-NodeId MultiWalkArena::current_original(std::size_t w) const {
-  return original_of_[node_[w]];
-}
-
 std::size_t MultiWalkArena::walk_state_bytes() const {
-  return node_.size() * (sizeof(NodeId) * 2 + 2 + sizeof(std::uint64_t) * 2);
+  return pos_.size() * (sizeof(std::uint32_t) + 1 + sizeof(GadgetRange) +
+                        sizeof(std::uint64_t) * 2);
 }
 
 Port MultiWalkArena::symbol_miss(std::uint64_t j) {
@@ -92,64 +89,42 @@ Port MultiWalkArena::symbol_miss(std::uint64_t j) {
 }
 
 template <bool kIsBackward>
-bool MultiWalkArena::step_lane(std::size_t w, NodeId* landed) {
+bool MultiWalkArena::step_lane(std::size_t w) {
   std::uint8_t flags = flags_[w];
-  Port out;
+  const graph::HalfEdge at = graph::unpack_rot3(pos_[w]);
+  // Injection (s sends along d_0: port 0, which a pre-injection position
+  // carries) and the turn-around (resend over the arrival port) both leave
+  // through the position's own port.
+  Port out = at.port;
   if constexpr (!kIsBackward) {
     if ((flags & kInjected) == 0) {
-      // Injection: s sends along d_0 = (start, port 0); consumes no
-      // symbol.
-      const std::size_t i = 3 * static_cast<std::size_t>(node_[w]);
-      const NodeId far = far_[i];
-      node_[w] = far;
-      port_[w] = static_cast<std::uint8_t>(ports_->get(i));
-      flags_[w] = flags | kInjected;
-      prefetch_node(far);
-      // The target check is the flag sweep's: request the line now so the
-      // dependent original_of_ load resolves while other lanes step.
-      __builtin_prefetch(original_of_ + far, 0, 1);
-      *landed = far;
-      return false;
-    }
-    // Forward arrival processing at the head of departure edge d_j.  The
-    // at_target test is the latched flag, not an original_of_ load: the
-    // flag sweep that latched it ran the slot the walk LANDED on the
-    // target, and a forward walk standing anywhere else has it clear
-    // (once set, the very next arrival turns the walk around).
-    const bool at_target = (flags & kTargetReached) != 0;
-    const bool exhausted = index_[w] >= seq_length_;
-    if (at_target || exhausted) {
-      // Turn around: resend over the arrival port; index unchanged.
-      flags |= kBackward;
-      if (at_target) flags |= kSuccess;
+      flags_[w] = flags | kInjected;  // consumes no symbol
+    } else if (at_target(w, at.node)) {
+      // Arrival processing at the head of d_j: turn around, index kept.
+      flags |= kBackward | kSuccess;
       flags_[w] = flags;
-      out = port_[w];
+    } else if (index_[w] >= seq_length_) {
+      flags |= kBackward;
+      flags_[w] = flags;
     } else {
       const std::uint64_t next = index_[w] + 1;
       index_[w] = next;
-      out = advance_port(port_[w], lane_symbol(next), 3);
+      out = advance_port(out, lane_symbol(next), 3);
     }
   } else {
-    if (index_[w] == 0) {
+    const std::uint64_t j = index_[w];
+    if (j == 0) {
       // Fully rewound at s: terminate — a free bookkeeping step.
       flags_[w] = flags | kFinished;
       return false;
     }
-    const std::uint64_t j = index_[w];
-    out = wrap_port(port_[w] + 3 - lane_symbol(j), 3);
+    out = wrap_port(out + 3 - lane_symbol(j), 3);
     index_[w] = j - 1;
   }
-  const std::size_t i = 3 * static_cast<std::size_t>(node_[w]) + out;
-  const NodeId far = far_[i];
-  node_[w] = far;
-  port_[w] = static_cast<std::uint8_t>(ports_->get(i));
-  prefetch_node(far);
-  // flags_ is NOT stored here: the fall-through paths never change it
-  // (injection, turn-around, and terminate store at their own sites).
-  if (!kIsBackward && (flags & kBackward) == 0) {
-    __builtin_prefetch(original_of_ + far, 0, 1);
-    *landed = far;
-  }
+  // The step: the far end's packed word is the new position, verbatim.
+  const std::uint32_t next = rot3_[3 * static_cast<std::size_t>(at.node) + out];
+  pos_[w] = next;
+  prefetch_node(graph::unpack_rot3(next).node);
   if constexpr (!kIsBackward) return (flags & kBackward) != 0;
   return true;
 }
@@ -187,29 +162,16 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       else
         fwd[nf++] = r;
       next_stop = std::min(next_stop, budget[r]);
-      prefetch_node(node_[w]);  // warm the first slot's rotation loads
+      prefetch_node(gadget(w));  // warm the first slot's rotation loads
     }
     for (std::uint64_t slot = 0; nf + nb > 0; ++slot) {
       // Step sweep: one transmission slot for each live lane; each step
-      // prefetches its landing node's rotation entry for the next slot.
-      // Target checks are deferred: a forward lane records where it
-      // landed and prefetches original_of_ there, so the flag sweep below
-      // never stalls on the load that depends on the rotation load.
-      NodeId landed[kBlockLanes];
-      std::size_t landed_w[kBlockLanes];
-      std::size_t checks = 0;
+      // prefetches its landing node's rotation words for the next slot.
       std::size_t nf2 = 0;
       std::size_t nb2 = 0;
       for (std::size_t k = 0; k < nf; ++k) {
         const std::size_t r = fwd[k];
-        const std::size_t w = walks[base + r];
-        NodeId land = kNoCheck;
-        const bool turned = step_lane<false>(w, &land);
-        if (land != kNoCheck) {
-          landed[checks] = land;
-          landed_w[checks++] = w;
-        }
-        if (turned)
+        if (step_lane<false>(walks[base + r]))
           bwd_next[nb2++] = r;
         else
           fwd_next[nf2++] = r;
@@ -217,8 +179,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       for (std::size_t k = 0; k < nb; ++k) {
         const std::size_t r = bwd[k];
         const std::size_t w = walks[base + r];
-        NodeId land = kNoCheck;
-        if (step_lane<true>(w, &land)) {
+        if (step_lane<true>(w)) {
           bwd_next[nb2++] = r;
         } else {
           // The free terminate: the walk finished having spent one slot
@@ -233,13 +194,6 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       std::swap(bwd, bwd_next);
       nf = nf2;
       nb = nb2;
-      // Flag sweep: latch kTargetReached for every lane that moved onto
-      // its target this slot.  This is the ONLY original_of_ read on the
-      // stepping path — the next slot's arrival processing consumes the
-      // latched flag instead of re-deriving it.
-      for (std::size_t c = 0; c < checks; ++c)
-        if (original_of_[landed[c]] == target_[landed_w[c]])
-          flags_[landed_w[c]] |= kTargetReached;
       if (slot + 1 < next_stop) continue;
       // Budget sweep: lanes whose budget this slot spent leave the block
       // having spent one slot per sweep; the rest set the next stop.

@@ -5,7 +5,7 @@
 // object itself is the bottleneck: each step chases session-object
 // pointers, consults a per-session symbol window, and leaves the memory
 // system idle while one dependent rotation load resolves.  MultiWalkArena
-// keeps walk state in parallel flat arrays (26 B per walk) and steps
+// keeps walk state in parallel flat arrays (29 B per walk) and steps
 // kBlockLanes walks per slot sweep against one shared packed cubic graph:
 //
 //   * slot-major sweeps — for each transmission slot, every lane in the
@@ -13,9 +13,13 @@
 //     flight together (memory-level parallelism instead of one serial
 //     load chain per walk);
 //   * software prefetch — each sweep first touches every lane's next
-//     half-edge region &far_nodes[3*node] one slot ahead of its use;
-//   * branch-free rotate3 — the packed far-node/2-bit-port pair from
-//     graph::Graph's cubic layout, no offsets, no HalfEdge structs;
+//     half-edge region &rot3[3*node] one slot ahead of its use;
+//   * one-load steps — a walk's position IS graph::Graph's packed cubic
+//     word `node << 2 | port`: a step loads rot3[3*node + out] and stores
+//     it verbatim, no offsets, no HalfEdge structs;
+//   * range target test — original t owns the gadgets [first_gadget[t],
+//     first_gadget[t] + gadget_count[t]), so "at target" is one unsigned
+//     compare on the position in hand, with no original_of load;
 //   * one symbol prefix — t_j mod 3 packed 2 bits per entry, grown inside
 //     step_block on a miss at j to max(j, 2·len, 1024) symbols (capped at
 //     kPrefixCap) with one bulk fill(); a read is one shift-and-mask load
@@ -64,16 +68,17 @@ class MultiWalkArena {
   void rebind(const explore::ReducedGraph& net,
               const explore::ExplorationSequence& seq);
   /// The §2.8 restart: walk w goes back to injection at its source s on
-  /// the current network, index 0 and flags clear; its transmissions stay
-  /// counted (they were really sent).
-  void restart(std::size_t w, graph::NodeId s);
+  /// the current network, index 0 and flags clear, with target t's gadget
+  /// range re-derived there; its transmissions stay counted (they were
+  /// really sent).
+  void restart(std::size_t w, graph::NodeId s, graph::NodeId t);
 
   /// Admits the walk s -> t (original names, s != t); returns its walk
   /// index (dense, in admission order).  State is never freed: a finished
-  /// walk keeps its 26 bytes until the arena dies.
+  /// walk keeps its 29 bytes until the arena dies.
   std::size_t admit(graph::NodeId s, graph::NodeId t);
 
-  std::size_t size() const { return node_.size(); }
+  std::size_t size() const { return pos_.size(); }
 
   /// The kernel: grants each walks[k] (k < count) up to budgets[k]
   /// further transmissions, sweeping kBlockLanes walks per slot; a lane
@@ -95,14 +100,18 @@ class MultiWalkArena {
   bool delivered(std::size_t w) const {
     return (flags_[w] & kSuccess) != 0;
   }
+  /// True from the forward landing on t on (mirrors RouteSession).
   bool target_reached(std::size_t w) const {
-    return (flags_[w] & kTargetReached) != 0;
+    return (flags_[w] & kSuccess) != 0 ||
+           ((flags_[w] & kBackward) == 0 && at_target(w, gadget(w)));
   }
   std::uint64_t transmissions(std::size_t w) const { return tx_[w]; }
   /// Header index j (symbols consumed), for the lockstep property tests.
   std::uint64_t index(std::size_t w) const { return index_[w]; }
   /// Original name of the node currently holding the message.
-  graph::NodeId current_original(std::size_t w) const;
+  graph::NodeId current_original(std::size_t w) const {
+    return net_->original_of[gadget(w)];
+  }
 
   /// Heap bytes of per-walk state (the §2.13 memory accounting).
   std::size_t walk_state_bytes() const;
@@ -116,30 +125,40 @@ class MultiWalkArena {
   static constexpr std::uint8_t kBackward = 2;
   static constexpr std::uint8_t kFinished = 4;
   static constexpr std::uint8_t kSuccess = 8;
-  static constexpr std::uint8_t kTargetReached = 16;
 
-  /// "No deferred target check" sentinel for step_lane's out-param (never
-  /// a real gadget node: reductions keep 3n well under 2^32 - 1).
-  static constexpr graph::NodeId kNoCheck = ~graph::NodeId{0};
+  /// Target t as its gadgets [first, first + count) of the current network.
+  struct GadgetRange {
+    graph::NodeId first = 0;
+    graph::NodeId count = 0;
+  };
+  GadgetRange range_of(graph::NodeId t) const {
+    return {net_->first_gadget[t], net_->gadget_count[t]};
+  }
+  /// Whether `gadget` is one of walk w's target gadgets.
+  bool at_target(std::size_t w, graph::NodeId gadget) const {
+    return gadget - target_[w].first < target_[w].count;
+  }
+  /// The gadget walk w stands on.
+  graph::NodeId gadget(std::size_t w) const {
+    return graph::unpack_rot3(pos_[w]).node;
+  }
+
+  /// Throws std::invalid_argument unless s != t name nodes of the network.
+  void check_pair(graph::NodeId s, graph::NodeId t) const;
 
   /// One step() of walk w.  kIsBackward is the walk's direction at entry
   /// (the sweeps keep lanes partitioned so it is statically known).
   /// Forward: returns whether the walk turned backward (always one
   /// transmission).  Backward: returns whether the walk is still stepping
   /// (false = the free terminate just finished it, zero transmissions).
-  /// When the step needs a target check, writes the landing node to
-  /// *landed (and prefetches original_of_ there) for the block's deferred
-  /// flag sweep.
   template <bool kIsBackward>
-  bool step_lane(std::size_t w, graph::NodeId* landed);
+  bool step_lane(std::size_t w);
 
-  /// Warms entry v's packed rotation lines (far-node triple + port word)
-  /// one slot ahead of their use.
+  /// Warms gadget v's three rotation words one slot ahead of their use.
   void prefetch_node(graph::NodeId v) const {
-    const std::size_t i = 3 * static_cast<std::size_t>(v);
-    __builtin_prefetch(far_ + i, 0, 1);
-    __builtin_prefetch(far_ + i + 2, 0, 1);  // 12 B span may cross a line
-    __builtin_prefetch(ports_->word_of(i), 0, 1);
+    const std::uint32_t* e = rot3_ + 3 * static_cast<std::size_t>(v);
+    __builtin_prefetch(e, 0, 1);
+    __builtin_prefetch(e + 2, 0, 1);  // 12 B span may cross a line
   }
   /// t_j mod 3 (1 <= j <= sequence length): one load from the prefix.
   graph::Port lane_symbol(std::uint64_t j) {
@@ -154,15 +173,13 @@ class MultiWalkArena {
   const explore::ReducedGraph* net_ = nullptr;
   const explore::ExplorationSequence* seq_ = nullptr;
   std::uint64_t seq_length_ = 0;
-  const graph::NodeId* far_ = nullptr;  // packed cubic rotation map
-  const util::PackedArray* ports_ = nullptr;
-  const graph::NodeId* original_of_ = nullptr;
+  const std::uint32_t* rot3_ = nullptr;  // packed cubic rotation map
 
   // Per-walk SoA state, indexed by walk id.
-  std::vector<graph::NodeId> node_;     // current gadget (start pre-inject)
-  std::vector<std::uint8_t> port_;      // arrival port (0..2)
+  std::vector<std::uint32_t> pos_;      // gadget << 2 | arrival port
+                                        // (start gadget, port 0 pre-inject)
   std::vector<std::uint8_t> flags_;
-  std::vector<graph::NodeId> target_;   // target original name
+  std::vector<GadgetRange> target_;     // target's gadgets, this network
   std::vector<std::uint64_t> index_;    // header.index (symbols consumed)
   std::vector<std::uint64_t> tx_;
 

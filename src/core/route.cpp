@@ -100,10 +100,7 @@ RouteSession::RouteSession(const explore::ReducedGraph& net,
   header_.source = s;
   header_.target = t;
   start_gadget_ = net.entry_gadget(s);
-  if (net.cubic.is_cubic()) {
-    far3_ = net.cubic.far_node_data();
-    ports3_ = &net.cubic.far_ports();
-  }
+  if (net.cubic.is_cubic()) rot3_ = net.cubic.rot3_data();
   original_of_ = net.original_of.data();
 }
 
@@ -137,13 +134,11 @@ explore::Symbol RouteSession::buffered_symbol(std::uint64_t j) {
 void RouteSession::step() {
   if (finished_) return;
   const graph::Graph& g = net_->cubic;
-  const NodeId* far3 = far3_;
-  const util::PackedArray* ports3 = ports3_;
-  // Cached-pointer rotation: packed cubic loads when cubic, generic else.
+  const std::uint32_t* rot3 = rot3_;
+  // Cached-pointer rotation: one packed word when cubic, generic else.
   auto rotate = [&](NodeId v, Port p) {
-    if (!far3) return g.rotate(v, p);
-    const std::size_t i = 3 * static_cast<std::size_t>(v) + p;
-    return graph::HalfEdge{far3[i], static_cast<Port>(ports3->get(i))};
+    if (!rot3) return g.rotate(v, p);
+    return graph::unpack_rot3(rot3[3 * static_cast<std::size_t>(v) + p]);
   };
   if (!injected_) {
     // Injection: s sends along d_0 = (start, port 0); consumes no symbol.
@@ -159,7 +154,7 @@ void RouteSession::step() {
     return;
   }
   const bool was_forward = header_.dir == Direction::kForward;
-  NodeView view{at_original_, far3 ? Port{3} : g.degree(at_.node)};
+  NodeView view{at_original_, rot3 ? Port{3} : g.degree(at_.node)};
   StepOutcome o =
       step_node(view, at_.port, header_, seq_length_,
                 [this](std::uint64_t j) { return buffered_symbol(j); });

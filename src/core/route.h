@@ -106,12 +106,11 @@ class RouteSession {
   const explore::ReducedGraph* net_;
   const explore::ExplorationSequence* seq_;
   std::uint64_t seq_length_ = 0;  // cached seq_->length()
-  // Hot-path caches: the packed cubic rotation arrays (valid only when the
+  // Hot-path caches: the packed cubic rotation words (valid only when the
   // reduced graph is cubic — always true for reduce_to_cubic outputs) and
   // the gadget->original projection.  Shaves the per-step pointer chase
   // through net_->cubic / net_->original_of.
-  const graph::NodeId* far3_ = nullptr;  // null unless cubic
-  const util::PackedArray* ports3_ = nullptr;
+  const std::uint32_t* rot3_ = nullptr;  // null unless cubic
   const graph::NodeId* original_of_ = nullptr;
   net::Header header_;
   net::Arrival at_{};          // where the message currently is

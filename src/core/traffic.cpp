@@ -361,7 +361,7 @@ void TrafficEngine::sync_network() {
     for (auto& sh : shards_) {
       sh->arena.rebind(next->reduced, *next->seq);
       for (std::size_t id : sh->active) {
-        sh->arena.restart(arena_walk_[id], specs_[id].s);
+        sh->arena.restart(arena_walk_[id], specs_[id].s, specs_[id].t);
         ++reports_[id].restarts;
       }
     }

@@ -33,12 +33,16 @@ ReducedGraph reduce_to_cubic(const graph::Graph& g) {
   const NodeId n = g.num_nodes();
   r.first_gadget.resize(n);
   r.gadget_count.resize(n);
-  NodeId total = 0;
+  // Summed in 64 bits and checked before the gadget arrays are allocated,
+  // so a reduction past the packed layout's cap fails by name, not by wrap.
+  std::uint64_t sum = 0;
   for (NodeId v = 0; v < n; ++v) {
-    r.first_gadget[v] = total;
+    r.first_gadget[v] = static_cast<NodeId>(sum);
     r.gadget_count[v] = std::max<NodeId>(g.degree(v), 3);
-    total += r.gadget_count[v];
+    sum += r.gadget_count[v];
   }
+  graph::check_cubic_capacity(sum);
+  const auto total = static_cast<NodeId>(sum);
   r.original_of.resize(total);
   for (NodeId v = 0; v < n; ++v)
     for (NodeId j = 0; j < r.gadget_count[v]; ++j)

@@ -7,6 +7,13 @@
 
 namespace uesr::graph {
 
+void check_cubic_capacity(std::uint64_t nodes) {
+  if (nodes >= kMaxCubicNodes)
+    throw std::length_error("cubic graph: " + std::to_string(nodes) +
+                            " nodes, the packed rotation map holds fewer "
+                            "than 2^30");
+}
+
 GraphBuilder::GraphBuilder(NodeId num_nodes) : adj_(num_nodes) {}
 
 NodeId GraphBuilder::add_node() {
@@ -103,32 +110,28 @@ void Graph::finalize_shape() {
       cubic_ = false;
       break;
     }
-  // A far port >= 4 cannot be packed into 2 bits; such an entry is invalid
-  // for a degree-3 vertex anyway, so keep the generic layout and let
+  if (cubic_) check_cubic_capacity(offsets_.size() - 1);
+  // A far node or port outside the graph is invalid, and packing it could
+  // wrap into a valid-looking word; keep the generic layout and let
   // validate() reject it with the exact offending range.
   if (cubic_)
     for (const HalfEdge& he : half_edges_)
-      if (he.port >= 4) {
+      if (he.node >= num_nodes_ || he.port >= 3) {
         cubic_ = false;
         break;
       }
   if (cubic_) {
-    // Repack into the memory-lean cubic layout (4 B far node + 2-bit far
-    // port per half-edge) and drop the generic arrays: degrees are implied,
-    // so neither the offsets nor the 8-byte HalfEdge entries earn their
-    // footprint on million-gadget reduced graphs.
-    const std::size_t m = half_edges_.size();
-    far_nodes_.resize(m);
-    far_ports_ = util::PackedArray(2, m);
-    for (std::size_t i = 0; i < m; ++i) {
-      far_nodes_[i] = half_edges_[i].node;
-      far_ports_.set(i, half_edges_[i].port);
-    }
+    // Repack into the memory-lean cubic layout (one `node << 2 | port`
+    // word per half-edge) and drop the generic arrays: degrees are
+    // implied, so neither the offsets nor the 8-byte HalfEdge entries earn
+    // their footprint on million-gadget reduced graphs.
+    rot3_.resize(half_edges_.size());
+    for (std::size_t i = 0; i < rot3_.size(); ++i)
+      rot3_[i] = pack_rot3(half_edges_[i].node, half_edges_[i].port);
     offsets_ = {};
     half_edges_ = {};
   } else {
-    far_nodes_ = {};
-    far_ports_ = {};
+    rot3_ = {};
   }
 }
 
@@ -194,8 +197,7 @@ void Graph::recount_edges() {
     for (Port p = 0; p < degree(v); ++p)
       if (is_half_loop(v, p)) ++half_loops;
   // Every non-fixed-point half-edge pairs with exactly one other.
-  const std::size_t total =
-      cubic_ ? far_nodes_.size() : half_edges_.size();
+  const std::size_t total = cubic_ ? rot3_.size() : half_edges_.size();
   num_edges_ = (total - half_loops) / 2 + half_loops;
 }
 

@@ -16,13 +16,14 @@
 // no per-vertex vector indirection on the walk hot path.  The ubiquitous
 // 3-regular case (every ReducedGraph.cubic) is specialized further: a
 // cubic graph stores no offsets and no 8-byte HalfEdge array at all —
-// index 3*v + p selects a 4-byte far-node entry plus a 2-bit far-port
-// entry in a util::PackedArray, shrinking per-half-edge cost from
-// 8 B (+ 8 B/vertex of offsets) to 4.25 B so million-gadget reduced
-// graphs step at cache speed (see rotate3/is_cubic/far_node_data).  The
-// layout is an internal detail — the public API is unchanged and
-// observationally identical to the former vector<vector<HalfEdge>>
-// representation (pinned by property tests).
+// index 3*v + p selects one 32-bit word `far_node << 2 | far_port`,
+// shrinking per-half-edge cost from 8 B (+ 8 B/vertex of offsets) to 4 B,
+// so a step is one load and million-gadget reduced graphs step at cache
+// speed (see rotate3/is_cubic/rot3_data).  The word leaves 30 bits for
+// the node, so cubic graphs are capped below 2^30 nodes
+// (check_cubic_capacity).  The layout is an internal detail — the public
+// API is unchanged and observationally identical to the former
+// vector<vector<HalfEdge>> representation (pinned by property tests).
 //
 // A Graph is immutable after construction (build it with GraphBuilder);
 // relabelling — the operation universality quantifies over — produces a new
@@ -35,13 +36,20 @@
 #include <string>
 #include <vector>
 
-#include "util/bitpack.h"
 #include "util/rng.h"
 
 namespace uesr::graph {
 
 using NodeId = std::uint32_t;
 using Port = std::uint32_t;
+
+/// Cubic graphs (and reductions headed for one) hold fewer nodes than
+/// this: the packed rotation word keeps 30 bits for the far node.
+inline constexpr std::uint64_t kMaxCubicNodes = std::uint64_t{1} << 30;
+
+/// Throws std::length_error naming `nodes` when a cubic graph of that many
+/// nodes cannot be stored (nodes >= kMaxCubicNodes).
+void check_cubic_capacity(std::uint64_t nodes);
 
 /// One end of an edge: the (vertex, port) pair.
 struct HalfEdge {
@@ -50,6 +58,15 @@ struct HalfEdge {
 
   friend auto operator<=>(const HalfEdge&, const HalfEdge&) = default;
 };
+
+/// The cubic layout's word for half-edge (node, port < 4): `node << 2 |
+/// port`, exact for node < kMaxCubicNodes.
+constexpr std::uint32_t pack_rot3(NodeId node, Port port) {
+  return node << 2 | port;
+}
+constexpr HalfEdge unpack_rot3(std::uint32_t word) {
+  return {word >> 2, word & 3};
+}
 
 class Graph;
 
@@ -107,30 +124,28 @@ class Graph {
   }
 
   /// rotate() specialized for 3-regular graphs: port arithmetic is 3*v + p
-  /// with no offset load — a 4-byte far-node load plus a 2-bit packed port
-  /// read.  Precondition: is_cubic().
+  /// with no offset load — one 4-byte word load, a shift and a mask.
+  /// Precondition: is_cubic().
   HalfEdge rotate3(NodeId v, Port p) const {
-    const std::size_t i = 3 * static_cast<std::size_t>(v) + p;
-    return {far_nodes_[i], static_cast<Port>(far_ports_.get(i))};
+    return unpack_rot3(rot3_[3 * static_cast<std::size_t>(v) + p]);
   }
 
   /// Raw CSR half-edge array (length = sum of degrees), for perf-critical
   /// consumers that cache the pointer across millions of steps: entry
   /// offsets_[v] + p is rotate(v, p).  Non-cubic graphs only — a cubic
   /// graph stores no HalfEdge array (nullptr is returned); its consumers
-  /// use the packed pair far_node_data()/far_ports() instead.
+  /// use the packed words of rot3_data() instead.
   /// Invalidated by destroying/assigning the graph, like vector::data.
   const HalfEdge* half_edge_data() const {
     return cubic_ ? nullptr : half_edges_.data();
   }
 
-  /// The 3-regular packed rotation map: far_node_data()[3*v + p] is
-  /// rotate(v, p).node and far_ports().get(3*v + p) its far port.  The two
-  /// arrays are the whole cubic storage — 4 B + 2 bit per half-edge — and
-  /// what the multi-walk stepping kernel prefetches.  Precondition:
-  /// is_cubic(); invalidated like vector::data.
-  const NodeId* far_node_data() const { return far_nodes_.data(); }
-  const util::PackedArray& far_ports() const { return far_ports_; }
+  /// The 3-regular packed rotation map: rot3_data()[3*v + p] is
+  /// pack_rot3(rotate(v, p).node, rotate(v, p).port).  It is the whole cubic
+  /// storage — 4 B per half-edge — and the word the multi-walk stepping
+  /// kernel keeps as a walk's position.  Precondition: is_cubic();
+  /// invalidated like vector::data.
+  const std::uint32_t* rot3_data() const { return rot3_.data(); }
 
   /// The vertex reached when leaving v through port p.
   NodeId neighbor(NodeId v, Port p) const { return rotate(v, p).node; }
@@ -176,7 +191,7 @@ class Graph {
   void adopt_flat(std::vector<std::size_t> offsets,
                   std::vector<HalfEdge> half_edges);
   /// Derived-field maintenance after offsets_/half_edges_ change; detects
-  /// the cubic case and repacks storage into far_nodes_/far_ports_.
+  /// the cubic case and repacks storage into rot3_.
   void finalize_shape();
   void recount_edges();
 
@@ -184,14 +199,13 @@ class Graph {
   bool cubic_ = false;
   /// Generic storage: offsets_[v]..offsets_[v+1] delimit v's half-edges
   /// (size n + 1; empty for the default zero-node graph).  Cubic graphs
-  /// leave BOTH vectors empty and use the packed pair below instead.
+  /// leave BOTH vectors empty and use the packed words below instead.
   std::vector<std::size_t> offsets_;
   std::vector<HalfEdge> half_edges_;
-  /// Cubic storage: entry 3*v + p is rotate(v, p) split into a 4-byte far
-  /// node and a 2-bit far port.  Deterministically derived from the
-  /// rotation map, so the defaulted operator== stays observational.
-  std::vector<NodeId> far_nodes_;
-  util::PackedArray far_ports_;
+  /// Cubic storage: entry 3*v + p is rotate(v, p) packed as
+  /// `node << 2 | port`.  Deterministically derived from the rotation map,
+  /// so the defaulted operator== stays observational.
+  std::vector<std::uint32_t> rot3_;
   std::size_t num_edges_ = 0;
 };
 

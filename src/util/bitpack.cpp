@@ -25,30 +25,4 @@ int floor_log2(std::uint64_t v) {
   return std::bit_width(v) - 1;
 }
 
-PackedArray::PackedArray(int width, std::size_t size)
-    : width_(width),
-      mask_(width >= 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << width) - 1),
-      size_(size) {
-  if (width < 1 || width > 57)
-    throw std::invalid_argument("PackedArray: width must be in [1, 57]");
-  const std::size_t bits = size * static_cast<std::size_t>(width);
-  // +1 spare word: get()'s unconditional-looking straddle load may touch
-  // word+1 for the last entry.
-  words_.assign((bits + 63) / 64 + 1, 0);
-}
-
-void PackedArray::set(std::size_t i, std::uint64_t value) {
-  value &= mask_;
-  const std::size_t bit = i * static_cast<std::size_t>(width_);
-  const std::size_t word = bit >> 6;
-  const unsigned shift = static_cast<unsigned>(bit & 63);
-  words_[word] = (words_[word] & ~(mask_ << shift)) | (value << shift);
-  if (shift + static_cast<unsigned>(width_) > 64) {
-    const unsigned spill = 64 - shift;
-    words_[word + 1] =
-        (words_[word + 1] & ~(mask_ >> spill)) | (value >> spill);
-  }
-}
-
 }  // namespace uesr::util

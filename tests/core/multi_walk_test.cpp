@@ -86,7 +86,7 @@ TEST(MultiWalk, RestartAfterRebindMatchesFreshWalk) {
     ASSERT_FALSE(arena.finished(w));
     const std::uint64_t spent = arena.transmissions(w);
     arena.rebind(net_b, *seq_b);
-    arena.restart(w, s);
+    arena.restart(w, s, t);
     RouteSession ref(net_b, *seq_b, s, t);
     std::uint64_t guard = 10'000'000;
     while (!ref.finished() && guard-- > 0) {
@@ -97,6 +97,89 @@ TEST(MultiWalk, RestartAfterRebindMatchesFreshWalk) {
     }
     ASSERT_TRUE(arena.finished(w));
     EXPECT_EQ(arena.delivered(w), ref.status() == net::Status::kSuccess);
+  }
+}
+
+/// A wheel on `n` nodes around hub `hub`: the rim cycle over the other
+/// nodes in id order, spokes to the first `spokes` of them, plus `chords`.
+graph::Graph wheel(NodeId n, NodeId hub, NodeId spokes,
+                   const std::vector<std::pair<NodeId, NodeId>>& chords) {
+  std::vector<NodeId> rim;
+  for (NodeId v = 0; v < n; ++v)
+    if (v != hub) rim.push_back(v);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 0; i < spokes; ++i) edges.emplace_back(hub, rim[i]);
+  for (std::size_t i = 0; i < rim.size(); ++i)
+    edges.emplace_back(rim[i], rim[(i + 1) % rim.size()]);
+  edges.insert(edges.end(), chords.begin(), chords.end());
+  return graph::from_edges(n, edges);
+}
+
+// "At target" is a range test over t's gadgets.  A hub of degree 20 owns
+// 20 gadgets, and walks arriving over its spokes land on whichever gadget
+// carries that spoke, mostly not the entry one.  Its id neighbours 4 and 6
+// own gadgets first - 1 and first + count, which must not count for the
+// hub, nor the hub's for them.
+TEST(MultiWalk, HighDegreeTargetRangeMatchesReference) {
+  const NodeId hub = 5;
+  const ReducedGraph net = explore::reduce_to_cubic(wheel(21, hub, 20, {}));
+  ASSERT_EQ(net.gadget_count[hub], 20u);
+  ASSERT_EQ(net.original_of[net.first_gadget[hub] - 1], hub - 1);
+  ASSERT_EQ(net.original_of[net.first_gadget[hub] + 20], hub + 1);
+  const auto seq = explore::standard_ues(net.cubic.num_nodes(), 13);
+  for (NodeId t : {hub, NodeId{4}, NodeId{6}})
+    for (NodeId s : {0, 3, 4, 6, 9, 14, 20}) {
+      if (s == t) continue;
+      MultiWalkArena arena(net, *seq);
+      RouteSession ref(net, *seq, s, t);
+      const std::size_t w = arena.admit(s, t);
+      std::uint64_t guard = 1'000'000;
+      while (!ref.finished() && guard-- > 0) {
+        arena.step_walk(w, 1);
+        grant(ref, 1);
+        expect_lockstep(arena, w, ref, "high-degree target");
+      }
+      ASSERT_TRUE(arena.finished(w));
+      EXPECT_TRUE(arena.delivered(w));
+    }
+}
+
+// restart() re-derives t's gadget range on the new network.  Epoch 1
+// drops half the hub's spokes and adds chords, so every target's
+// first_gadget moves, and the hub's and node 12's gadget_count too.
+TEST(MultiWalk, RestartMovesTheTargetRange) {
+  const NodeId hub = 5;
+  const ReducedGraph net_a =
+      explore::reduce_to_cubic(wheel(21, hub, 20, {}));
+  const ReducedGraph net_b = explore::reduce_to_cubic(
+      wheel(21, hub, 10, {{0, 2}, {1, 3}, {12, 15}, {12, 18}}));
+  for (NodeId t : {hub, NodeId{12}})
+    ASSERT_NE(net_a.gadget_count[t], net_b.gadget_count[t]);
+  const auto seq_a = explore::standard_ues(net_a.cubic.num_nodes(), 7);
+  const auto seq_b = explore::standard_ues(net_b.cubic.num_nodes(), 7);
+  for (NodeId t : {hub, NodeId{6}, NodeId{12}}) {
+    ASSERT_NE(net_a.first_gadget[t], net_b.first_gadget[t]);
+    for (NodeId s : {1, 8, 17}) {
+      MultiWalkArena arena(net_a, *seq_a);
+      const std::size_t w = arena.admit(s, t);
+      arena.step_walk(w, 2 + s % 3);
+      ASSERT_FALSE(arena.finished(w));
+      const std::uint64_t spent = arena.transmissions(w);
+      arena.rebind(net_b, *seq_b);
+      arena.restart(w, s, t);
+      RouteSession ref(net_b, *seq_b, s, t);
+      std::uint64_t guard = 1'000'000;
+      while (!ref.finished() && guard-- > 0) {
+        arena.step_walk(w, 1);
+        grant(ref, 1);
+        ASSERT_EQ(arena.transmissions(w), spent + ref.transmissions());
+        ASSERT_EQ(arena.target_reached(w), ref.target_reached());
+        ASSERT_EQ(arena.current_original(w), ref.current_original());
+        ASSERT_EQ(arena.finished(w), ref.finished());
+      }
+      ASSERT_TRUE(arena.finished(w));
+      EXPECT_EQ(arena.delivered(w), ref.status() == net::Status::kSuccess);
+    }
   }
 }
 
@@ -332,7 +415,7 @@ TEST(MultiWalk, RebindDropsThePrefixEvenAtTheSameAddress) {
   seq.emplace(symbols_of(2), net.cubic.num_nodes(), "epoch 1");
   ASSERT_EQ(first, &*seq);
   arena.rebind(net, *seq);
-  arena.restart(w, 0);
+  arena.restart(w, 0, 15);
   const std::uint64_t spent = arena.transmissions(w);
   RouteSession ref(net, *seq, 0, 15);
   std::uint64_t guard = 1'000'000;
@@ -408,8 +491,9 @@ TEST(MultiWalk, WalkStateStaysLean) {
   MultiWalkArena arena(net, *seq);
   std::vector<std::size_t> walks;
   for (int i = 0; i < 1000; ++i) walks.push_back(arena.admit(0, 5));
-  // 26 B per walk: 2x u32 + 2x u8 + 2x u64 (the §2.13 budget).
-  EXPECT_LE(arena.walk_state_bytes() / arena.size(), 40u);
+  // 29 B per walk: u32 position + u8 flags + 2x u32 target range + 2x u64
+  // (the §2.13 budget).
+  EXPECT_EQ(arena.walk_state_bytes() / arena.size(), 29u);
   // Plus one symbol prefix per arena, however many walks share it.
   EXPECT_EQ(arena.symbol_prefix_bytes(), 0u);  // grown by stepping only
   const std::vector<std::uint64_t> budgets(walks.size(), 1'000'000);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.h"
-
 namespace uesr::util {
 namespace {
 
@@ -55,83 +53,6 @@ TEST(BitMath, CeilFloorRelation) {
     bool pow2 = (v & (v - 1)) == 0;
     EXPECT_EQ(floor_log2(v) == ceil_log2(v), pow2) << v;
   }
-}
-
-TEST(PackedArray, DefaultIsEmpty) {
-  PackedArray a;
-  EXPECT_TRUE(a.empty());
-  EXPECT_EQ(a.size(), 0u);
-  EXPECT_EQ(a.width(), 0);
-  EXPECT_EQ(a, PackedArray());
-}
-
-TEST(PackedArray, ZeroInitialized) {
-  PackedArray a(5, 100);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(a.get(i), 0u);
-}
-
-TEST(PackedArray, WidthBounds) {
-  EXPECT_THROW(PackedArray(0, 4), std::invalid_argument);
-  EXPECT_THROW(PackedArray(58, 4), std::invalid_argument);
-  EXPECT_NO_THROW(PackedArray(1, 4));
-  EXPECT_NO_THROW(PackedArray(57, 4));
-}
-
-TEST(PackedArray, SetGetRoundTripAllWidths) {
-  // Every width, entries straddling word boundaries, random values — each
-  // set/get round-trips the masked value and neighbours are undisturbed.
-  for (int w = 1; w <= 57; ++w) {
-    const std::size_t n = 200;  // > 3 words for every width
-    PackedArray a(w, n);
-    std::vector<std::uint64_t> ref(n, 0);
-    Pcg32 rng(0xb17'0000 + static_cast<std::uint64_t>(w));
-    const std::uint64_t mask =
-        w >= 64 ? ~0ULL : ((std::uint64_t{1} << w) - 1);
-    for (int round = 0; round < 400; ++round) {
-      const std::size_t i = rng() % n;
-      const std::uint64_t v =
-          (static_cast<std::uint64_t>(rng()) << 32) | rng();
-      a.set(i, v);
-      ref[i] = v & mask;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(a.get(i), ref[i]) << "w=" << w << " i=" << i;
-  }
-}
-
-TEST(PackedArray, MaskingWideValues) {
-  PackedArray a(2, 8);
-  a.set(3, 0b1110);  // masked to 0b10
-  EXPECT_EQ(a.get(3), 0b10u);
-  EXPECT_EQ(a.get(2), 0u);
-  EXPECT_EQ(a.get(4), 0u);
-}
-
-TEST(PackedArray, LastEntryStraddleIsSafe) {
-  // 57-bit entries at the tail force the straddle read of words_[word + 1];
-  // the spare word guarantees it stays in bounds (ASan-clean by design).
-  PackedArray a(57, 9);
-  const std::uint64_t v = (std::uint64_t{1} << 57) - 1;
-  a.set(8, v);
-  EXPECT_EQ(a.get(8), v);
-}
-
-TEST(PackedArray, EqualityIsObservational) {
-  PackedArray a(3, 10), b(3, 10);
-  EXPECT_EQ(a, b);
-  a.set(7, 5);
-  EXPECT_NE(a, b);
-  b.set(7, 5);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, PackedArray(3, 11));
-  EXPECT_NE(a, PackedArray(4, 10));
-}
-
-TEST(PackedArray, ByteSizeQuartersPortStorage) {
-  // The motivating consumer: 2-bit ports for a million half-edges take
-  // ~250 KB instead of 4 MB of u32s.
-  PackedArray ports(2, 1'000'000);
-  EXPECT_LE(ports.byte_size(), 250'024u);
 }
 
 }  // namespace
