@@ -113,7 +113,7 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
   ues_options.link.latency_min = params.latency_min;
   ues_options.link.latency_max = params.latency_max;
   ues_options.window.max_retries = params.max_retries;
-  ues_options.window.rto.initial = params.rto;
+  ues_options.window.rto_initial = params.rto;
 
   util::ThreadPool pool(threads);
   return util::parallel_reduce<LossyCell>(

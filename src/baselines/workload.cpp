@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -147,6 +148,12 @@ OpenLoopWorkload::OpenLoopWorkload(const Config& cfg)
     throw std::invalid_argument("OpenLoopWorkload: cluster_size >= 2");
   if (cfg.clusters < 1)
     throw std::invalid_argument("OpenLoopWorkload: clusters >= 1");
+  // Node ids run up to cluster_size * clusters - 1: the product must not
+  // wrap a NodeId, or endpoints land in the wrong cluster.
+  if (std::uint64_t{cfg.cluster_size} * cfg.clusters >
+      std::numeric_limits<NodeId>::max())
+    throw std::invalid_argument(
+        "OpenLoopWorkload: cluster_size * clusters overflows NodeId");
   if (!(cfg.mean_interarrival >= 0.0) || !(cfg.mean_lifetime >= 0.0))
     throw std::invalid_argument("OpenLoopWorkload: negative mean");
   std::ostringstream name;

@@ -65,7 +65,7 @@ enum class LossyVerdict : std::uint8_t {
 };
 
 /// The shape of the ARQ that carries each hop.  Both run on
-/// net::WindowTransport with the retry budget, RTO and per_link_rto of
+/// net::WindowTransport with the retry budget and initial RTO of
 /// LossyTrafficConfig::window:
 ///   * kStopAndWait — window 1 and one frame per message (the `window` and
 ///     `frames_per_message` fields of LossyTrafficConfig::window are

@@ -1,6 +1,7 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -135,6 +136,8 @@ Graph disjoint_copies(const Graph& cluster, NodeId copies) {
   require(copies >= 1, "disjoint_copies: copies >= 1");
   const NodeId n = cluster.num_nodes();
   require(n >= 1, "disjoint_copies: cluster must be non-empty");
+  require(std::uint64_t{n} * copies <= std::numeric_limits<NodeId>::max(),
+          "disjoint_copies: n * copies overflows NodeId");
   // Built through the flat CSR path: at a million clusters the nested
   // vector-of-vectors intermediate would dwarf the graph itself.
   const std::size_t total = static_cast<std::size_t>(n) * copies;

@@ -1,5 +1,8 @@
 #include "graph/io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,25 +22,37 @@ std::string to_edge_list(const Graph& g) {
   return os.str();
 }
 
+namespace {
+
+// One numeric field, digits only.  Stream extraction into uint32_t would
+// read "-1" as 2^32 - 1 and "-4294967295" as 1; from_chars takes no sign
+// for an unsigned type and reports overflow.
+std::uint32_t parse_u32(const std::string& token, const std::string& line) {
+  std::uint32_t v = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc{} || ptr != end)
+    throw std::invalid_argument("from_edge_list: bad number '" + token +
+                                "' in: '" + line + "'");
+  return v;
+}
+
+}  // namespace
+
 Graph from_edge_list(std::istream& is) {
-  std::string magic;
-  NodeId n = 0;
-  if (!(is >> magic >> n) || magic != "uesr-graph")
+  std::string magic, count;
+  if (!(is >> magic >> count) || magic != "uesr-graph")
     throw std::invalid_argument("from_edge_list: bad header");
+  const NodeId n = parse_u32(count, magic + " " + count);
   constexpr const char* kSpace = " \t\r";
   std::string line;
   std::getline(is, line);  // remainder of the header line
   if (line.find_first_not_of(kSpace) != std::string::npos)
     throw std::invalid_argument("from_edge_list: junk after header: '" +
                                 line + "'");
-  std::vector<std::vector<HalfEdge>> adj(n);
-  auto place = [&](NodeId a, Port ap, HalfEdge far) {
-    if (a >= n) throw std::invalid_argument("from_edge_list: node out of range");
-    if (adj[a].size() <= ap) adj[a].resize(ap + 1, HalfEdge{a, Port(~0u)});
-    if (adj[a][ap].port != Port(~0u))
-      throw std::invalid_argument("from_edge_list: duplicate half-edge");
-    adj[a][ap] = far;
-  };
+  // (at, far) half-edge records: memory grows with the records read,
+  // never with a port value.
+  std::vector<std::pair<HalfEdge, HalfEdge>> records;
   // One record per line, parsed line-by-line so EOF is distinguishable
   // from junk: the old `is >> v >> p >> w >> q` loop stopped silently on
   // the first parse failure, turning a truncated or corrupted record into
@@ -45,23 +60,37 @@ Graph from_edge_list(std::istream& is) {
   while (std::getline(is, line)) {
     if (line.find_first_not_of(kSpace) == std::string::npos) continue;
     std::istringstream ls(line);
-    NodeId v, w;
-    Port p, q;
-    if (!(ls >> v >> p >> w >> q))
+    std::string field[4];
+    if (!(ls >> field[0] >> field[1] >> field[2] >> field[3]))
       throw std::invalid_argument("from_edge_list: malformed line: '" +
                                   line + "'");
     ls >> std::ws;
     if (!ls.eof())
       throw std::invalid_argument("from_edge_list: trailing junk on line: '" +
                                   line + "'");
-    place(v, p, {w, q});
-    if (HalfEdge{v, p} != HalfEdge{w, q}) place(w, q, {v, p});
+    const HalfEdge a{parse_u32(field[0], line), parse_u32(field[1], line)};
+    const HalfEdge b{parse_u32(field[2], line), parse_u32(field[3], line)};
+    if (a.node >= n || b.node >= n)
+      throw std::invalid_argument("from_edge_list: node out of range");
+    records.push_back({a, b});
+    if (a != b) records.push_back({b, a});
   }
-  for (NodeId a = 0; a < n; ++a)
-    for (Port ap = 0; ap < adj[a].size(); ++ap)
-      if (adj[a][ap].port == Port(~0u))
-        throw std::invalid_argument("from_edge_list: port gap");
-  return from_rotation(std::move(adj));
+  // Each node's ports must be exactly 0..deg-1: once sorted, the k-th
+  // record of a node carries port k.
+  std::sort(records.begin(), records.end());
+  std::vector<std::size_t> offsets(std::size_t{n} + 1, 0);
+  std::vector<HalfEdge> half_edges;
+  half_edges.reserve(records.size());
+  for (const auto& [at, far] : records) {
+    const std::size_t k = offsets[std::size_t{at.node} + 1]++;
+    if (at.port != k)
+      throw std::invalid_argument(at.port < k
+                                      ? "from_edge_list: duplicate half-edge"
+                                      : "from_edge_list: port gap");
+    half_edges.push_back(far);
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return from_rotation(std::move(offsets), std::move(half_edges));
 }
 
 Graph from_edge_list(const std::string& text) {

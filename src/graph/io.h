@@ -4,10 +4,12 @@
 //
 // Edge-list format:
 //   line 1:  "uesr-graph <num_nodes>"
-//   then one line per edge: "u v" (u == v means a full loop)
-//   half loops:             "loop v"
-// Ports are assigned in file order, so a round trip reproduces the rotation
-// map exactly, not just the edge set.
+//   then one line per edge: "v p w q", meaning rot(v, p) = (w, q); a half
+//   loop is its own far end ("v p v p").
+// Every number is an unsigned decimal below 2^32, and each node's ports
+// must be exactly 0..deg-1, so a round trip reproduces the rotation map
+// exactly, not just the edge set.  Malformed input throws
+// std::invalid_argument.
 #pragma once
 
 #include <iosfwd>

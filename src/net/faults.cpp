@@ -197,9 +197,4 @@ void FaultPlan::arm(EventSim& sim) const {
     sim.schedule_fault(e.at > now ? e.at - now : 0, e.action);
 }
 
-FaultPlan& FaultPlan::merge(const FaultPlan& other) {
-  for (const Entry& e : other.entries_) add(e.at, e.action);
-  return *this;
-}
-
 }  // namespace uesr::net

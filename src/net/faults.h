@@ -23,7 +23,7 @@
 //     plan, always — the chaos fuzzer's replay handle.
 //
 // fresh() returns a copy by value (the PR 4 Scenario convention: replays
-// from const contexts), and merge() composes plans for layered chaos.
+// from const contexts); plans are never merged, each is armed on its own.
 #pragma once
 
 #include <cstdint>
@@ -102,10 +102,6 @@ class FaultPlan {
   /// A rewound copy (trivially the plan itself — it is pure data).  The
   /// PR 4 Scenario::fresh() convention, so session rebuilds can re-arm.
   FaultPlan fresh() const { return *this; }
-
-  /// Appends `other`'s entries and restores time order (stable — equal
-  /// times keep this-before-other, so arm order stays deterministic).
-  FaultPlan& merge(const FaultPlan& other);
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }

@@ -5,24 +5,21 @@
 
 namespace uesr::net {
 
-RtoEstimator::RtoEstimator(RtoOptions options) : options_(options) {
-  if (options_.initial == 0)
-    throw std::invalid_argument("RtoEstimator: initial rto must be > 0");
-  if (options_.min == 0)
-    throw std::invalid_argument("RtoEstimator: min rto must be > 0");
-  if (options_.max < options_.initial || options_.max < options_.min)
-    throw std::invalid_argument("RtoEstimator: max < initial or max < min");
-  // Fixed mode reports `initial` verbatim (callers own their doubling);
-  // adaptive mode keeps the working RTO inside [min, max] from the start.
-  rto_ = options_.adaptive ? clamp(options_.initial) : options_.initial;
-}
+namespace {
 
-SimTime RtoEstimator::clamp(SimTime t) const {
-  return std::min(std::max(t, options_.min), options_.max);
+SimTime clamp(SimTime t) { return std::min(std::max(t, kRtoMin), kRtoMax); }
+
+}  // namespace
+
+RtoEstimator::RtoEstimator(SimTime initial) {
+  if (initial == 0)
+    throw std::invalid_argument("RtoEstimator: initial rto must be > 0");
+  if (initial > kRtoMax)
+    throw std::invalid_argument("RtoEstimator: initial rto > kRtoMax");
+  rto_ = clamp(initial);
 }
 
 void RtoEstimator::sample(SimTime rtt) {
-  if (!options_.adaptive) return;
   if (samples_ == 0) {
     // First measurement: srtt = R, rttvar = R / 2 (the RFC 6298 init).
     srtt8_ = rtt << 3;
@@ -42,12 +39,9 @@ void RtoEstimator::sample(SimTime rtt) {
   ++samples_;
   // A fresh unambiguous sample re-derives the RTO, ending any backoff
   // (Karn's rule: the backed-off value never outlives a clean measurement).
-  rto_ = clamp((srtt8_ >> 3) + std::max(options_.granularity, rttvar4_));
+  rto_ = clamp((srtt8_ >> 3) + std::max(kRtoGranularity, rttvar4_));
 }
 
-void RtoEstimator::backoff() {
-  if (!options_.adaptive) return;
-  rto_ = std::min(rto_ * 2, options_.max);
-}
+void RtoEstimator::backoff() { rto_ = std::min(rto_ * 2, kRtoMax); }
 
 }  // namespace uesr::net

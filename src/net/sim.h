@@ -164,10 +164,9 @@ class EventSim {
   /// silently (never returns it).  The FaultPlan backend (net/faults.h).
   void schedule_fault(SimTime delay, const FaultAction& action);
 
-  /// Dense index of the directed link departing (u, p) in
-  /// [0, num_links()) — the key transports use for per-link RTO state.
+  /// Dense index of the directed link departing (u, p): the link key of
+  /// its (seed, link, event)-keyed channel draws.
   std::uint64_t link_index(graph::NodeId u, graph::Port p) const;
-  std::uint64_t num_links() const { return offsets_.back(); }
 
   /// Puts one frame on the directed link (from, out_port) at now().
   /// Counts one transmission unconditionally — lost frames were really

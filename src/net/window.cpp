@@ -33,7 +33,9 @@ std::uint32_t cum_of(std::uint64_t id) {
 
 WindowTransport::WindowTransport(const graph::Graph& g, std::uint64_t seed,
                                  LinkModel defaults, WindowOptions options)
-    : sim_(g, seed, defaults), options_(options), estimator_(options.rto) {
+    : sim_(g, seed, defaults),
+      options_(options),
+      estimator_(options.rto_initial) {
   if (options_.window == 0)
     throw std::invalid_argument("WindowTransport: window >= 1");
   if (options_.frames_per_message == 0 ||
@@ -44,41 +46,13 @@ WindowTransport::WindowTransport(const graph::Graph& g, std::uint64_t seed,
     throw std::invalid_argument("WindowTransport: max_retries too large");
 }
 
-RtoEstimator& WindowTransport::working_estimator(std::uint64_t link) {
-  if (!options_.rto.adaptive || !options_.per_link_rto) return estimator_;
-  if (link_estimators_.empty())
-    link_estimators_.assign(sim_.num_links(), RtoEstimator(options_.rto));
-  return link_estimators_[link];
-}
-
-const RtoEstimator& WindowTransport::link_estimator(graph::NodeId u,
-                                                    graph::Port p) const {
-  const std::uint64_t link = sim_.link_index(u, p);
-  if (link_estimators_.empty()) return estimator_;  // never engaged
-  return link_estimators_[link];
-}
-
-std::uint64_t WindowTransport::total_rtt_samples() const {
-  std::uint64_t total = estimator_.samples();
-  for (const RtoEstimator& e : link_estimators_) total += e.samples();
-  return total;
-}
-
 WindowOutcome WindowTransport::send(graph::NodeId from,
                                     graph::Port out_port) {
   const std::uint64_t k = transfers_++;
   const std::uint32_t F = options_.frames_per_message;
   WindowOutcome out;
   const SimTime start = sim_.now();
-  // One send crosses one directed link; the working estimator is the
-  // transport-wide one, or this link's own under per_link_rto.
-  RtoEstimator& est = working_estimator(sim_.link_index(from, out_port));
-
-  // Per-frame state.  Fixed mode backs each frame's timeout off locally,
-  // frame by frame; adaptive mode arms the shared estimator.
-  FrameState fresh;
-  fresh.fixed_rto = options_.rto.initial;
-  frame_.assign(F, fresh);
+  frame_.assign(F, FrameState{});
   std::uint32_t base = 0;      // lowest unacked frame (window left edge)
   std::uint32_t next_new = 0;  // next never-launched frame
   std::uint32_t inflight = 0;
@@ -101,8 +75,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     fs.sent_at = sim_.now();
     sim_.send(from, out_port, data_id(k, f));
     ++out.data_copies;
-    fs.deadline =
-        sim_.deadline(options_.rto.adaptive ? est.rto() : fs.fixed_rto);
+    fs.deadline = sim_.deadline(estimator_.rto());
   };
   const auto fill = [&] {
     while (next_new < F && inflight < options_.window) {
@@ -118,8 +91,8 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     --inflight;
     // Karn's rule: only a frame that was never retransmitted yields an
     // unambiguous RTT (its ack cannot be confirming an earlier copy).
-    if (clean_sample && fs.attempt == 0 && options_.rto.adaptive) {
-      est.sample(sim_.now() - fs.sent_at);
+    if (clean_sample && fs.attempt == 0) {
+      estimator_.sample(sim_.now() - fs.sent_at);
       ++out.rtt_samples;
     }
   };
@@ -149,16 +122,9 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
       // the shared estimator (TCP's single-timer semantics).  A burst that
       // loses k frames must cost one doubling per RTO period, not 2^k —
       // per-frame doubling would explode the timeout and erase the
-      // pipeline's advantage.  Fixed mode keeps the per-frame PR 6
-      // schedule.
-      if (options_.rto.adaptive) {
-        if (due == base) {
-          est.backoff();
-          ++out.backoffs;
-          ++total_backoffs_;
-        }
-      } else {
-        fs.fixed_rto = std::min(fs.fixed_rto * 2, options_.rto.max);
+      // pipeline's advantage.
+      if (due == base) {
+        estimator_.backoff();
         ++out.backoffs;
         ++total_backoffs_;
       }
@@ -214,7 +180,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     }
     fill();
   }
-  out.srtt = est.srtt();
+  out.srtt = estimator_.srtt();
   out.elapsed = sim_.now() - start;
   return out;
 }

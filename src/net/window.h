@@ -96,15 +96,9 @@ struct WindowOptions {
   /// max_retries + 1 DATA copies of a frame); a single frame exhausting it
   /// aborts the whole transfer.  Must be < 2^16 - 1.
   std::uint32_t max_retries = 8;
-  /// Timeout estimation (shared Jacobson/Karn state across transfers).
-  /// rto.adaptive = false is the fixed schedule: every frame starts at
-  /// rto.initial and doubles locally per retry, clamped at rto.max.
-  RtoOptions rto{};
-  /// Adaptive-RTO granularity: false keeps ONE estimator for the whole
-  /// transport; true keeps one PER DIRECTED LINK, so transfers crossing a
-  /// slow edge never inflate the timeout of a fast one (the TrafficEngine
-  /// lossy mode engages it).  Ignored when !rto.adaptive.
-  bool per_link_rto = false;
+  /// RTO before the transport's first RTT sample, in (0, kRtoMax]; the
+  /// transport's one Jacobson/Karn estimator adapts it from there.
+  SimTime rto_initial = 8;
 };
 
 /// What one sliding-window message transfer accomplished.
@@ -138,43 +132,31 @@ class WindowTransport {
   /// Every DATA and ACK copy counts one wire transmission.
   WindowOutcome send(graph::NodeId from, graph::Port out_port);
 
-  /// Completed send() calls so far (delivered or not).
-  std::uint64_t transfers() const { return transfers_; }
   /// Total wire frames (DATA + ACK copies, lost ones included).
   std::uint64_t frames() const { return sim_.transmissions(); }
 
   // --- transport-lifetime retransmission aggregates ------------------------
   std::uint64_t total_retransmits() const { return total_retransmits_; }
   std::uint64_t total_backoffs() const { return total_backoffs_; }
-  std::uint64_t total_rtt_samples() const;
+  /// The one timeout estimator, shared by every link and transfer.
   const RtoEstimator& estimator() const { return estimator_; }
-  /// Per-link mode: the estimator of the directed link departing (u, p).
-  const RtoEstimator& link_estimator(graph::NodeId u, graph::Port p) const;
-
-  const WindowOptions& options() const { return options_; }
 
   /// The underlying simulator, for per-link overrides and one-sided flips.
   EventSim& sim() { return sim_; }
   const EventSim& sim() const { return sim_; }
 
  private:
-  RtoEstimator& working_estimator(std::uint64_t link);
-
   EventSim sim_;
   WindowOptions options_;
   RtoEstimator estimator_;
-  /// Per-link estimators (per_link_rto only), indexed by EventSim
-  /// link_index; lazily grown to num_links() on first use.
-  std::vector<RtoEstimator> link_estimators_;
-  std::uint64_t transfers_ = 0;
+  std::uint64_t transfers_ = 0;  ///< send() calls so far (transfer ids)
   std::uint64_t total_retransmits_ = 0;
   std::uint64_t total_backoffs_ = 0;
   /// One frame's state within a transfer: the sender's half, then the
   /// receiver's bitmap bit.
   struct FrameState {
-    SimTime sent_at = 0;    ///< launch time of the latest copy
-    SimTime fixed_rto = 0;  ///< fixed mode's locally doubled timeout
-    Deadline deadline{};    ///< when the latest copy counts as lost
+    SimTime sent_at = 0;  ///< launch time of the latest copy
+    Deadline deadline{};  ///< when the latest copy counts as lost
     std::uint32_t attempt = 0;  ///< retransmissions so far
     bool acked = false;
     bool received = false;  ///< receiver holds it (volatile above `cum`)

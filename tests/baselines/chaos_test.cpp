@@ -219,6 +219,8 @@ TEST(ChaosTraffic, DynamicEngineUnderChaosStaysSoundAndTerminates) {
             cell.sessions);
 }
 
+// Both ARQ shapes under loss and sampled chaos through the engine, sound
+// and thread-count invariant (named for a per-link RTO mode since removed).
 TEST(ChaosTraffic, PerLinkRtoRunsThroughTheEngineThreadInvariantly) {
   const Graph g = graph::connected_gnp(10, 0.35, 31);
   const Workload w = poisson_workload(10, 32, 1.5, 77);
@@ -230,7 +232,6 @@ TEST(ChaosTraffic, PerLinkRtoRunsThroughTheEngineThreadInvariantly) {
     cfg.arq = arq;
     cfg.window.max_retries = 8;
     cfg.window.frames_per_message = 2;
-    cfg.window.per_link_rto = true;
     cfg.chaos = traffic_chaos();
     const LossyTrafficCell base = lossy_traffic_experiment(g, w, cfg, 57, 1);
     EXPECT_EQ(base.unsound, 0);

@@ -179,6 +179,14 @@ TEST(Workload, Validation) {
   bad.clusters = 2;
   bad.mean_lifetime = -1.0;
   EXPECT_THROW(OpenLoopWorkload{bad}, std::invalid_argument);
+  // 65536 x 65537 = 2^32 + 2^16 nodes: `c * cluster_size` would wrap a
+  // 32-bit NodeId and put endpoints in the wrong cluster.
+  OpenLoopWorkload::Config huge;
+  huge.cluster_size = 65536;
+  huge.clusters = 65537;
+  EXPECT_THROW(OpenLoopWorkload{huge}, std::invalid_argument);
+  huge.clusters = 65535;  // 2^32 - 2^16 nodes: every id fits
+  EXPECT_NO_THROW(OpenLoopWorkload{huge});
 }
 
 TEST(TrafficExperiment, StaticCellShapeIsSane) {

@@ -138,7 +138,7 @@ TEST(LossyRouteSoundness, LossOnlyRegime) {
   LossyTrafficConfig options;
   options.link.loss = 0.3;
   options.window.max_retries = 2;  // tight budget: uncertified happens
-  options.window.rto.initial = 4;
+  options.window.rto_initial = 4;
   const RegimeTally tally = sweep_all_pairs(fx, options, 0x1055);
   EXPECT_GT(tally.uncertified, 0);  // the budget really bit
   EXPECT_GT(tally.delivered, 0);    // and some walks still completed
@@ -149,7 +149,7 @@ TEST(LossyRouteSoundness, LossOnlyGenerousBudgetStillSound) {
   LossyTrafficConfig options;
   options.link.loss = 0.25;
   options.window.max_retries = 40;  // delivery of each hop near-certain
-  options.window.rto.initial = 2;
+  options.window.rto_initial = 2;
   const RegimeTally tally = sweep_all_pairs(fx, options, 0x9e9e);
   EXPECT_GT(tally.delivered, 0);
   EXPECT_GT(tally.certified, 0);  // failure certs survive loss, soundly
@@ -169,7 +169,7 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
       if (s == t) continue;
       LossyTrafficConfig options;
       options.window.max_retries = 2;
-      options.window.rto.initial = 4;
+      options.window.rto_initial = 4;
       options.net_seed = util::counter_hash(0x51de, s * 1000 + t);
       LossyRouteSession session(fx.net, *fx.seq, s, t, options);
       // Down ~15% of directed half-edges, one side only.
@@ -202,7 +202,7 @@ TEST(LossyRouteSession, BroadcastRunsUnderLoss) {
   LossyTrafficConfig options;
   options.link.loss = 0.1;
   options.window.max_retries = 30;
-  options.window.rto.initial = 2;
+  options.window.rto_initial = 2;
   LossyRouteSession session(fx.net, *fx.seq, 0, net::kNoTarget, options);
   const LossyVerdict v = session.run();
   // A completed broadcast exhausts the sequence and rewinds: that is the
@@ -220,7 +220,7 @@ TEST(LossyRouteSession, UncertifiedSessionsMayStillHaveDelivered) {
     LossyTrafficConfig options;
     options.link.loss = 0.1;
     options.window.max_retries = 2;
-    options.window.rto.initial = 4;
+    options.window.rto_initial = 4;
     options.net_seed = util::counter_hash(0x2be1, seed);
     LossyRouteSession session(fx.net, *fx.seq, 0, 5, options);
     session.run();
@@ -238,7 +238,7 @@ TEST(LossyRouteSession, SameSeedSameVerdictAndFrames) {
     LossyTrafficConfig options;
     options.link.loss = 0.2;
     options.link.dup = 0.1;
-    options.window.rto.initial = 4;
+    options.window.rto_initial = 4;
     LossyRouteSession session(fx.net, *fx.seq, 1, 7, options);
     verdicts[run] = session.run();
     frames[run] = session.wire_frames();

@@ -254,6 +254,9 @@ TEST(Generators, DisjointCopiesSingleCopyIsIdentity) {
   EXPECT_THROW(disjoint_copies(cluster, 0), std::invalid_argument);
   EXPECT_THROW(disjoint_copies(GraphBuilder(0).build(), 2),
                std::invalid_argument);
+  // 65536 x 65537 nodes do not fit a 32-bit NodeId; the check runs before
+  // the ~34 GB of CSR storage would be allocated.
+  EXPECT_THROW(disjoint_copies(cycle(65536), 65537), std::invalid_argument);
 }
 
 }  // namespace

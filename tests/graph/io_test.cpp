@@ -83,6 +83,23 @@ TEST(Io, RejectsPortGap) {
                std::invalid_argument);
 }
 
+// Ports index a node's record list, never a dense array: a port of
+// 2^32 - 1 used to wrap `port + 1` to 0 and read out of bounds.  Numbers
+// are unsigned decimals, so "-1" is no longer read as 2^32 - 1 and
+// "-4294967295" no longer as 1, in records and in the header alike.
+TEST(Io, RejectsHugeAndNegativePorts) {
+  for (const char* text : {
+           "uesr-graph 2\n0 4294967295 1 0\n",
+           "uesr-graph 2\n0 -1 1 0\n",
+           "uesr-graph 2\n0 0 1 4294967295\n",
+           "uesr-graph 2\n0 4294967296 1 0\n",
+           "uesr-graph 2\n0 0 1 -4294967295\n0 1 1 0\n",
+           "uesr-graph -4294967295\n0 0 0 0\n",
+           "uesr-graph +2\n0 0 1 0\n",
+       })
+    EXPECT_THROW(from_edge_list(text), std::invalid_argument) << text;
+}
+
 // Regression: the old `is >> v >> p >> w >> q` loop stopped silently at
 // the first parse failure, so a corrupted or truncated record was
 // accepted as a valid prefix of the graph.

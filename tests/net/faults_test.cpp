@@ -150,19 +150,6 @@ TEST(FaultPlan, FreshIsAnIndependentEqualCopy) {
   EXPECT_EQ(copy.size(), 4u);
 }
 
-TEST(FaultPlan, MergeInterleavesByTime) {
-  FaultPlan a;
-  a.crash(0, 10, 30);
-  FaultPlan b;
-  b.corruption_burst(5, 20, 0.5);
-  a.merge(b);
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.entries()[0].at, 5u);
-  EXPECT_EQ(a.entries()[1].at, 10u);
-  EXPECT_EQ(a.entries()[2].at, 20u);
-  EXPECT_EQ(a.entries()[3].at, 30u);
-}
-
 TEST(FaultPlan, ArmedBrownoutsActuallyKillTheDirection) {
   Graph g = graph::from_edges(2, {{0, 1}});
   FaultPlan plan;

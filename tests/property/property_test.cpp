@@ -24,12 +24,17 @@
 //       stop-and-wait preset on every topology;
 //   P11 the fault layer at zero is invisible: corrupt = 0 plus an armed
 //       all-zero-rate FaultPlan leaves the lossy channel byte-identical
-//       (trace line for trace line) to the plain PR 7 transport.
+//       (trace line for trace line) to the plain PR 7 transport;
+//   P12 hostile input fails by name: seeded mutants of every zoo graph's
+//       edge list either throw std::invalid_argument or parse to a graph
+//       that round-trips, and so do util::Cli getters over random argv.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <numeric>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/api.h"
 #include "core/count_nodes.h"
@@ -38,9 +43,11 @@
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/geometric.h"
+#include "graph/io.h"
 #include "net/faults.h"
 #include "net/transport.h"
 #include "net/window.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace uesr {
@@ -360,6 +367,112 @@ TEST_P(GraphZoo, FaultLayerAtZeroIsByteInvisible) {
   ASSERT_EQ(traces[0].size(), traces[1].size());
   for (std::size_t i = 0; i < traces[0].size(); ++i)
     ASSERT_EQ(traces[0][i], traces[1][i]) << "trace line " << i;
+}
+
+// ---- P12: seeded parser fuzzing ----------------------------------------
+// A fixed-seed in-repo mutator (no libFuzzer) over the edge list's tokens,
+// each newline a token of its own: swap, delete and duplicate tokens, edit
+// digits, and plant 0, 2^31, 2^32 - 1, 2^32 and -1 in node and port
+// fields.  The header's node count stays at or below 2^20 (at most 4096
+// here) unless it is malformed: an n-node graph needs O(n) memory by
+// design, so a well-formed header of 2^32 - 1 nodes is a legitimate 32 GB
+// request, not a parser fault.
+
+void mutate(std::vector<std::string>& toks, util::Pcg32& rng) {
+  static const char* const kField[] = {"0", "2147483648", "4294967295",
+                                       "4294967296", "-1"};
+  static const char* const kCount[] = {"0", "1", "7", "4096", "-1",
+                                       "+3", "4294967296", "x"};
+  // toks[0..2] are "uesr-graph", the node count and the header's newline.
+  const std::uint32_t op = rng.next_below(6);
+  if (op == 5 || toks.size() == 3) {
+    toks[1] = kCount[rng.next_below(8)];
+    return;
+  }
+  const auto pick = [&] { return 3 + rng.next_below(toks.size() - 3); };
+  const std::size_t i = pick();
+  std::string& tok = toks[i];
+  if (op == 0) std::swap(tok, toks[pick()]);
+  if (op == 1) toks.erase(toks.begin() + i);
+  if (op == 2) toks.insert(toks.begin() + pick(), std::string(tok));
+  if (op == 3) {  // replace, insert or drop one character
+    const std::size_t at = rng.next_below(tok.size() + 1);
+    const char digit = static_cast<char>('0' + rng.next_below(10));
+    const std::uint32_t how = rng.next_below(3);
+    if (how == 0 && at < tok.size()) tok[at] = digit;
+    if (how == 1) tok.insert(tok.begin() + at, digit);
+    if (how == 2 && at < tok.size()) tok.erase(at, 1);
+  }
+  if (op == 4) tok = kField[rng.next_below(5)];
+}
+
+TEST_P(GraphZoo, MutatedEdgeListsThrowOrRoundTrip) {
+  std::vector<std::string> base;
+  std::istringstream is(graph::to_edge_list(g_));
+  for (std::string line; std::getline(is, line); base.emplace_back("\n")) {
+    std::istringstream ls(line);
+    for (std::string tok; ls >> tok;) base.push_back(tok);
+  }
+  util::Pcg32 rng(0xf022);
+  int parsed = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    std::vector<std::string> toks = base;
+    for (std::uint32_t e = 1 + rng.next_below(3); e > 0; --e)
+      mutate(toks, rng);
+    std::string text;
+    for (const std::string& t : toks) text += t == "\n" ? t : t + " ";
+    try {
+      const graph::Graph h = graph::from_edge_list(text);
+      ASSERT_EQ(graph::from_edge_list(graph::to_edge_list(h)), h) << text;
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// Random argv over flag-shaped and random tokens: an absent flag reads as
+// its default, and a present one's typed getters return or throw
+// std::invalid_argument (any other exception fails the test).
+TEST(CliFuzz, GettersReturnOrThrowInvalidArgument) {
+  static const char* const kToken[] = {
+      "--n", "--n=5", "--n=12abc", "--n=9223372036854775808", "--x=1e400",
+      "--x=nan", "--x=0x10", "--b=on", "--b=maybe", "--=3", "--", "-", ""};
+  static const char kAlphabet[] = "-=0123456789.eE+xnbtrufalsoy ";
+  util::Pcg32 rng(0xc11);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::string> args{"prog"};
+    for (std::uint32_t k = rng.next_below(6); k > 0; --k) {
+      std::string tok = kToken[rng.next_below(13)];
+      for (std::uint32_t c = rng.next_below(4); c > 0; --c)
+        tok += kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
+      args.push_back(tok);
+    }
+    std::vector<const char*> argv;
+    for (const std::string& a : args) argv.push_back(a.c_str());
+    const util::Cli cli(static_cast<int>(argv.size()), argv.data());
+    for (const char* name : {"n", "x", "b", "", "-"}) {
+      if (!cli.has(name)) {
+        EXPECT_EQ(cli.get(name, "def"), "def");
+        EXPECT_EQ(cli.get_int(name, -42), -42);
+        EXPECT_EQ(cli.get_double(name, 0.25), 0.25);
+        EXPECT_TRUE(cli.get_bool(name, true));
+        continue;
+      }
+      const auto returns_or_names = [](auto getter) {
+        try {
+          getter();
+        } catch (const std::invalid_argument&) {
+        }
+      };
+      returns_or_names([&] { return cli.get_int(name, 0); });
+      returns_or_names([&] { return cli.get_double(name, 0.0); });
+      returns_or_names([&] { return cli.get_bool(name, false); });
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
