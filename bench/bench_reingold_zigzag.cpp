@@ -14,6 +14,8 @@
 // Index row: DESIGN.md §4 / EXPERIMENTS.md (E8) — expected shape lives there.
 #include "bench_common.h"
 
+#include <string>
+
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/spectral.h"
@@ -50,8 +52,15 @@ int main() {
   struct P { std::uint64_t D; std::uint32_t d; };
   for (auto [D, d] : {P{16, 4}, P{64, 4}, P{64, 8}, P{256, 8}, P{256, 16}}) {
     ExpanderInfo h = find_expander(D, d, 0xabc0 + D, 12);
+    // Appended into one string: g++ 12 -O3 flags the chained temporaries
+    // of `"(" + to_string(D) + ...` with a false -Wrestrict.
+    std::string label = "(";
+    label += std::to_string(D);
+    label += ',';
+    label += std::to_string(d);
+    label += ')';
     e.row()
-        .cell("(" + std::to_string(D) + "," + std::to_string(d) + ")")
+        .cell(label)
         .cell(h.lambda, 4)
         .cell(ramanujan_bound(d), 4)
         .cell(h.lambda / ramanujan_bound(d), 3);

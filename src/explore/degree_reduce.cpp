@@ -44,43 +44,30 @@ ReducedGraph reduce_to_cubic(const graph::Graph& g) {
   graph::check_cubic_capacity(sum);
   const auto total = static_cast<NodeId>(sum);
   r.original_of.resize(total);
-  for (NodeId v = 0; v < n; ++v)
-    for (NodeId j = 0; j < r.gadget_count[v]; ++j)
-      r.original_of[r.first_gadget[v] + j] = v;
 
-  // Build the 3-regular rotation map directly in flat CSR form: gadget
-  // vertex gv's half-edges live at half[3*gv + port].
-  std::vector<HalfEdge> half(3 * static_cast<std::size_t>(total));
-  // Gadget cycles: port 1 of gadget j meets port 0 of gadget j+1 (mod c).
+  // Each gadget's three words (predecessor, successor, external edge or
+  // padding half-loop) and its original_of entry, in gadget order.
+  std::vector<std::uint32_t> words(3 * static_cast<std::size_t>(total));
+  std::uint32_t* word = words.data();
   for (NodeId v = 0; v < n; ++v) {
-    NodeId base = r.first_gadget[v];
-    NodeId c = r.gadget_count[v];
-    for (NodeId j = 0; j < c; ++j) {
-      NodeId cur = base + j;
-      NodeId nxt = base + (j + 1) % c;
-      half[3 * static_cast<std::size_t>(cur) + 1] = {nxt, 0};
-      half[3 * static_cast<std::size_t>(nxt) + 0] = {cur, 1};
+    const NodeId base = r.first_gadget[v];
+    const NodeId last = base + r.gadget_count[v] - 1;
+    const Port d = g.degree(v);
+    for (NodeId cur = base; cur <= last; ++cur) {
+      const Port j = cur - base;
+      r.original_of[cur] = v;
+      *word++ = graph::pack_rot3(cur == base ? last : cur - 1, 1);
+      *word++ = graph::pack_rot3(cur == last ? base : cur + 1, 0);
+      if (j < d) {
+        // Original port j of v; the far gadget writes the mirror word.
+        const HalfEdge far = g.rotate(v, j);
+        *word++ = graph::pack_rot3(r.first_gadget[far.node] + far.port, 2);
+      } else {
+        *word++ = graph::pack_rot3(cur, 2);  // padding: a half-loop
+      }
     }
   }
-  // External edges: original port p of v is carried by gadget(v, p) port 2.
-  for (NodeId v = 0; v < n; ++v) {
-    Port d = g.degree(v);
-    for (Port p = 0; p < d; ++p) {
-      HalfEdge far = g.rotate(v, p);
-      NodeId mine = r.first_gadget[v] + p;
-      NodeId theirs = r.first_gadget[far.node] + far.port;
-      // Involution holds: the far side writes the mirror entry on its turn.
-      half[3 * static_cast<std::size_t>(mine) + 2] = {theirs, 2};
-    }
-    // Padding: unused external ports become half-loops.
-    for (NodeId j = d; j < r.gadget_count[v]; ++j) {
-      NodeId cur = r.first_gadget[v] + j;
-      half[3 * static_cast<std::size_t>(cur) + 2] = {cur, 2};
-    }
-  }
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(total) + 1);
-  for (std::size_t i = 0; i <= total; ++i) offsets[i] = 3 * i;
-  r.cubic = graph::from_rotation(std::move(offsets), std::move(half));
+  r.cubic = graph::from_rot3(std::move(words));
   return r;
 }
 

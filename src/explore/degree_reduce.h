@@ -13,6 +13,9 @@
 // and its size is Σ max(deg v, 3) <= 2|E| + 3|V| — linear in the input and
 // in particular "at most squaring" as the paper remarks.
 //
+// G' is written straight into packed rotation words, one sweep in gadget
+// order, and installed by graph::from_rot3 after one validating pass.
+//
 // Routing operates on G'; the maps below translate between the two worlds
 // (a message reaches original t when it reaches *any* gadget of t).
 #pragma once

@@ -7,6 +7,33 @@
 
 namespace uesr::graph {
 
+namespace {
+
+/// The one check of a rotation map: per half-edge in (v, p) order, the far
+/// node, the far port and the involution, read through the `degree` and
+/// `rotate` of the layout being installed.  Returns the edge count (a loop
+/// counts as one), so installing a map takes this single pass.
+template <class Degree, class Rotate>
+std::size_t check_rotation(NodeId n, Degree degree, Rotate rotate) {
+  std::size_t half_edges = 0;
+  std::size_t half_loops = 0;
+  for (NodeId v = 0; v < n; ++v)
+    for (Port p = 0; p < degree(v); ++p, ++half_edges) {
+      const HalfEdge far = rotate(v, p);
+      if (far.node >= n)
+        throw std::logic_error("Graph::validate: endpoint node out of range");
+      if (far.port >= degree(far.node))
+        throw std::logic_error("Graph::validate: endpoint port out of range");
+      if (rotate(far.node, far.port) != HalfEdge{v, p})
+        throw std::logic_error(
+            "Graph::validate: rotation map is not an involution");
+      half_loops += far == HalfEdge{v, p};
+    }
+  return (half_edges - half_loops) / 2 + half_loops;
+}
+
+}  // namespace
+
 void check_cubic_capacity(std::uint64_t nodes) {
   if (nodes >= kMaxCubicNodes)
     throw std::length_error("cubic graph: " + std::to_string(nodes) +
@@ -55,27 +82,7 @@ Port GraphBuilder::degree(NodeId v) const {
   return static_cast<Port>(adj_[v].size());
 }
 
-Graph GraphBuilder::build() && {
-  Graph g;
-  g.adopt(std::move(adj_));
-  return g;
-}
-
-void Graph::adopt(std::vector<std::vector<HalfEdge>> adj) {
-  const std::size_t n = adj.size();
-  std::vector<std::size_t> offsets;
-  std::vector<HalfEdge> half_edges;
-  if (n > 0) {
-    offsets.resize(n + 1);
-    offsets[0] = 0;
-    for (std::size_t v = 0; v < n; ++v)
-      offsets[v + 1] = offsets[v] + adj[v].size();
-    half_edges.reserve(offsets[n]);
-    for (std::size_t v = 0; v < n; ++v)
-      half_edges.insert(half_edges.end(), adj[v].begin(), adj[v].end());
-  }
-  adopt_flat(std::move(offsets), std::move(half_edges));
-}
+Graph GraphBuilder::build() && { return from_rotation(std::move(adj_)); }
 
 void Graph::adopt_flat(std::vector<std::size_t> offsets,
                        std::vector<HalfEdge> half_edges) {
@@ -95,44 +102,47 @@ void Graph::adopt_flat(std::vector<std::size_t> offsets,
   // every construction path yields identical members and the defaulted
   // operator== stays purely observational.
   if (offsets.size() == 1) offsets.clear();
+  const auto n =
+      static_cast<NodeId>(offsets.empty() ? 0 : offsets.size() - 1);
+  bool cubic = n > 0;
+  for (NodeId v = 0; cubic && v < n; ++v)
+    cubic = offsets[v + 1] - offsets[v] == 3;
+  if (cubic) {
+    // Repack into the cubic layout.  A far node past the graph becomes n
+    // and a far port past 2 becomes 3, which install_rot3 rejects by name;
+    // packed unclamped they could wrap into a valid-looking word.
+    std::vector<std::uint32_t> words(half_edges.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+      words[i] = pack_rot3(std::min(half_edges[i].node, n),
+                           std::min<Port>(half_edges[i].port, 3));
+    install_rot3(std::move(words));
+    return;
+  }
+  num_nodes_ = n;
+  cubic_ = false;
   offsets_ = std::move(offsets);
   half_edges_ = std::move(half_edges);
-  finalize_shape();
-  recount_edges();
-  validate();
+  rot3_ = {};
+  num_edges_ = check_rotation(
+      n, [this](NodeId v) { return degree(v); },
+      [this](NodeId v, Port p) { return half_edges_[offsets_[v] + p]; });
 }
 
-void Graph::finalize_shape() {
-  num_nodes_ = offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
+void Graph::install_rot3(std::vector<std::uint32_t> words) {
+  if (words.size() % 3 != 0)
+    throw std::invalid_argument(
+        "Graph: packed rotation map length is not a multiple of 3");
+  check_cubic_capacity(words.size() / 3);
+  num_nodes_ = static_cast<NodeId>(words.size() / 3);
+  num_edges_ = check_rotation(
+      num_nodes_, [](NodeId) { return Port{3}; },
+      [&words](NodeId v, Port p) {
+        return unpack_rot3(words[3 * std::size_t{v} + p]);
+      });
   cubic_ = num_nodes_ > 0;
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (offsets_[v + 1] - offsets_[v] != 3) {
-      cubic_ = false;
-      break;
-    }
-  if (cubic_) check_cubic_capacity(offsets_.size() - 1);
-  // A far node or port outside the graph is invalid, and packing it could
-  // wrap into a valid-looking word; keep the generic layout and let
-  // validate() reject it with the exact offending range.
-  if (cubic_)
-    for (const HalfEdge& he : half_edges_)
-      if (he.node >= num_nodes_ || he.port >= 3) {
-        cubic_ = false;
-        break;
-      }
-  if (cubic_) {
-    // Repack into the memory-lean cubic layout (one `node << 2 | port`
-    // word per half-edge) and drop the generic arrays: degrees are
-    // implied, so neither the offsets nor the 8-byte HalfEdge entries earn
-    // their footprint on million-gadget reduced graphs.
-    rot3_.resize(half_edges_.size());
-    for (std::size_t i = 0; i < rot3_.size(); ++i)
-      rot3_[i] = pack_rot3(half_edges_[i].node, half_edges_[i].port);
-    offsets_ = {};
-    half_edges_ = {};
-  } else {
-    rot3_ = {};
-  }
+  offsets_ = {};
+  half_edges_ = {};
+  rot3_ = std::move(words);
 }
 
 Port Graph::max_degree() const {
@@ -176,29 +186,9 @@ std::vector<NodeId> Graph::neighbors(NodeId v) const {
 }
 
 void Graph::validate() const {
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    for (Port p = 0; p < degree(v); ++p) {
-      HalfEdge far = rotate(v, p);
-      if (far.node >= num_nodes_)
-        throw std::logic_error("Graph::validate: endpoint node out of range");
-      if (far.port >= degree(far.node))
-        throw std::logic_error("Graph::validate: endpoint port out of range");
-      HalfEdge back = rotate(far.node, far.port);
-      if (back != HalfEdge{v, p})
-        throw std::logic_error(
-            "Graph::validate: rotation map is not an involution");
-    }
-  }
-}
-
-void Graph::recount_edges() {
-  std::size_t half_loops = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    for (Port p = 0; p < degree(v); ++p)
-      if (is_half_loop(v, p)) ++half_loops;
-  // Every non-fixed-point half-edge pairs with exactly one other.
-  const std::size_t total = cubic_ ? rot3_.size() : half_edges_.size();
-  num_edges_ = (total - half_loops) / 2 + half_loops;
+  check_rotation(
+      num_nodes_, [this](NodeId v) { return degree(v); },
+      [this](NodeId v, Port p) { return rotate(v, p); });
 }
 
 Graph Graph::relabeled(const std::vector<std::vector<Port>>& perms) const {
@@ -230,9 +220,7 @@ Graph Graph::relabeled(const std::vector<std::vector<Port>>& perms) const {
                                               perms[far.node][far.port]};
     }
   }
-  Graph g;
-  g.adopt_flat(std::move(offsets), std::move(half_edges));
-  return g;
+  return from_rotation(std::move(offsets), std::move(half_edges));
 }
 
 Graph Graph::randomly_relabeled(util::Pcg32& rng) const {
@@ -253,15 +241,26 @@ Graph from_edges(NodeId num_nodes,
 }
 
 Graph from_rotation(std::vector<std::vector<HalfEdge>> adj) {
-  Graph g;
-  g.adopt(std::move(adj));
-  return g;
+  std::vector<std::size_t> offsets(adj.size() + 1, 0);
+  for (std::size_t v = 0; v < adj.size(); ++v)
+    offsets[v + 1] = offsets[v] + adj[v].size();
+  std::vector<HalfEdge> half_edges;
+  half_edges.reserve(offsets.back());
+  for (const std::vector<HalfEdge>& row : adj)
+    half_edges.insert(half_edges.end(), row.begin(), row.end());
+  return from_rotation(std::move(offsets), std::move(half_edges));
 }
 
 Graph from_rotation(std::vector<std::size_t> offsets,
                     std::vector<HalfEdge> half_edges) {
   Graph g;
   g.adopt_flat(std::move(offsets), std::move(half_edges));
+  return g;
+}
+
+Graph from_rot3(std::vector<std::uint32_t> words) {
+  Graph g;
+  g.install_rot3(std::move(words));
   return g;
 }
 

@@ -16,13 +16,15 @@
 // no per-vertex vector indirection on the walk hot path.  The ubiquitous
 // 3-regular case (every ReducedGraph.cubic) is specialized further: a
 // cubic graph stores no offsets and no 8-byte HalfEdge array at all —
-// index 3*v + p selects one 32-bit word `far_node << 2 | far_port`,
-// shrinking per-half-edge cost from 8 B (+ 8 B/vertex of offsets) to 4 B,
-// so a step is one load and million-gadget reduced graphs step at cache
-// speed (see rotate3/is_cubic/rot3_data).  The word leaves 30 bits for
-// the node, so cubic graphs are capped below 2^30 nodes
-// (check_cubic_capacity).  The layout is an internal detail — the public
-// API is unchanged and observationally identical to the former
+// index 3*v + p selects one 32-bit word `far_node << 2 | far_port`, so a
+// step is one load and million-gadget reduced graphs step at cache speed
+// (see rotate3/is_cubic/rot3_data).  The word leaves 30 bits for the node,
+// so cubic graphs are capped below 2^30 nodes (check_cubic_capacity).
+// Packed words have one installer, behind from_rot3: the degree reduction
+// writes them directly and a generic map of degree 3 everywhere is
+// repacked into them.  Every path ends in one pass that checks the ranges
+// and the involution and counts the edges.  The layout is an internal
+// detail, observationally identical to the former
 // vector<vector<HalfEdge>> representation (pinned by property tests).
 //
 // A Graph is immutable after construction (build it with GraphBuilder);
@@ -165,7 +167,7 @@ class Graph {
   std::vector<NodeId> neighbors(NodeId v) const;
 
   /// Checks the rotation-map involution; throws std::logic_error on
-  /// violation.  Called by GraphBuilder::build; public for tests.
+  /// violation.  Construction runs the same pass; public for tests.
   void validate() const;
 
   /// Returns a graph with ports renumbered: at each vertex v, old port p
@@ -180,20 +182,15 @@ class Graph {
   friend bool operator==(const Graph&, const Graph&) = default;
 
  private:
-  friend class GraphBuilder;
-  friend Graph from_rotation(std::vector<std::vector<HalfEdge>> adj);
   friend Graph from_rotation(std::vector<std::size_t> offsets,
                              std::vector<HalfEdge> half_edges);
+  friend Graph from_rot3(std::vector<std::uint32_t> words);
 
-  /// Installs a nested rotation map, flattening it to CSR form.
-  void adopt(std::vector<std::vector<HalfEdge>> adj);
-  /// Installs an already-flat rotation map (offsets.size() == n + 1).
+  /// Installs a flat rotation map (offsets.size() == n + 1), repacking a
+  /// map of degree 3 everywhere for install_rot3.
   void adopt_flat(std::vector<std::size_t> offsets,
                   std::vector<HalfEdge> half_edges);
-  /// Derived-field maintenance after offsets_/half_edges_ change; detects
-  /// the cubic case and repacks storage into rot3_.
-  void finalize_shape();
-  void recount_edges();
+  void install_rot3(std::vector<std::uint32_t> words);
 
   NodeId num_nodes_ = 0;
   bool cubic_ = false;
@@ -223,11 +220,18 @@ Graph from_rotation(std::vector<std::vector<HalfEdge>> adj);
 /// Flat-form overload: the rotation map already in CSR layout —
 /// half_edges[offsets[v] + p] is the far half-edge of (v, p).  Requires
 /// offsets.size() >= 1, offsets.front() == 0, offsets monotone and
-/// offsets.back() == half_edges.size().  Lets bulk producers (degree
-/// reduction, Reingold rotation maps) hand over storage without building
-/// n per-vertex vectors first.
+/// offsets.back() == half_edges.size().  Lets bulk producers (disjoint
+/// copies, edge lists, Reingold rotation maps) hand over storage without
+/// building n per-vertex vectors first.
 Graph from_rotation(std::vector<std::size_t> offsets,
                     std::vector<HalfEdge> half_edges);
+
+/// Packed form: words[3*v + p] is pack_rot3 of the far half-edge of (v, p).
+/// One pass checks them and throws by name: std::invalid_argument unless
+/// words.size() is a multiple of 3, std::length_error past
+/// check_cubic_capacity, std::logic_error for a far node >= n, a far port
+/// of 3 or a broken involution.  No words is the zero-node Graph{}.
+Graph from_rot3(std::vector<std::uint32_t> words);
 
 /// Human-readable one-line summary ("n=8 m=12 deg=[3,3]").
 std::string describe(const Graph& g);

@@ -219,9 +219,9 @@ TEST(ChaosTraffic, DynamicEngineUnderChaosStaysSoundAndTerminates) {
             cell.sessions);
 }
 
-// Both ARQ shapes under loss and sampled chaos through the engine, sound
-// and thread-count invariant (named for a per-link RTO mode since removed).
-TEST(ChaosTraffic, PerLinkRtoRunsThroughTheEngineThreadInvariantly) {
+// Both ARQ shapes under loss and sampled chaos through the engine with
+// two-frame messages, sound and thread-count invariant.
+TEST(ChaosTraffic, TwoFrameMessagesRunThroughTheEngineThreadInvariantly) {
   const Graph g = graph::connected_gnp(10, 0.35, 31);
   const Workload w = poisson_workload(10, 32, 1.5, 77);
   for (core::ArqKind arq :

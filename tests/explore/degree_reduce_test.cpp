@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "graph/geometric.h"
 
 namespace uesr::explore {
 namespace {
@@ -148,6 +153,122 @@ TEST(DegreeReduce, OriginalLoopsHandled) {
 TEST(DegreeReduce, EmptyGraph) {
   ReducedGraph r = reduce_to_cubic(GraphBuilder(0).build());
   EXPECT_EQ(r.cubic.num_nodes(), 0u);
+}
+
+// ---- Pin: the reduction equals a HalfEdge-array reference ----------------
+
+// The reduction as it was first written: the cycles, then the external
+// edges, into a HalfEdge array plus offsets, installed through the flat
+// from_rotation overload.  reduce_to_cubic must reproduce it exactly.
+ReducedGraph reference_reduction(const Graph& g) {
+  ReducedGraph r;
+  const NodeId n = g.num_nodes();
+  r.first_gadget.resize(n);
+  r.gadget_count.resize(n);
+  NodeId total = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    r.first_gadget[v] = total;
+    r.gadget_count[v] = std::max<NodeId>(g.degree(v), 3);
+    total += r.gadget_count[v];
+  }
+  r.original_of.resize(total);
+  for (NodeId v = 0; v < n; ++v)
+    for (NodeId j = 0; j < r.gadget_count[v]; ++j)
+      r.original_of[r.first_gadget[v] + j] = v;
+  std::vector<graph::HalfEdge> half(3 * static_cast<std::size_t>(total));
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId base = r.first_gadget[v];
+    const NodeId c = r.gadget_count[v];
+    for (NodeId j = 0; j < c; ++j) {
+      const NodeId cur = base + j;
+      const NodeId nxt = base + (j + 1) % c;
+      half[3 * static_cast<std::size_t>(cur) + 1] = {nxt, 0};
+      half[3 * static_cast<std::size_t>(nxt) + 0] = {cur, 1};
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const Port d = g.degree(v);
+    for (Port p = 0; p < d; ++p) {
+      const graph::HalfEdge far = g.rotate(v, p);
+      const NodeId mine = r.first_gadget[v] + p;
+      half[3 * static_cast<std::size_t>(mine) + 2] = {
+          r.first_gadget[far.node] + far.port, 2};
+    }
+    for (NodeId j = d; j < r.gadget_count[v]; ++j) {
+      const NodeId cur = r.first_gadget[v] + j;
+      half[3 * static_cast<std::size_t>(cur) + 2] = {cur, 2};
+    }
+  }
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(total) + 1);
+  for (std::size_t i = 0; i <= total; ++i) offsets[i] = 3 * i;
+  r.cubic = graph::from_rotation(std::move(offsets), std::move(half));
+  return r;
+}
+
+void expect_matches_reference(const Graph& g) {
+  const ReducedGraph r = reduce_to_cubic(g);
+  const ReducedGraph want = reference_reduction(g);
+  EXPECT_TRUE(r.cubic == want.cubic) << graph::describe(g);
+  EXPECT_EQ(r.original_of, want.original_of) << graph::describe(g);
+  EXPECT_EQ(r.first_gadget, want.first_gadget) << graph::describe(g);
+  EXPECT_EQ(r.gadget_count, want.gadget_count) << graph::describe(g);
+}
+
+TEST(DegreeReduce, MatchesHalfEdgeReference) {
+  // The property-suite zoo.
+  std::vector<Graph> zoo = {
+      graph::path(7),
+      graph::cycle(9),
+      graph::star(5),
+      graph::complete(5),
+      graph::grid(3, 4),
+      graph::petersen(),
+      graph::binary_tree(11),
+      graph::lollipop(4, 4),
+      graph::from_edges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}),
+      graph::from_edges(7, {{0, 1}, {2, 3}, {3, 4}, {2, 4}}),
+      graph::gnp(12, 0.25, 5),
+      graph::random_connected_regular(10, 3, 2),
+      graph::random_tree(13, 9),
+      graph::unit_disk_2d(10, 0.45, 21).graph,
+      graph::random_cubic_multigraph(10, 8),
+      Graph{},
+  };
+  // Full loops, half-loops, parallel edges, isolated vertices and vertices
+  // of degree 1 and 2 in one graph.
+  GraphBuilder b(7);
+  b.add_edge(0, 0);
+  b.add_half_loop(1);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(1, 2);
+  b.add_half_loop(2);
+  b.add_edge(3, 4);  // degree 1 at both ends
+  b.add_edge(5, 5);  // a full loop alone: degree 2
+  zoo.push_back(std::move(b).build());  // vertex 6 isolated
+  // Crossed parallel edges plus a half loop at a degree-3 vertex.
+  zoo.push_back(graph::from_rotation(std::vector<std::vector<graph::HalfEdge>>{
+      {{1, 1}, {1, 0}, {0, 2}}, {{0, 1}, {0, 0}}}));
+  zoo.push_back(GraphBuilder(4).build());  // isolated vertices only
+  for (const Graph& g : zoo) expect_matches_reference(g);
+}
+
+TEST(DegreeReduce, ArenaScaleReductionIsPinned) {
+  // The openloop_arena network: 4096 copies of one 8-node cluster.
+  const Graph g =
+      graph::disjoint_copies(graph::connected_gnp(8, 0.45, 211), 4096);
+  expect_matches_reference(g);
+  const ReducedGraph r = reduce_to_cubic(g);
+  ASSERT_TRUE(r.cubic.is_cubic());
+  const std::uint32_t* words = r.cubic.rot3_data();
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, low byte first
+  for (std::size_t i = 0; i < 3 * std::size_t{r.cubic.num_nodes()}; ++i)
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (words[i] >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  EXPECT_EQ(r.cubic.num_nodes(), 98304u);
+  EXPECT_EQ(h, 0x3192c223f6eac769ULL);  // from the HalfEdge-array build
 }
 
 }  // namespace

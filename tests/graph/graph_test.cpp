@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -241,7 +245,7 @@ TEST(GraphCsr, CubicPackedStorageMatchesRotate) {
 TEST(GraphCsr, CubicCapacityIsNamed) {
   // The packed word keeps 30 bits for the node.  A 2^30-node cubic graph
   // needs ~12 GB, so the cap is checked through the helper that
-  // finalize_shape and reduce_to_cubic both call.
+  // from_rot3 and reduce_to_cubic both call.
   EXPECT_NO_THROW(check_cubic_capacity(kMaxCubicNodes - 1));
   EXPECT_THROW(check_cubic_capacity(std::uint64_t{1} << 32),
                std::length_error);
@@ -257,10 +261,99 @@ TEST(GraphCsr, CubicCapacityIsNamed) {
 TEST(GraphCsr, CubicShapeWithOutOfRangeEntryIsRejected) {
   // A far node past the graph must not be packed: node + 2^30 shifted
   // left by 2 wraps to exactly the valid word of node, so validate() would
-  // pass.  It must see the entry in the generic layout and reject it.
+  // pass.  The repack clamps it to node n, which the packed check rejects.
   std::vector<std::vector<HalfEdge>> adj = extract_rotation(k4());
   adj[0][0].node += NodeId{1} << 30;
   EXPECT_THROW(from_rotation(adj), std::logic_error);
+  // A far port past 2 is clamped to 3 the same way, and named.
+  adj = extract_rotation(k4());
+  adj[1][2].port = 7;
+  try {
+    from_rotation(adj);
+    FAIL() << "accepted far port 7";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("port out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The message from_rot3 rejects `words` with; a test failure when the words
+// are accepted (another exception type escapes and fails the test).
+template <class Error>
+std::string rot3_rejection(std::vector<std::uint32_t> words) {
+  try {
+    from_rot3(std::move(words));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "from_rot3 accepted the words";
+  return "";
+}
+
+TEST(GraphCsr, Rot3ConstructorEqualsEveryOtherPath) {
+  for (const Graph& g :
+       {k4(), petersen(), random_cubic_multigraph(10, 8),
+        random_regular(64, 3, 77)}) {
+    ASSERT_TRUE(g.is_cubic());
+    const std::vector<std::uint32_t> words(
+        g.rot3_data(), g.rot3_data() + 3 * std::size_t{g.num_nodes()});
+    const Graph h = from_rot3(words);
+    EXPECT_EQ(h, g) << describe(g);
+    EXPECT_EQ(h.num_edges(), g.num_edges()) << describe(g);
+  }
+  // Half-loops count one edge each, in the same pass as the check.
+  GraphBuilder b(2);
+  b.add_half_loop(0);
+  b.add_edge(0, 1);
+  b.add_half_loop(0);
+  b.add_half_loop(1);
+  b.add_half_loop(1);
+  const Graph loops = std::move(b).build();
+  const Graph h = from_rot3({pack_rot3(0, 0), pack_rot3(1, 0), pack_rot3(0, 2),
+                             pack_rot3(0, 1), pack_rot3(1, 1), pack_rot3(1, 2)});
+  EXPECT_EQ(h, loops);
+  EXPECT_EQ(h.num_edges(), 5u);
+  // No words is the zero-node graph, whatever the construction path.
+  EXPECT_EQ(from_rot3({}), Graph{});
+}
+
+TEST(GraphCsr, Rot3ConstructorRejectsHostileWords) {
+  const Graph k = k4();
+  const std::vector<std::uint32_t> good(k.rot3_data(), k.rot3_data() + 12);
+  ASSERT_EQ(from_rot3(good), k);
+
+  std::vector<std::uint32_t> words = good;
+  words.pop_back();
+  EXPECT_NE(rot3_rejection<std::invalid_argument>(words).find("multiple of 3"),
+            std::string::npos);
+
+  for (std::uint32_t far : {pack_rot3(4, 0), pack_rot3(NodeId{1} << 29, 1),
+                            std::uint32_t{0xFFFFFFFF}}) {
+    words = good;
+    words[5] = far;
+    EXPECT_NE(rot3_rejection<std::logic_error>(words).find(
+                  "node out of range"),
+              std::string::npos)
+        << far;
+  }
+
+  words = good;
+  words[5] = pack_rot3(2, 3);
+  EXPECT_NE(rot3_rejection<std::logic_error>(words).find("port out of range"),
+            std::string::npos);
+
+  // Swapping two ports of one vertex leaves every word in range but breaks
+  // the involution; so does one vertex pointing at itself as a half-loop
+  // while its old partner still points at it.
+  words = good;
+  std::swap(words[0], words[1]);
+  EXPECT_NE(rot3_rejection<std::logic_error>(words).find("not an involution"),
+            std::string::npos);
+  words = good;
+  words[4] = pack_rot3(1, 1);
+  EXPECT_NE(rot3_rejection<std::logic_error>(words).find("not an involution"),
+            std::string::npos);
 }
 
 TEST(GraphCsr, FlatFromRotationEqualsNested) {
