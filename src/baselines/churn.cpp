@@ -1,10 +1,11 @@
 #include "baselines/churn.h"
 
+#include <algorithm>
 #include <deque>
 #include <stdexcept>
 #include <vector>
 
-#include "core/dynamic_route.h"
+#include "core/traffic.h"
 #include "graph/algorithms.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -56,20 +57,28 @@ ChurnRouter::ChurnRouter(const graph::Scenario& scenario,
 
 ChurnAttempt ChurnRouter::route_ues(NodeId s, NodeId t,
                                     std::uint64_t seq_seed) const {
-  Replay r(*scenario_, period_, max_epochs_);
-  core::DynamicRouteSession session(r.g, s, t, {seq_seed});
-  while (!session.finished()) {
-    session.step();
-    // The terminate step transmits nothing; everything else is one frame.
-    if (!session.finished()) r.tx_tick();
-  }
+  // One session alone on the engine's shared clock: one tick per
+  // transmission, so its epochs advance exactly like this harness's.  A
+  // pool of one lane spawns no thread (churn_experiment's fan-out stays
+  // the only one), and a large batch lets a walk on the frozen schedule
+  // run its certificate in a few rounds.
+  core::TrafficOptions o;
+  o.seq_seed = seq_seed;
+  o.epoch_period = period_;
+  o.max_epochs = max_epochs_;
+  o.threads = 1;
+  o.batch = std::uint64_t{1} << 20;
+  core::TrafficEngine engine(*scenario_, o);
+  engine.admit({core::TrafficKind::kRoute, s, t});
+  engine.run();
+  const core::SessionReport& r = engine.report(0);
   ChurnAttempt a;
-  a.delivered = session.delivered();
-  a.failure_certified = session.failure_certified();
-  a.transmissions = session.transmissions();
-  a.ticks = r.ticks;
-  a.restarts = session.restarts();
-  a.completion_epoch = session.completion_epoch();
+  a.delivered = r.delivered;
+  a.failure_certified = r.failure_certified;
+  a.transmissions = r.transmissions;
+  a.ticks = std::min(max_epochs_, r.transmissions / period_);
+  a.restarts = r.restarts;
+  a.completion_epoch = r.completion_epoch;
   return a;
 }
 

@@ -14,7 +14,7 @@
 //
 // Certification under churn — who can still prove anything:
 //   * UES Route restarts per epoch, so its verdicts are exact statements
-//     about the completion epoch (see core/dynamic_route.h).
+//     about the completion epoch (see core/traffic.h, dynamic mode).
 //   * Flooding's classic certificate ("the wave covered Cs") is UNSOUND
 //     under churn — a link can appear behind the wave — so route_flooding
 //     never certifies here, unlike the static FloodingRouter.
@@ -56,7 +56,8 @@ class ChurnRouter {
   ChurnRouter(const graph::Scenario& scenario, std::uint64_t period,
               std::uint64_t max_epochs);
 
-  /// Algorithm Route via core::DynamicRouteSession (restart per epoch).
+  /// Algorithm Route as one session of a dynamic core::TrafficEngine
+  /// (restart per epoch) on this schedule.
   ChurnAttempt route_ues(graph::NodeId s, graph::NodeId t,
                          std::uint64_t seq_seed = 0x5eed0001) const;
 

@@ -119,14 +119,15 @@ struct LossyTrafficConfig {
 ///
 /// A session walks one epoch's network over that epoch's channel.  Under
 /// churn its owner moves it to the next epoch with restart() (the §2.8
-/// rule of core/dynamic_route.h), so every completed walk ran entirely
-/// within one epoch over one channel: kDelivered / kFailureCertified are
-/// exact statements about completion_epoch().  A hop that spends its retry
-/// budget does NOT end the session (under churn the link may heal): it
-/// goes `blocked()` and waits for the next epoch, the dynamic face of the
-/// ChurnRouter wait rule.  The owner (TrafficEngine, or a test loop) calls
-/// give_up() once no epoch can come — a static network never has one —
-/// and only then does the verdict become kUncertified.
+/// rule of core/traffic.h's dynamic mode), so every completed walk ran
+/// entirely within one epoch over one channel: kDelivered /
+/// kFailureCertified are exact statements about completion_epoch().  A hop
+/// that spends its retry budget does NOT end the session (under churn the
+/// link may heal): it goes `blocked()` and waits for the next epoch, the
+/// dynamic face of the ChurnRouter wait rule.  The owner (TrafficEngine,
+/// or a test loop) calls give_up() once no epoch can come — a static
+/// network never has one — and only then does the verdict become
+/// kUncertified.
 class LossyRouteSession {
  public:
   /// `net` and `seq` must outlive the session, or its next restart() (the

@@ -79,11 +79,16 @@ Port MultiWalkArena::symbol_miss(std::uint64_t j) {
   const std::size_t words = static_cast<std::size_t>((len + 31) / 32);
   prefix_.reserve(words);  // exact, so capacity stays within the cap
   prefix_.resize(words, 0);
-  std::vector<Symbol> fresh(static_cast<std::size_t>(len - prefix_len_));
-  seq_->fill(prefix_len_ + 1, fresh.size(), fresh.data());
-  for (std::uint64_t k = prefix_len_; k < len; ++k)
-    prefix_[k >> 5] |= std::uint64_t{mod3(fresh[k - prefix_len_])}
-                       << (2 * (k & 31));
+  // Filled in chunks of at most 2^19 symbols, so growth near the cap needs
+  // 2 MiB of scratch, not 4 bytes per new symbol.
+  std::vector<Symbol> fresh(static_cast<std::size_t>(
+      std::min(len - prefix_len_, std::uint64_t{1} << 19)));
+  for (std::uint64_t k = prefix_len_; k < len;) {
+    const std::uint64_t count = std::min<std::uint64_t>(len - k, fresh.size());
+    seq_->fill(k + 1, count, fresh.data());
+    for (std::uint64_t i = 0; i < count; ++i, ++k)
+      prefix_[k >> 5] |= std::uint64_t{mod3(fresh[i])} << (2 * (k & 31));
+  }
   prefix_len_ = len;
   return lane_symbol(j);
 }

@@ -22,7 +22,7 @@
 //     compare on the position in hand, with no original_of load;
 //   * one symbol prefix — t_j mod 3 packed 2 bits per entry, grown inside
 //     step_block on a miss at j to max(j, 2·len, 1024) symbols (capped at
-//     kPrefixCap) with one bulk fill(); a read is one shift-and-mask load
+//     kPrefixCap) with bulk fill()s; a read is one shift-and-mask load
 //     and no walk holds symbol storage.  Mod 3 is exact (both step rules
 //     reduce t_j first); past the cap a read hashes seq.symbol(j).  t_j
 //     stays a pure function of j (Theorem 4), so the memo moves no walk.
@@ -52,8 +52,10 @@ class MultiWalkArena {
   /// Lanes per block sweep: enough independent loads to saturate the
   /// memory system.
   static constexpr std::size_t kBlockLanes = 64;
-  /// Most symbols the prefix memoizes: 2^20 at 2 bits each is 256 KiB.
-  static constexpr std::uint64_t kPrefixCap = std::uint64_t{1} << 20;
+  /// Most symbols the prefix memoizes: 2^24 at 2 bits each is 4 MiB,
+  /// enough for a certificate walk of a few hundred gadgets to hash each
+  /// symbol once.  The prefix only grows to the indices walks read.
+  static constexpr std::uint64_t kPrefixCap = std::uint64_t{1} << 24;
 
   /// `net` must be cubic (every reduce_to_cubic output is) and, with
   /// `seq`, must outlive the arena.

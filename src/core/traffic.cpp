@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/multi_walk.h"
+#include "explore/sequence_cache.h"
 #include "net/message.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -15,6 +16,16 @@
 namespace uesr::core {
 
 using graph::NodeId;
+
+EpochNetwork epoch_network(const graph::Graph& snapshot,
+                           std::uint64_t seq_seed, std::uint64_t epoch) {
+  EpochNetwork net{explore::reduce_to_cubic(snapshot), nullptr, epoch};
+  // Every walk over the same snapshot size shares one T_n via the
+  // process-wide cache.
+  net.seq = explore::cached_standard_ues(
+      std::max<graph::NodeId>(net.reduced.cubic.num_nodes(), 1), seq_seed);
+  return net;
+}
 
 namespace {
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();

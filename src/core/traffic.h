@@ -36,15 +36,16 @@
 //     to `max_epochs`, then freezes — so every session terminates).
 //     Epochs commit strictly BETWEEN rounds; rounds are clamped to epoch
 //     boundaries (the only clamp on a round's length), so all sessions
-//     observe the same epoch for every slot of a round.  Unlike
-//     baselines::ChurnRouter (which replays the schedule per attempt for
-//     fair per-attempt comparisons), all sessions here live through one
-//     shared schedule — the production shape.
+//     observe the same epoch for every slot of a round.  All sessions of
+//     one engine live through one shared schedule — the production shape;
+//     baselines::ChurnRouter runs each attempt as a one-session engine,
+//     so every attempt replays the schedule alone (fair per-attempt
+//     comparisons).
 //
 // One network per epoch: the engine owns ONE EpochNetwork (the degree
-// reduction plus the cached T_n, core/dynamic_route.h) that every session
-// borrows.  Static mode builds it in the constructor and it never moves —
-// a static engine is a dynamic one whose epoch never commits.  Dynamic
+// reduction plus the cached T_n, below) that every session borrows.
+// Static mode builds it in the constructor and it never moves — a static
+// engine is a dynamic one whose epoch never commits.  Dynamic
 // mode builds each epoch's network at the first round of that epoch with
 // sessions to activate or in flight, and moves every in-flight session
 // onto it: an arena walk re-injects at s (keeping its transmissions), a
@@ -57,15 +58,30 @@
 #include <optional>
 #include <vector>
 
-#include "core/dynamic_route.h"
 #include "core/hybrid.h"
 #include "core/lossy_route.h"
 #include "core/route.h"
+#include "explore/degree_reduce.h"
+#include "explore/sequence.h"
 #include "graph/churn.h"
 #include "graph/dynamic.h"
 #include "graph/graph.h"
 
 namespace uesr::core {
+
+/// One epoch's network: the snapshot's degree reduction and the cached T_n
+/// sized for it.  A TrafficEngine holds one per committed epoch and every
+/// session in flight borrows it.
+struct EpochNetwork {
+  explore::ReducedGraph reduced;
+  std::shared_ptr<const explore::ExplorationSequence> seq;
+  std::uint64_t epoch = 0;
+};
+
+/// Builds `snapshot`'s network: one reduce_to_cubic plus one
+/// explore::cached_standard_ues lookup of family `seq_seed`.
+EpochNetwork epoch_network(const graph::Graph& snapshot,
+                           std::uint64_t seq_seed, std::uint64_t epoch);
 
 enum class TrafficKind : std::uint8_t { kRoute, kBroadcast, kHybrid };
 
@@ -124,6 +140,9 @@ struct SessionReport {
   std::uint64_t hops = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t virtual_time = 0;  ///< channel virtual time consumed
+
+  friend bool operator==(const SessionReport&,
+                         const SessionReport&) = default;
 };
 
 /// Builds the probabilistic token of a kHybrid session.  The seed is
@@ -161,8 +180,10 @@ struct TrafficOptions {
   /// Required to admit kHybrid sessions (admit() throws otherwise).
   WalkerFactory hybrid_walker;
   /// Transmission slots per round (rounds clamp to epoch boundaries in
-  /// dynamic mode).  Purely a scheduling granularity: reports never depend
-  /// on it.
+  /// dynamic mode).  Perfect-link reports never depend on it.  Lossy
+  /// reports still do: a reliable hop is atomic and may overshoot the
+  /// round's slot grant, so where round boundaries fall moves completed_at
+  /// and, under churn, the epoch a hop runs in.
   std::uint64_t batch = 64;
   /// Worker lanes (0 = UESR_THREADS env, else hardware).  Data cells are
   /// bit-identical for any value.

@@ -4,7 +4,7 @@
 // two sessions asking for "the standard T_n at (seed, size bound)" have no
 // reason to hold distinct objects.  Before this cache, every multiplexed
 // caller rebuilt its own: route_adaptive constructed a fresh standard_ues
-// per call, every DynamicRouteSession rebuilt one per epoch restart, and a
+// per call, every dynamic route rebuilt one per epoch restart, and a
 // traffic engine admitting a thousand sessions over one topology would
 // have built a thousand identical T_n.  SequenceCache keys on
 // (family, seed, size bound) and hands every hit the *identical* object

@@ -8,7 +8,8 @@
 // new epoch with a freshly built CSR snapshot (the PR 2 flat layout).  The
 // epoch counter is monotone: it advances exactly when commit() finds staged
 // changes, so `epoch()` is a version stamp a mid-walk router can compare to
-// detect that the network moved under it (core::DynamicRouteSession).
+// detect that the network moved under it (core::TrafficEngine does, and
+// restarts every walk in flight).
 //
 // Model choices, relied on throughout the dynamic subsystem:
 //   * The node namespace is fixed at construction.  "Churn" is modelled by

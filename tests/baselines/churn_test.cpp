@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -104,6 +107,43 @@ TEST(ChurnRouter, Validation) {
   EXPECT_THROW(router.route_ues(0, 99), std::invalid_argument);
   EXPECT_THROW(churn_experiment(sc, -1, 16, 4, 100, 1, 1),
                std::invalid_argument);
+}
+
+// Golden pin of route_ues on two E11 schedules (period 48, 24 epochs): an
+// FNV-1a digest of every ChurnAttempt field over a fixed pair set whose
+// attempts deliver, certify failure and restart.
+TEST(ChurnRouter, UesAttemptsArePinned) {
+  const graph::LinkFlapScenario flap(graph::connected_gnp(36, 0.14, 19),
+                                     /*flaps_per_epoch=*/3, 101);
+  const graph::NodeChurnScenario harsh(graph::connected_gnp(30, 0.2, 31),
+                                       /*p_leave=*/0.3, /*p_join=*/0.5, 109);
+  constexpr std::pair<NodeId, NodeId> kPairs[] = {
+      {0, 29},  {3, 17},  {7, 7},  {11, 2},  {20, 5}, {26, 13},
+      {14, 21}, {1, 8},   {2, 27}, {4, 19},  {9, 24}, {16, 6},
+      {22, 10}, {25, 28}, {12, 0}, {18, 15}, {23, 3}, {27, 20}};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  int delivered = 0, certified = 0, restarted = 0;
+  for (const graph::Scenario* sc :
+       std::array<const graph::Scenario*, 2>{&flap, &harsh}) {
+    const ChurnRouter router(*sc, /*period=*/48, /*max_epochs=*/24);
+    for (const auto& [s, t] : kPairs) {
+      const ChurnAttempt a = router.route_ues(s, t);
+      for (std::uint64_t v :
+           {std::uint64_t{a.delivered}, std::uint64_t{a.failure_certified},
+            a.transmissions, a.ticks, a.restarts, a.completion_epoch})
+        for (int b = 0; b < 8; ++b) {
+          h ^= (v >> (8 * b)) & 0xff;
+          h *= 0x100000001b3ULL;
+        }
+      delivered += a.delivered;
+      certified += a.failure_certified;
+      restarted += a.restarts > 0;
+    }
+  }
+  EXPECT_GT(delivered, 0);
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(restarted, 0);
+  EXPECT_EQ(h, 0x19ce4c886824f4caULL);
 }
 
 // The PR 3 determinism contract extended to churn experiments: every cell

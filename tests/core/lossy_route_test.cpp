@@ -12,8 +12,8 @@
 #include <optional>
 #include <utility>
 
-#include "core/dynamic_route.h"
 #include "core/route.h"
+#include "core/traffic.h"
 #include "graph/dynamic.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"

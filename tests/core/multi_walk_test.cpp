@@ -360,20 +360,20 @@ TEST(MultiWalk, SymbolsNearTwoToThe32StayInLockstep) {
 }
 
 TEST(MultiWalk, CertificateWalkCrossesThePrefixCap) {
-  // A ~100-gadget component has T_n of 24 * 96^2 * 7 = 1,548,288 symbols,
-  // past the 2^20-symbol prefix.  A walk to the other component runs all
-  // of it forward and rewinds it, crossing the cap both ways; symbol by
-  // symbol near the cap it must match RouteSession.
+  // A 300-gadget reduction has T_n of 24 * 300^2 * 9 = 19,440,000
+  // symbols, past the 2^24-symbol prefix.  A walk to the other component
+  // runs all of it forward and rewinds it, crossing the cap both ways;
+  // symbol by symbol near the cap it must match RouteSession.
   const graph::Graph g =
-      graph::disjoint_copies(graph::random_connected_regular(16, 3, 5), 2);
+      graph::disjoint_copies(graph::random_connected_regular(50, 3, 5), 2);
   const ReducedGraph net = explore::reduce_to_cubic(g);
   const auto inner = explore::standard_ues(net.cubic.num_nodes(), 3);
   constexpr std::uint64_t kCap = MultiWalkArena::kPrefixCap;
   ASSERT_GT(inner->length(), kCap + 4096);
   const CountingSequence seq(*inner);
   MultiWalkArena arena(net, seq);
-  RouteSession ref(net, *inner, 0, 20);  // 20 lives in the other copy
-  const std::size_t w = arena.admit(0, 20);
+  RouteSession ref(net, *inner, 0, 70);  // 70 lives in the other copy
+  const std::size_t w = arena.admit(0, 70);
   bool crossed_forward = false;
   std::uint64_t guard = 10'000'000;
   while (!ref.finished() && guard-- > 0) {
@@ -500,7 +500,7 @@ TEST(MultiWalk, WalkStateStaysLean) {
   arena.step_block(walks.data(), walks.size(), budgets.data());
   EXPECT_TRUE(arena.finished(walks.back()));
   EXPECT_GT(arena.symbol_prefix_bytes(), 0u);
-  EXPECT_LE(arena.symbol_prefix_bytes(), 256u * 1024);
+  EXPECT_LE(arena.symbol_prefix_bytes(), MultiWalkArena::kPrefixCap / 4);
 }
 
 }  // namespace

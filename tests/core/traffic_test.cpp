@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,6 +185,195 @@ TEST(TrafficEngine, DynamicModeRejectsBroadcastAndHybrid) {
   engine.admit({TrafficKind::kRoute, 0, 5, 0, 0});
   engine.run();
   EXPECT_TRUE(engine.report(0).finished);
+}
+
+/// A scripted schedule: epoch k + 1 applies the edge edits epochs[k] to
+/// epoch k's topology.
+class ScriptedScenario final : public graph::Scenario {
+ public:
+  struct Edit {
+    bool add;
+    NodeId u, v;
+  };
+  ScriptedScenario(graph::Graph g0, std::vector<std::vector<Edit>> epochs)
+      : g0_(std::move(g0)), epochs_(std::move(epochs)) {}
+  std::string name() const override { return "scripted"; }
+  NodeId num_nodes() const override { return g0_.num_nodes(); }
+  graph::DynamicGraph initial() override {
+    next_ = 0;
+    return graph::DynamicGraph(g0_);
+  }
+  void advance(graph::DynamicGraph& g) override {
+    for (const Edit& e : epochs_.at(next_++))
+      e.add ? g.add_edge(e.u, e.v) : g.remove_edge(e.u, e.v);
+    g.commit();
+  }
+  std::unique_ptr<graph::Scenario> fresh() const override {
+    return std::make_unique<ScriptedScenario>(g0_, epochs_);
+  }
+
+ private:
+  graph::Graph g0_;
+  std::vector<std::vector<Edit>> epochs_;
+  std::size_t next_ = 0;
+};
+
+// One route session alone on a dynamic engine: the per-epoch restart
+// rule (§2.8) case by case.  Every verdict must hold on the topology of
+// its completion epoch; a session restarted once at tick `period` has
+// spent exactly those frames plus a fresh walk on the final topology.
+struct OneSessionCase {
+  graph::Graph g0;
+  std::vector<std::vector<ScriptedScenario::Edit>> epochs;
+  std::uint64_t period;
+  NodeId s, t;
+  std::uint64_t restarts;  ///< exact
+  std::uint64_t completion_epoch;
+};
+
+void check_one_session(const OneSessionCase& c) {
+  const ScriptedScenario sc(c.g0, c.epochs);
+  TrafficOptions opt;
+  opt.epoch_period = c.period;
+  opt.max_epochs = c.epochs.size();
+  TrafficEngine engine(sc, opt);
+  engine.admit({.s = c.s, .t = c.t});
+  engine.run();
+  const SessionReport& r = engine.report(0);
+  ASSERT_TRUE(r.finished);
+  EXPECT_EQ(r.restarts, c.restarts);
+  EXPECT_EQ(r.completion_epoch, c.completion_epoch);
+  EXPECT_EQ(r.completed_at, r.transmissions);
+  // Ground truth on the completion epoch's topology.
+  auto replay = sc.fresh();
+  graph::DynamicGraph g = replay->initial();
+  for (std::uint64_t k = 0; k < r.completion_epoch; ++k) replay->advance(g);
+  const bool truth = graph::has_path(g.snapshot(), c.s, c.t);
+  EXPECT_EQ(r.delivered, truth);
+  EXPECT_EQ(r.failure_certified, !truth);
+  if (c.s == c.t) {
+    EXPECT_EQ(r.transmissions, 0u);
+  }
+  if (c.restarts == 1) {
+    TrafficEngine fresh_walk(g.snapshot());
+    fresh_walk.admit({.s = c.s, .t = c.t});
+    fresh_walk.run();
+    EXPECT_EQ(r.transmissions, c.period + fresh_walk.report(0).transmissions);
+  }
+}
+
+TEST(DynamicRoute, MatchesStaticOutcomeOnFrozenTopology) {
+  // A frozen topology gives the static verdicts: deliveries and
+  // certificates across gnp's components.
+  const graph::Graph gnp = graph::gnp(24, 0.09, 11);
+  for (auto [s, t] : {std::pair<NodeId, NodeId>{0, 17},
+                      {3, 9},
+                      {5, 21},
+                      {1, 23}}) {
+    SCOPED_TRACE(testing::Message() << s << "->" << t);
+    check_one_session({gnp, {}, 1, s, t, 0, 0});
+  }
+}
+
+TEST(DynamicRoute, SourceEqualsTargetIsImmediate) {
+  check_one_session({graph::cycle(4), {{{true, 0, 2}}}, 1, 2, 2, 0, 0});
+}
+
+TEST(DynamicRoute, IsolatedSourceCertifiesFailure) {
+  check_one_session(
+      {graph::from_edges(4, {{1, 2}, {2, 3}}), {}, 1, 0, 3, 0, 0});
+}
+
+TEST(DynamicRoute, RestartsWhenEpochMovesMidWalk) {
+  // An edge appears 5 frames in: restart, deliver on epoch 1.
+  check_one_session({graph::path(12), {{{true, 0, 11}}}, 5, 0, 11, 1, 1});
+}
+
+TEST(DynamicRoute, DeliversAfterTopologyHeals) {
+  // s and t start apart; the bridge appears 3 frames in.
+  check_one_session({graph::from_edges(6, {{0, 1}, {2, 3}, {3, 4}, {4, 5}}),
+                     {{{true, 1, 2}}},
+                     3,
+                     0,
+                     5,
+                     1,
+                     1});
+}
+
+TEST(DynamicRoute, CertificateIsAboutTheCompletionEpoch) {
+  // t's link goes 2 frames in: the certificate is about epoch 1.
+  check_one_session({graph::path(8), {{{false, 6, 7}}}, 2, 0, 7, 1, 1});
+}
+
+TEST(DynamicRoute, TransmissionsAccumulateAcrossRestarts) {
+  // The 4 frames of the discarded walk stay counted.
+  check_one_session({graph::cycle(10), {{{true, 0, 5}}}, 4, 0, 5, 1, 1});
+}
+
+TEST(DynamicRoute, Validation) {
+  // Out-of-range endpoints are refused at admission.
+  const ScriptedScenario sc(graph::cycle(3), {});
+  TrafficEngine engine(sc, {});
+  EXPECT_THROW(engine.admit({.s = 0, .t = 9}), std::invalid_argument);
+  EXPECT_THROW(engine.admit({.s = 7, .t = 0}), std::invalid_argument);
+}
+
+// Perfect-link reports do not depend on the round length: the same
+// staggered schedule, with departures, at batch sizes from one slot per
+// round to one round for nearly everything (ChurnRouter::route_ues relies
+// on it).
+TEST(TrafficInvariance, PerfectLinkReportsIndependentOfBatch) {
+  // Small graphs keep the certificate walks short: at batch 1 every
+  // transmission is a round of its own.
+  const graph::Graph g = graph::disjoint_copies(graph::cycle(3), 2);
+  graph::NodeChurnScenario sc(graph::connected_gnp(6, 0.5, 5),
+                              /*p_leave=*/0.3, /*p_join=*/0.45, 11);
+  std::vector<SessionReport> static_base, dynamic_base;
+  for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{7},
+                              std::uint64_t{64}, std::uint64_t{1000},
+                              std::uint64_t{1} << 20}) {
+    TrafficOptions opt = with_walkers();
+    opt.batch = batch;
+    TrafficEngine st(g, opt);
+    for (NodeId i = 0; i < 12; ++i) {
+      const std::uint64_t at = 5 * i + i % 3;
+      const NodeId s = i % 6;
+      st.admit({.s = s, .t = (5 * i + 2) % 6, .admit_at = at,
+                .depart_at = i % 5 == 0 ? at + 9 + i : 0});
+      st.admit({.kind = i % 2 ? TrafficKind::kBroadcast : TrafficKind::kHybrid,
+                .s = s, .t = (s + 1 + i % 4) % 6, .admit_at = at + 2,
+                .hybrid_ttl = 15, .depart_at = i % 4 == 1 ? at + 30 : 0});
+    }
+    st.run();
+    opt.epoch_period = 40;
+    opt.max_epochs = 12;
+    TrafficEngine dyn(sc, opt);
+    for (NodeId i = 0; i < 40; ++i) {
+      const std::uint64_t at = 9 * i + i % 7;
+      dyn.admit({.s = i % 6, .t = (5 * i + 1) % 6, .admit_at = at,
+                 .depart_at = i % 4 == 0 ? at + 20 + i : 0});
+    }
+    dyn.run();
+    if (static_base.empty()) {
+      static_base = st.reports();
+      dynamic_base = dyn.reports();
+      int delivered = 0, certified = 0, departed = 0, restarted = 0;
+      for (const auto* reports : {&st.reports(), &dyn.reports()})
+        for (const SessionReport& r : *reports) {
+          delivered += r.delivered;
+          certified += r.failure_certified;
+          departed += r.departed;
+          restarted += r.restarts > 0;
+        }
+      EXPECT_GT(delivered, 0);
+      EXPECT_GT(certified, 0);
+      EXPECT_GT(departed, 0);
+      EXPECT_GT(restarted, 0);
+      continue;
+    }
+    EXPECT_TRUE(st.reports() == static_base) << "batch=" << batch;
+    EXPECT_TRUE(dyn.reports() == dynamic_base) << "batch=" << batch;
+  }
 }
 
 // The acceptance gate: >= 1024 concurrent sessions whose folded report is
