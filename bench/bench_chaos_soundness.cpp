@@ -12,48 +12,36 @@
 // through the chaos.
 //
 // Trials fan out over the shared threads knob via
-// baselines::chaos_experiment, whose cells are bit-identical for any
-// --threads value (pinned by the chaos ThreadInvariance test).
+// baselines::lossy_experiment (the E13 kernel, with a sampled FaultPlan per
+// trial), whose cells are bit-identical for any --threads value (pinned by
+// the chaos ThreadInvariance tests).
 // Index row: DESIGN.md §4 / EXPERIMENTS.md (E15) — expected shape lives there.
 #include "bench_common.h"
 
 #include <vector>
 
-#include "baselines/chaos.h"
+#include "baselines/lossy.h"
+#include "core/lossy_route.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "net/faults.h"
 #include "util/table.h"
 
 namespace {
 
-uesr::graph::Graph two_component_gnp(uesr::graph::NodeId half, double p,
-                                     std::uint64_t seed) {
-  using namespace uesr::graph;
-  const Graph a = connected_gnp(half, p, seed);
-  const Graph b = connected_gnp(half, p, seed + 1);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const Graph* g : {&a, &b}) {
-    const NodeId base = g == &b ? half : 0;
-    for (NodeId v = 0; v < g->num_nodes(); ++v)
-      for (Port q = 0; q < g->degree(v); ++q) {
-        const HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base + v, base + far.node);
-      }
-  }
-  return from_edges(2 * half, edges);
-}
-
-uesr::baselines::ChaosParams cell_params(double crash_rate, double corrupt) {
-  uesr::baselines::ChaosParams params;
-  params.loss = 0.05;
-  params.dup = 0.01;
-  params.corrupt = corrupt;
-  params.window.max_retries = 12;
-  params.chaos.crash_rate = crash_rate;
-  params.chaos.horizon = 1 << 12;
-  params.chaos.slot = 64;
-  return params;
+uesr::core::LossyTrafficConfig cell_config(double crash_rate,
+                                           double corrupt) {
+  uesr::core::LossyTrafficConfig cfg;
+  cfg.link.loss = 0.05;
+  cfg.link.dup = 0.01;
+  cfg.link.corrupt = corrupt;
+  cfg.window.max_retries = 12;
+  uesr::net::ChaosConfig chaos;
+  chaos.crash_rate = crash_rate;
+  chaos.horizon = 1 << 12;
+  chaos.slot = 64;
+  cfg.chaos = chaos;
+  return cfg;
 }
 
 void sweep(const uesr::graph::Graph& g, int pairs, unsigned threads) {
@@ -65,8 +53,8 @@ void sweep(const uesr::graph::Graph& g, int pairs, unsigned threads) {
   for (double crash_rate : kCrash)
     for (double corrupt : kCorrupt) {
       bench::Timer timer;
-      const baselines::ChaosCell cell = baselines::chaos_experiment(
-          g, pairs, cell_params(crash_rate, corrupt), /*seed=*/151, threads);
+      const baselines::LossyCell cell = baselines::lossy_experiment(
+          g, pairs, cell_config(crash_rate, corrupt), /*seed=*/151, threads);
       t.row()
           .cell(crash_rate, 2)
           .cell(corrupt, 2)
@@ -102,7 +90,7 @@ int main(int argc, char** argv) {
   sweep(graph::connected_gnp(24, 0.18, 41), kPairs, threads);
 
   std::cout << "\n### 2x gnp n=12 (split): crash rate x corruption rate\n\n";
-  sweep(two_component_gnp(12, 0.3, 43), kPairs, threads);
+  sweep(bench::two_component_gnp(12, 0.3, 43), kPairs, threads);
 
   std::cout << "\nunsound == 0 in every cell: no crash schedule or "
                "corruption level produced a verdict contradicting the "

@@ -22,33 +22,10 @@
 #include <vector>
 
 #include "baselines/lossy.h"
+#include "core/lossy_route.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "util/table.h"
-
-namespace {
-
-// Two gnp components in one namespace: cross-component pairs exercise the
-// failure certificate under loss.
-uesr::graph::Graph two_component_gnp(uesr::graph::NodeId half, double p,
-                                     std::uint64_t seed) {
-  using namespace uesr::graph;
-  const Graph a = connected_gnp(half, p, seed);
-  const Graph b = connected_gnp(half, p, seed + 1);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const Graph* g : {&a, &b}) {
-    const NodeId base = g == &b ? half : 0;
-    for (NodeId v = 0; v < g->num_nodes(); ++v)
-      for (Port q = 0; q < g->degree(v); ++q) {
-        const HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base + v, base + far.node);
-      }
-  }
-  return from_edges(2 * half, edges);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace uesr;
@@ -69,7 +46,8 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> graphs;
   graphs.push_back({"gnp n=24 (connected)", graph::connected_gnp(24, 0.18, 41)});
-  graphs.push_back({"2x gnp n=12 (split)", two_component_gnp(12, 0.3, 43)});
+  graphs.push_back(
+      {"2x gnp n=12 (split)", bench::two_component_gnp(12, 0.3, 43)});
 
   for (const Row& row : graphs) {
     std::cout << "\n### " << row.name << "\n\n";
@@ -77,22 +55,21 @@ int main(int argc, char** argv) {
                    "ues err", "ues frames", "flood ok", "flood tx",
                    "gossip ok", "gossip tx", "s"});
     for (double loss : kLoss) {
-      baselines::LossyParams params;
-      params.loss = loss;
-      params.dup = 0.01;
-      params.gossip_p = 0.65;
+      core::LossyTrafficConfig cfg;
+      cfg.link.loss = loss;
+      cfg.link.dup = 0.01;
       bench::Timer timer;
       const baselines::LossyCell cell =
-          baselines::lossy_experiment(row.g, kPairs, params, /*seed=*/131,
+          baselines::lossy_experiment(row.g, kPairs, cfg, /*seed=*/131,
                                       threads);
       t.row()
           .cell(loss, 2)
           .cell(cell.pairs)
-          .cell(cell.ues_delivered)
-          .cell(cell.ues_certified)
-          .cell(cell.ues_uncertified)
-          .cell(cell.ues_errors)
-          .cell(cell.ues_frames)
+          .cell(cell.delivered)
+          .cell(cell.certified)
+          .cell(cell.uncertified)
+          .cell(cell.unsound)
+          .cell(cell.frames)
           .cell(cell.flood_delivered)
           .cell(cell.flood_transmissions)
           .cell(cell.gossip_delivered)
@@ -106,20 +83,20 @@ int main(int argc, char** argv) {
   util::Table b({"max_retries", "pairs", "ues ok", "ues cert", "ues uncert",
                  "ues err", "ues frames", "s"});
   for (std::uint32_t budget : {0u, 1u, 2u, 4u, 8u, 16u}) {
-    baselines::LossyParams params;
-    params.loss = 0.1;
-    params.max_retries = budget;
+    core::LossyTrafficConfig cfg;
+    cfg.link.loss = 0.1;
+    cfg.window.max_retries = budget;
     bench::Timer timer;
     const baselines::LossyCell cell = baselines::lossy_experiment(
-        graphs[0].g, kPairs, params, /*seed=*/131, threads);
+        graphs[0].g, kPairs, cfg, /*seed=*/131, threads);
     b.row()
         .cell(budget)
         .cell(cell.pairs)
-        .cell(cell.ues_delivered)
-        .cell(cell.ues_certified)
-        .cell(cell.ues_uncertified)
-        .cell(cell.ues_errors)
-        .cell(cell.ues_frames)
+        .cell(cell.delivered)
+        .cell(cell.certified)
+        .cell(cell.uncertified)
+        .cell(cell.unsound)
+        .cell(cell.frames)
         .cell(timer.seconds(), 3);
   }
   b.print(std::cout);

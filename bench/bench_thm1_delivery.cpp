@@ -92,13 +92,12 @@ int main(int argc, char** argv) {
             if (r.delivered != truth) ++part.errors;  // should never happen
             part.ues_ok += r.delivered;
             part.certified += (!truth && !r.delivered);
-            // Baselines are stateful (per-route RNG stream): give trial i
-            // its own instance seeded by the trial index so the outcome is
-            // a pure function of (seed, i).
+            // The random walk is stateful (per-route RNG stream): give
+            // trial i its own instance seeded by the trial index so the
+            // outcome is a pure function of (seed, i).
             baselines::RandomWalkRouter rw(g, ttl, util::counter_hash(77, i));
             part.rw_ok += rw.route(s, tgt).delivered;
-            baselines::FloodingRouter fl(g);
-            part.fl_ok += fl.route(s, tgt).delivered;
+            part.fl_ok += baselines::flood(g, s, tgt).delivered;
           }
           return part;
         },

@@ -17,7 +17,7 @@
 //     about the completion epoch (see core/traffic.h, dynamic mode).
 //   * Flooding's classic certificate ("the wave covered Cs") is UNSOUND
 //     under churn — a link can appear behind the wave — so route_flooding
-//     never certifies here, unlike the static FloodingRouter.
+//     never certifies here, unlike static flood().
 //   * Random walk and greedy certify nothing, as ever.
 //
 // churn_experiment() is the one report kernel both the bench driver
@@ -28,9 +28,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
-#include "baselines/common.h"
 #include "graph/churn.h"
 #include "graph/dynamic.h"
 

@@ -31,13 +31,4 @@ FloodResult flood(const graph::Graph& g, graph::NodeId s, graph::NodeId t) {
   return res;
 }
 
-Attempt FloodingRouter::route(graph::NodeId s, graph::NodeId t) {
-  FloodResult r = flood(*g_, s, t);
-  Attempt a;
-  a.delivered = r.delivered;
-  a.failure_certified = true;  // the wave provably covered Cs
-  a.transmissions = r.transmissions;
-  return a;
-}
-
 }  // namespace uesr::baselines

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "baselines/common.h"
 #include "graph/graph.h"
 
 namespace uesr::baselines {
@@ -28,15 +27,5 @@ struct FloodResult {
 /// reaches t, whichever the caller cares about; the full wave cost is
 /// reported because flooding cannot be "called back").
 FloodResult flood(const graph::Graph& g, graph::NodeId s, graph::NodeId t);
-
-class FloodingRouter final : public Router {
- public:
-  explicit FloodingRouter(const graph::Graph& g) : g_(&g) {}
-  Attempt route(graph::NodeId s, graph::NodeId t) override;
-  std::string name() const override { return "flooding"; }
-
- private:
-  const graph::Graph* g_;
-};
 
 }  // namespace uesr::baselines

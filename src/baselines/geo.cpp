@@ -186,14 +186,4 @@ GeoAttempt gpsr_route(const graph::Positioned2& net, NodeId s, NodeId t,
   return a;
 }
 
-Attempt GreedyRouter2D::route(NodeId s, NodeId t) {
-  GeoAttempt g = greedy_route_2d(*net_, s, t);
-  return Attempt{g.delivered, false, g.transmissions};
-}
-
-Attempt GpsrRouter::route(NodeId s, NodeId t) {
-  GeoAttempt g = gpsr_route(*net_, s, t);
-  return Attempt{g.delivered, false, g.transmissions};
-}
-
 }  // namespace uesr::baselines

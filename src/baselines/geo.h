@@ -17,9 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "baselines/common.h"
 #include "graph/geometric.h"
 
 namespace uesr::baselines {
@@ -44,26 +42,5 @@ GeoAttempt greedy_route_3d(const graph::Positioned3& net, graph::NodeId s,
 /// default (16 * n).
 GeoAttempt gpsr_route(const graph::Positioned2& planar, graph::NodeId s,
                       graph::NodeId t, std::uint64_t hop_limit = 0);
-
-class GreedyRouter2D final : public Router {
- public:
-  explicit GreedyRouter2D(const graph::Positioned2& net) : net_(&net) {}
-  Attempt route(graph::NodeId s, graph::NodeId t) override;
-  std::string name() const override { return "greedy-2d"; }
-
- private:
-  const graph::Positioned2* net_;
-};
-
-class GpsrRouter final : public Router {
- public:
-  /// `planar` must be a plane embedding (e.g. gabriel_subgraph output).
-  explicit GpsrRouter(const graph::Positioned2& planar) : net_(&planar) {}
-  Attempt route(graph::NodeId s, graph::NodeId t) override;
-  std::string name() const override { return "gpsr-face"; }
-
- private:
-  const graph::Positioned2* net_;
-};
 
 }  // namespace uesr::baselines

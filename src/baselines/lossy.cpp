@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/lossy_route.h"
 #include "explore/degree_reduce.h"
 #include "explore/sequence.h"
 #include "graph/algorithms.h"
@@ -18,6 +17,9 @@ using graph::NodeId;
 using graph::Port;
 
 namespace {
+
+/// The gossip column's retransmission probability (every E13/E15 row).
+constexpr double kGossipP = 0.65;
 
 /// Shared wave engine of the two lossy broadcast baselines: `transmit(v)`
 /// decides whether a newly-infected node retransmits (drawn exactly once
@@ -69,14 +71,18 @@ FloodResult lossy_wave(const graph::Graph& g, NodeId s, NodeId t, double loss,
 
 FloodResult flood_lossy(const graph::Graph& g, NodeId s, NodeId t,
                         double loss, std::uint64_t seed) {
+  if (!(loss >= 0.0 && loss <= 1.0))
+    throw std::invalid_argument("flood_lossy: loss in [0, 1]");
   util::Pcg32 rng(seed);
   return lossy_wave(g, s, t, loss, rng, [](NodeId) { return true; });
 }
 
 FloodResult gossip_lossy(const graph::Graph& g, NodeId s, NodeId t,
                          double loss, double p, std::uint64_t seed) {
-  if (p < 0.0 || p > 1.0)
-    throw std::invalid_argument("gossip_lossy: p outside [0, 1]");
+  if (!(loss >= 0.0 && loss <= 1.0))
+    throw std::invalid_argument("gossip_lossy: loss in [0, 1]");
+  if (!(p >= 0.0 && p <= 1.0))
+    throw std::invalid_argument("gossip_lossy: p in [0, 1]");
   util::Pcg32 rng(seed);
   // The source always transmits (otherwise p kills the wave at birth, which
   // is the degenerate case the gossip literature excludes).
@@ -86,11 +92,14 @@ FloodResult gossip_lossy(const graph::Graph& g, NodeId s, NodeId t,
 }
 
 LossyCell lossy_experiment(const graph::Graph& g, int pairs,
-                           const LossyParams& params, std::uint64_t seed,
-                           unsigned threads) {
+                           const core::LossyTrafficConfig& cfg,
+                           std::uint64_t seed, unsigned threads) {
   const NodeId n = g.num_nodes();
   if (n < 2) throw std::invalid_argument("lossy_experiment: need >= 2 nodes");
   if (pairs < 0) throw std::invalid_argument("lossy_experiment: pairs >= 0");
+  if (cfg.chaos && !cfg.faults.empty())
+    throw std::invalid_argument(
+        "lossy_experiment: cfg.faults must be empty when cfg.chaos is set");
   // The pair list is drawn serially up front, exactly as a serial driver
   // would (the E2 convention); s != t by rejection.
   util::Pcg32 pair_rng(seed);
@@ -102,18 +111,17 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
     while (t == s);
   }
   // Shared immutable structure: one reduction, one T_n, one ground-truth
-  // component map — read-only across lanes.
+  // component map — read-only across lanes.  Faults never edit the graph
+  // (they delay or kill frames), so the STATIC component map stays the
+  // exact soundness reference for every verdict.
   const explore::ReducedGraph reduced = explore::reduce_to_cubic(g);
   const auto seq = explore::standard_ues(reduced.cubic.num_nodes());
   const std::vector<std::uint32_t> comp = graph::connected_components(g);
-
-  core::LossyTrafficConfig ues_options;
-  ues_options.link.loss = params.loss;
-  ues_options.link.dup = params.dup;
-  ues_options.link.latency_min = params.latency_min;
-  ues_options.link.latency_max = params.latency_max;
-  ues_options.window.max_retries = params.max_retries;
-  ues_options.window.rto_initial = params.rto;
+  // The kernel samples each trial's plan itself (below), so the session
+  // must not sample another.
+  core::LossyTrafficConfig base = cfg;
+  base.chaos.reset();
+  const double loss = cfg.link.loss;
 
   util::ThreadPool pool(threads);
   return util::parallel_reduce<LossyCell>(
@@ -125,37 +133,44 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
           const auto [s, t] = pair_list[i];
           ++part.pairs;
           const bool reachable = comp[s] == comp[t];
-          // Trial i's streams are pure functions of (seed, i): the UES
-          // channel, the flood draws and the gossip draws each get their
-          // own sub-stream (never shared — PR 3 convention).
+          // Trial i's streams are pure functions of (seed, i), never shared
+          // (util/parallel.h rule 3).  The UES channel is a static session's
+          // epoch 0, seeded counter_hash(trial, 0).  The chaos plan and the
+          // flood draws both key off counter_hash(trial, 1) and the gossip
+          // draws off counter_hash(trial, 2): changing any of these seeds
+          // moves E13 and E15 cells.
           const std::uint64_t trial = util::counter_hash(seed, i);
-          // The UES channel is a static session's epoch 0, seeded
-          // counter_hash(trial, 0).
-          core::LossyTrafficConfig opts = ues_options;
+          core::LossyTrafficConfig opts = base;
           opts.net_seed = trial;
+          if (cfg.chaos)
+            opts.faults = net::FaultPlan::sample(
+                reduced.cubic, *cfg.chaos, util::counter_hash(trial, 1));
           core::LossyRouteSession session(reduced, *seq, s, t, opts);
           switch (session.run()) {
             case core::LossyVerdict::kDelivered:
-              ++part.ues_delivered;
-              part.ues_errors += !reachable;
+              ++part.delivered;
+              // Sound delivery needs a reachable target the walk visited.
+              part.unsound += !reachable || !session.target_reached();
               break;
             case core::LossyVerdict::kFailureCertified:
-              ++part.ues_certified;
-              part.ues_errors += reachable;
+              ++part.certified;
+              part.unsound += reachable;
               break;
             default:
-              ++part.ues_uncertified;
+              ++part.uncertified;
               break;
           }
-          part.ues_hops += session.hops();
-          part.ues_frames += session.wire_frames();
+          part.hops += session.hops();
+          part.frames += session.wire_frames();
+          part.retransmits += session.arq_stats().retransmits;
+          part.corrupted += session.sim().frames_corrupted();
+          part.crash_drops += session.sim().frames_crash_dropped();
           const FloodResult f =
-              flood_lossy(g, s, t, params.loss, util::counter_hash(trial, 1));
+              flood_lossy(g, s, t, loss, util::counter_hash(trial, 1));
           part.flood_delivered += f.delivered;
           part.flood_transmissions += f.transmissions;
-          const FloodResult go =
-              gossip_lossy(g, s, t, params.loss, params.gossip_p,
-                           util::counter_hash(trial, 2));
+          const FloodResult go = gossip_lossy(g, s, t, loss, kGossipP,
+                                              util::counter_hash(trial, 2));
           part.gossip_delivered += go.delivered;
           part.gossip_transmissions += go.transmissions;
         }
@@ -163,12 +178,15 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
       },
       [](LossyCell acc, LossyCell p) {
         acc.pairs += p.pairs;
-        acc.ues_delivered += p.ues_delivered;
-        acc.ues_certified += p.ues_certified;
-        acc.ues_uncertified += p.ues_uncertified;
-        acc.ues_errors += p.ues_errors;
-        acc.ues_hops += p.ues_hops;
-        acc.ues_frames += p.ues_frames;
+        acc.delivered += p.delivered;
+        acc.certified += p.certified;
+        acc.uncertified += p.uncertified;
+        acc.unsound += p.unsound;
+        acc.hops += p.hops;
+        acc.frames += p.frames;
+        acc.retransmits += p.retransmits;
+        acc.corrupted += p.corrupted;
+        acc.crash_drops += p.crash_drops;
         acc.flood_delivered += p.flood_delivered;
         acc.flood_transmissions += p.flood_transmissions;
         acc.gossip_delivered += p.gossip_delivered;

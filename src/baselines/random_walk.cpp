@@ -31,14 +31,10 @@ void RandomWalkSession::step() {
   if (current_ == target_) delivered_ = true;
 }
 
-Attempt RandomWalkRouter::route(graph::NodeId s, graph::NodeId t) {
+WalkAttempt RandomWalkRouter::route(graph::NodeId s, graph::NodeId t) {
   RandomWalkSession session(*g_, s, t, ttl_, seeder_.next());
   while (!session.delivered() && !session.exhausted()) session.step();
-  Attempt a;
-  a.delivered = session.delivered();
-  a.failure_certified = false;  // a TTL expiry proves nothing
-  a.transmissions = session.transmissions();
-  return a;
+  return {session.delivered(), session.transmissions()};
 }
 
 }  // namespace uesr::baselines

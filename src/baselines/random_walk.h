@@ -10,9 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "baselines/common.h"
 #include "core/hybrid.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -50,14 +48,22 @@ class RandomWalkSession final : public core::TokenWalker {
   util::Pcg32 rng_;
 };
 
-class RandomWalkRouter final : public Router {
+/// What one routed walk achieved.  A walk never certifies failure: a TTL
+/// expiry or a stranded walk proves nothing about t.
+struct WalkAttempt {
+  bool delivered = false;
+  std::uint64_t transmissions = 0;
+};
+
+/// Routes successive walks on one graph, each seeded from the router's own
+/// SplitMix64 stream (so repeated route() calls take fresh walks).
+class RandomWalkRouter {
  public:
   RandomWalkRouter(const graph::Graph& g, std::uint64_t ttl,
                    std::uint64_t seed)
       : g_(&g), ttl_(ttl), seeder_(seed) {}
 
-  Attempt route(graph::NodeId s, graph::NodeId t) override;
-  std::string name() const override { return "random-walk"; }
+  WalkAttempt route(graph::NodeId s, graph::NodeId t);
 
  private:
   const graph::Graph* g_;

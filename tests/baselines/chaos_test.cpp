@@ -2,8 +2,8 @@
 // of sampled FaultPlans across a graph zoo, every verdict audited against
 // the ground-truth component map), the E15 kernel's degeneration and
 // determinism pins, and the TrafficEngine composition — scripted plus
-// sampled chaos through both lossy lanes, per-link RTO engaged.
-#include "baselines/chaos.h"
+// sampled chaos through both lossy lanes.
+#include "baselines/lossy.h"
 
 #include <gtest/gtest.h>
 
@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "baselines/workload.h"
+#include "core/lossy_route.h"
 #include "core/traffic.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
 #include "net/faults.h"
 #include "support/split_gnp.h"
+#include "support/stormy.h"
 
 namespace uesr::baselines {
 namespace {
@@ -26,37 +28,10 @@ using graph::Graph;
 using graph::NodeId;
 
 using test_support::split_gnp;
-
-/// The fuzzer regime: every fault class engaged at once — baseline loss,
-/// duplication and corruption on the channel, plus sampled crash windows,
-/// corruption bursts and brownouts per trial.
-ChaosParams stormy(core::ArqKind arq) {
-  ChaosParams p;
-  p.loss = 0.05;
-  p.dup = 0.02;
-  p.corrupt = 0.03;
-  p.latency_max = 3;
-  p.window.max_retries = 8;
-  p.window.frames_per_message = 3;
-  p.window.window = 2;
-  p.arq = arq;
-  p.chaos.horizon = 1 << 10;
-  p.chaos.slot = 64;
-  p.chaos.crash_rate = 0.05;
-  p.chaos.crash_min = 16;
-  p.chaos.crash_max = 96;
-  p.chaos.corrupt_burst_rate = 0.05;
-  p.chaos.corrupt_level = 0.4;
-  p.chaos.burst_min = 8;
-  p.chaos.burst_max = 48;
-  p.chaos.brownout_rate = 0.03;
-  p.chaos.brownout_min = 8;
-  p.chaos.brownout_max = 48;
-  return p;
-}
+using test_support::stormy;
 
 // ---- the seeded soundness fuzzer ---------------------------------------
-// Each trial of chaos_experiment runs under its OWN sampled FaultPlan
+// Each trial of lossy_experiment runs under its OWN sampled FaultPlan
 // (seed counter_hash(counter_hash(seed, i), 1)), so pairs == sampled
 // plans.  Across the zoo and both ARQ shapes this sweeps 200+ random fault
 // schedules; the §2.12 acceptance gate is unsound == 0 on every one.
@@ -71,12 +46,12 @@ TEST(ChaosFuzzer, HundredsOfSampledPlansAcrossTheZooStaySound) {
       {"split10", split_gnp(5, 0.5, 35)},
       {"tree13", graph::random_tree(13, 9)},
   };
-  ChaosCell total;
+  LossyCell total;
   std::uint64_t trial_seed = 0xc4a0;
   for (core::ArqKind arq :
        {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {
     for (const auto& [name, g] : zoo) {
-      const ChaosCell cell = chaos_experiment(g, 16, stormy(arq), ++trial_seed);
+      const LossyCell cell = lossy_experiment(g, 16, stormy(arq), ++trial_seed);
       EXPECT_EQ(cell.unsound, 0) << name;
       EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified, cell.pairs)
           << name;
@@ -102,7 +77,9 @@ TEST(ChaosFuzzer, HundredsOfSampledPlansAcrossTheZooStaySound) {
 
 TEST(ChaosExperiment, AllKnobsZeroDegeneratesToThePerfectChannel) {
   const Graph g = graph::connected_gnp(10, 0.35, 23);
-  const ChaosCell cell = chaos_experiment(g, 15, ChaosParams{}, 77);
+  core::LossyTrafficConfig cfg;
+  cfg.chaos = net::ChaosConfig{};
+  const LossyCell cell = lossy_experiment(g, 15, cfg, 77);
   EXPECT_EQ(cell.pairs, 15);
   EXPECT_EQ(cell.delivered, 15);
   EXPECT_EQ(cell.certified, 0);
@@ -117,9 +94,9 @@ TEST(ChaosExperiment, AllKnobsZeroDegeneratesToThePerfectChannel) {
 
 TEST(ChaosExperiment, SplitGraphCertificatesSurviveChaos) {
   const Graph g = split_gnp(6, 0.4, 41);
-  ChaosParams p = stormy(core::ArqKind::kStopAndWait);
-  p.window.max_retries = 20;  // let full failed walks complete
-  const ChaosCell cell = chaos_experiment(g, 30, p, 91);
+  core::LossyTrafficConfig cfg = stormy(core::ArqKind::kStopAndWait);
+  cfg.window.max_retries = 20;  // let full failed walks complete
+  const LossyCell cell = lossy_experiment(g, 30, cfg, 91);
   EXPECT_EQ(cell.unsound, 0);
   // Cross-component pairs can only certify or degrade — never deliver
   // (delivery would be unsound and counted above).
@@ -128,35 +105,39 @@ TEST(ChaosExperiment, SplitGraphCertificatesSurviveChaos) {
 
 TEST(ChaosExperiment, Validation) {
   const Graph one = graph::from_edges(1, {});
-  EXPECT_THROW(chaos_experiment(one, 5, ChaosParams{}, 1),
-               std::invalid_argument);
+  const core::LossyTrafficConfig chaotic = stormy(core::ArqKind::kStopAndWait);
+  EXPECT_THROW(lossy_experiment(one, 5, chaotic, 1), std::invalid_argument);
   const Graph g = graph::cycle(4);
-  EXPECT_THROW(chaos_experiment(g, -1, ChaosParams{}, 1),
-               std::invalid_argument);
-  ChaosParams bad;
-  bad.chaos.crash_rate = 1.5;
-  EXPECT_THROW(chaos_experiment(g, 5, bad, 1), std::invalid_argument);
+  EXPECT_THROW(lossy_experiment(g, -1, chaotic, 1), std::invalid_argument);
+  core::LossyTrafficConfig bad = chaotic;
+  bad.chaos->crash_rate = 1.5;
+  EXPECT_THROW(lossy_experiment(g, 5, bad, 1), std::invalid_argument);
+  // The kernel samples each trial's plan itself: a scripted plan next to a
+  // ChaosConfig is rejected, not silently dropped.
+  core::LossyTrafficConfig both = chaotic;
+  both.faults.crash(1, 40, 90);
+  EXPECT_THROW(lossy_experiment(g, 5, both, 1), std::invalid_argument);
 }
 
 // The PR 3 determinism contract extended to E15: every cell of the chaos
 // kernel is bit-identical for any thread count.
 TEST(ThreadInvariance, ChaosExperimentReports) {
   const Graph g = graph::connected_gnp(12, 0.3, 25);
-  const ChaosParams p = stormy(core::ArqKind::kSelectiveRepeat);
-  const ChaosCell base = chaos_experiment(g, 16, p, 123, /*threads=*/1);
+  const core::LossyTrafficConfig cfg = stormy(core::ArqKind::kSelectiveRepeat);
+  const LossyCell base = lossy_experiment(g, 16, cfg, 123, /*threads=*/1);
   EXPECT_EQ(base.pairs, 16);
   EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
-    EXPECT_EQ(base, chaos_experiment(g, 16, p, 123, t)) << "threads=" << t;
+    EXPECT_EQ(base, lossy_experiment(g, 16, cfg, 123, t)) << "threads=" << t;
 }
 
 TEST(ThreadInvariance, ChaosExperimentReportsSplitGraph) {
   const Graph g = split_gnp(6, 0.5, 27);
-  const ChaosParams p = stormy(core::ArqKind::kStopAndWait);
-  const ChaosCell base = chaos_experiment(g, 14, p, 321, 1);
+  const core::LossyTrafficConfig cfg = stormy(core::ArqKind::kStopAndWait);
+  const LossyCell base = lossy_experiment(g, 14, cfg, 321, 1);
   EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
-    EXPECT_EQ(base, chaos_experiment(g, 14, p, 321, t)) << "threads=" << t;
+    EXPECT_EQ(base, lossy_experiment(g, 14, cfg, 321, t)) << "threads=" << t;
 }
 
 // ---- the TrafficEngine composition -------------------------------------

@@ -36,13 +36,14 @@ TEST(Flooding, StopsAtComponentBoundary) {
   EXPECT_EQ(r.transmissions, 4u);  // degrees 1+2+1 within the component
 }
 
-TEST(Flooding, RouterInterfaceCertifiesFailure) {
+TEST(Flooding, DeadWaveCertifiesFailure) {
+  // A wave that dies without reaching t provably covered s's component:
+  // its non-delivery is a disconnection certificate.
   graph::Graph g = graph::from_edges(4, {{0, 1}, {2, 3}});
-  FloodingRouter router(g);
-  auto a = router.route(0, 3);
+  auto a = flood(g, 0, 3);
   EXPECT_FALSE(a.delivered);
-  EXPECT_TRUE(a.failure_certified);
-  auto b = router.route(0, 1);
+  EXPECT_EQ(a.nodes_reached, 2u);  // exactly Cs = {0, 1}
+  auto b = flood(g, 0, 1);
   EXPECT_TRUE(b.delivered);
 }
 

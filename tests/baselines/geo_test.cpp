@@ -78,10 +78,9 @@ TEST(Gpsr, DeliveryOnGabrielUdgSweep) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     auto raw = graph::connected_unit_disk_2d(50, 0.30, seed);
     auto planar = graph::gabriel_subgraph(raw);
-    GpsrRouter router(planar);
     for (NodeId t = 1; t < 50; t += 7) {
       ++attempts;
-      if (router.route(0, t).delivered) ++delivered;
+      if (gpsr_route(planar, 0, t).delivered) ++delivered;
     }
   }
   EXPECT_EQ(delivered, attempts) << delivered << "/" << attempts;

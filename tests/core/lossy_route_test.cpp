@@ -53,38 +53,42 @@ struct RegimeTally {
   int uncertified = 0;
 };
 
-RegimeTally sweep_all_pairs(const Fixture& fx, const LossyTrafficConfig& base,
-                            std::uint64_t seed_salt) {
+/// The sweep's pairs (s, t) for one source s, tallied into `tally`.
+void sweep_from(const Fixture& fx, const LossyTrafficConfig& base,
+                std::uint64_t seed_salt, NodeId s, RegimeTally& tally) {
   const auto comp = graph::connected_components(fx.original);
-  RegimeTally tally;
-  for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
-    for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
-      if (s == t) continue;
-      LossyTrafficConfig options = base;
-      options.net_seed = util::counter_hash(seed_salt, s * 1000 + t);
-      LossyRouteSession session(fx.net, *fx.seq, s, t, options);
-      const LossyVerdict v = session.run();
-      const bool reachable = comp[s] == comp[t];
-      switch (v) {
-        case LossyVerdict::kDelivered:
-          EXPECT_TRUE(reachable) << "false delivery cert s=" << s
-                                 << " t=" << t;
-          ++tally.delivered;
-          break;
-        case LossyVerdict::kFailureCertified:
-          EXPECT_FALSE(reachable)
-              << "failure cert with a live path s=" << s << " t=" << t;
-          ++tally.certified;
-          break;
-        case LossyVerdict::kUncertified:
-          ++tally.uncertified;
-          break;
-        case LossyVerdict::kInProgress:
-          ADD_FAILURE() << "run() returned kInProgress";
-          break;
-      }
+  for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
+    if (s == t) continue;
+    LossyTrafficConfig options = base;
+    options.net_seed = util::counter_hash(seed_salt, s * 1000 + t);
+    LossyRouteSession session(fx.net, *fx.seq, s, t, options);
+    const LossyVerdict v = session.run();
+    const bool reachable = comp[s] == comp[t];
+    switch (v) {
+      case LossyVerdict::kDelivered:
+        EXPECT_TRUE(reachable) << "false delivery cert s=" << s << " t=" << t;
+        ++tally.delivered;
+        break;
+      case LossyVerdict::kFailureCertified:
+        EXPECT_FALSE(reachable)
+            << "failure cert with a live path s=" << s << " t=" << t;
+        ++tally.certified;
+        break;
+      case LossyVerdict::kUncertified:
+        ++tally.uncertified;
+        break;
+      case LossyVerdict::kInProgress:
+        ADD_FAILURE() << "run() returned kInProgress";
+        break;
     }
   }
+}
+
+RegimeTally sweep_all_pairs(const Fixture& fx, const LossyTrafficConfig& base,
+                            std::uint64_t seed_salt) {
+  RegimeTally tally;
+  for (NodeId s = 0; s < fx.original.num_nodes(); ++s)
+    sweep_from(fx, base, seed_salt, s, tally);
   return tally;
 }
 
@@ -93,45 +97,62 @@ RegimeTally sweep_all_pairs(const Fixture& fx, const LossyTrafficConfig& base,
 // RouteSession verdict and walk length exactly.
 // ---------------------------------------------------------------------------
 
-TEST(LossyRouteSession, PerfectChannelMatchesRouteSessionEverywhere) {
+// The all-pairs sweeps below run one test instance per source s, so no
+// single test nears the ctest timeout under the sanitizers.
+class PerfectChannelMatchesRouteSessionEverywhere
+    : public ::testing::TestWithParam<NodeId> {};
+
+TEST_P(PerfectChannelMatchesRouteSessionEverywhere, FromSource) {
   Fixture fx(split_gnp(6, 0.5, 7));
-  for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
-    for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
-      if (s == t) continue;
-      RouteSession perfect(fx.net, *fx.seq, s, t);
-      while (!perfect.finished()) perfect.step();
-      LossyRouteSession lossy(fx.net, *fx.seq, s, t);
-      const LossyVerdict v = lossy.run();
-      if (perfect.status() == net::Status::kSuccess) {
-        EXPECT_EQ(v, LossyVerdict::kDelivered);
-      } else {
-        EXPECT_EQ(v, LossyVerdict::kFailureCertified);
-      }
-      EXPECT_EQ(lossy.hops(), perfect.transmissions());
-      EXPECT_EQ(lossy.target_reached(), perfect.target_reached());
-      // Stop-and-wait on a perfect channel: one DATA + one ACK per hop.
-      EXPECT_EQ(lossy.wire_frames(), 2 * lossy.hops());
+  ASSERT_EQ(fx.original.num_nodes(), 12u);  // one instance per source
+  const NodeId s = GetParam();
+  for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
+    if (s == t) continue;
+    RouteSession perfect(fx.net, *fx.seq, s, t);
+    while (!perfect.finished()) perfect.step();
+    LossyRouteSession lossy(fx.net, *fx.seq, s, t);
+    const LossyVerdict v = lossy.run();
+    if (perfect.status() == net::Status::kSuccess) {
+      EXPECT_EQ(v, LossyVerdict::kDelivered);
+    } else {
+      EXPECT_EQ(v, LossyVerdict::kFailureCertified);
     }
+    EXPECT_EQ(lossy.hops(), perfect.transmissions());
+    EXPECT_EQ(lossy.target_reached(), perfect.target_reached());
+    // Stop-and-wait on a perfect channel: one DATA + one ACK per hop.
+    EXPECT_EQ(lossy.wire_frames(), 2 * lossy.hops());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(LossyRouteSession,
+                         PerfectChannelMatchesRouteSessionEverywhere,
+                         ::testing::Range<NodeId>(0, 12));
 
 // ---------------------------------------------------------------------------
 // Adversarial regimes (the ISSUE soundness gate).
 // ---------------------------------------------------------------------------
 
-TEST(LossyRouteSoundness, DuplicationOnlyRegime) {
+class DuplicationOnlyRegime : public ::testing::TestWithParam<NodeId> {};
+
+TEST_P(DuplicationOnlyRegime, FromSource) {
   Fixture fx(split_gnp(5, 0.6, 11));
+  ASSERT_EQ(fx.original.num_nodes(), 10u);  // one instance per source
   LossyTrafficConfig options;
   options.link.dup = 1.0;  // every frame doubled, nothing lost
   options.link.latency_min = 1;
   options.link.latency_max = 11;  // dups overtake and straggle
-  const RegimeTally tally = sweep_all_pairs(fx, options, 0xd0b1e);
+  RegimeTally tally;
+  sweep_from(fx, options, 0xd0b1e, GetParam(), tally);
   // No loss: every transfer completes, so every pair gets a real verdict
-  // and it must match reachability exactly.
+  // and it must match reachability exactly — every source has targets on
+  // both sides of the split.
   EXPECT_EQ(tally.uncertified, 0);
   EXPECT_GT(tally.delivered, 0);
   EXPECT_GT(tally.certified, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(LossyRouteSoundness, DuplicationOnlyRegime,
+                         ::testing::Range<NodeId>(0, 10));
 
 TEST(LossyRouteSoundness, LossOnlyRegime) {
   Fixture fx(split_gnp(5, 0.6, 13));
@@ -259,24 +280,31 @@ TEST(LossyRouteSession, ValidatesEndpoints) {
 // The selective-repeat seam (PR 7): same walk, pipelined wire.
 // ---------------------------------------------------------------------------
 
-TEST(LossyRouteSelectiveRepeat, PerfectChannelMatchesStopAndWaitWalk) {
+class PerfectChannelMatchesStopAndWaitWalk
+    : public ::testing::TestWithParam<NodeId> {};
+
+TEST_P(PerfectChannelMatchesStopAndWaitWalk, FromSource) {
   Fixture fx(split_gnp(4, 0.7, 7));
-  for (NodeId s = 0; s < fx.original.num_nodes(); ++s) {
-    for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
-      if (s == t) continue;
-      LossyRouteSession sw(fx.net, *fx.seq, s, t, {});
-      LossyTrafficConfig sr_options;
-      sr_options.arq = ArqKind::kSelectiveRepeat;
-      sr_options.window.frames_per_message = 4;
-      LossyRouteSession sr(fx.net, *fx.seq, s, t, sr_options);
-      EXPECT_EQ(sw.run(), sr.run());
-      // The walk is the routing layer's: identical hop for hop; only the
-      // framing differs (F DATA + F ACK per hop at loss 0).
-      EXPECT_EQ(sw.hops(), sr.hops());
-      EXPECT_EQ(sr.wire_frames(), 2 * 4 * sr.hops());
-    }
+  ASSERT_EQ(fx.original.num_nodes(), 8u);  // one instance per source
+  const NodeId s = GetParam();
+  for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
+    if (s == t) continue;
+    LossyRouteSession sw(fx.net, *fx.seq, s, t, {});
+    LossyTrafficConfig sr_options;
+    sr_options.arq = ArqKind::kSelectiveRepeat;
+    sr_options.window.frames_per_message = 4;
+    LossyRouteSession sr(fx.net, *fx.seq, s, t, sr_options);
+    EXPECT_EQ(sw.run(), sr.run());
+    // The walk is the routing layer's: identical hop for hop; only the
+    // framing differs (F DATA + F ACK per hop at loss 0).
+    EXPECT_EQ(sw.hops(), sr.hops());
+    EXPECT_EQ(sr.wire_frames(), 2 * 4 * sr.hops());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(LossyRouteSelectiveRepeat,
+                         PerfectChannelMatchesStopAndWaitWalk,
+                         ::testing::Range<NodeId>(0, 8));
 
 TEST(LossyRouteSelectiveRepeat, AdversarialRegimeStaysSound) {
   Fixture fx(split_gnp(4, 0.7, 37));

@@ -45,12 +45,10 @@ TEST(Integration, SensorFieldPipeline) {
   ASSERT_TRUE(graph::is_plane_embedding(planar));
   ASSERT_TRUE(graph::is_connected(planar.graph));
   core::AdHocNetwork net(field.graph);
-  baselines::GpsrRouter gpsr(planar);
-  baselines::FloodingRouter flood(field.graph);
   for (graph::NodeId t = 1; t < 40; t += 5) {
     EXPECT_TRUE(net.route(0, t).delivered);
-    EXPECT_TRUE(gpsr.route(0, t).delivered);
-    EXPECT_TRUE(flood.route(0, t).delivered);
+    EXPECT_TRUE(baselines::gpsr_route(planar, 0, t).delivered);
+    EXPECT_TRUE(baselines::flood(field.graph, 0, t).delivered);
   }
 }
 
