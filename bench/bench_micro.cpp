@@ -260,6 +260,30 @@ void BM_WindowTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowTransfer)->Args({2, 2})->Args({16, 16});
 
+// The same transfer on the graph every lossy lane runs on: a cubic
+// reduction (of grid(32, 32), 3,972 gadgets), each transfer on the next
+// half-edge in index order so the per-link channel keys vary.
+void BM_WindowTransferCubic(benchmark::State& state) {
+  const explore::ReducedGraph net =
+      explore::reduce_to_cubic(graph::grid(32, 32));
+  net::LinkModel link;
+  link.loss = 0.1;
+  net::WindowOptions opt;
+  opt.window = static_cast<std::uint32_t>(state.range(0));
+  opt.frames_per_message = static_cast<std::uint32_t>(state.range(1));
+  opt.max_retries = 16;
+  net::WindowTransport arq(net.cubic, 7, link, opt);
+  const std::uint64_t half_edges = 3ULL * net.cubic.num_nodes();
+  std::uint64_t h = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(arq.send(static_cast<graph::NodeId>(h / 3),
+                                      static_cast<graph::Port>(h % 3)));
+    if (++h == half_edges) h = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WindowTransferCubic)->Args({2, 2})->Args({16, 16});
+
 void BM_CoverCheck(benchmark::State& state) {
   graph::Graph g = graph::random_connected_regular(
       static_cast<graph::NodeId>(state.range(0)), 3, 5);

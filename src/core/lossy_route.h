@@ -150,6 +150,10 @@ class LossyRouteSession {
   /// stay counted) and re-injects at s on `net`/`seq` over a fresh channel
   /// keyed by `epoch`, clearing blocked().  Counts one restart.  `net`
   /// must have the same original nodes.  No-op once finished().
+  /// The fresh channel costs O(1) in the reduction — the simulator holds
+  /// no per-node or per-link table — plus the faults it arms; only a set
+  /// `chaos` (FaultPlan::sample) or `one_sided_down` (one draw per
+  /// half-edge) still walks the whole reduction per epoch.
   void restart(const explore::ReducedGraph& net,
                const explore::ExplorationSequence& seq, std::uint64_t epoch);
 

@@ -125,6 +125,13 @@ class Graph {
     return cubic_ ? rotate3(v, p) : half_edges_[offsets_[v] + p];
   }
 
+  /// Dense index of half-edge (v, p) in [0, sum of degrees): 3*v + p on a
+  /// cubic graph, the CSR slot offsets_[v] + p otherwise — the same number
+  /// either way.  Unchecked, like rotate().
+  std::size_t half_edge_index(NodeId v, Port p) const {
+    return cubic_ ? 3 * static_cast<std::size_t>(v) + p : offsets_[v] + p;
+  }
+
   /// rotate() specialized for 3-regular graphs: port arithmetic is 3*v + p
   /// with no offset load — one 4-byte word load, a shift and a mask.
   /// Precondition: is_cubic().

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/rng.h"
-
 namespace uesr::net {
 
 using graph::NodeId;
 using graph::Port;
 
 namespace {
-
-constexpr std::uint64_t kForever = ~std::uint64_t{0};
 
 void validate_model(const LinkModel& m, const char* who) {
   if (m.latency_max < m.latency_min)
@@ -32,19 +28,11 @@ void validate_model(const LinkModel& m, const char* who) {
                                 ": corrupt outside [0, 1]");
 }
 
-SimTime draw_latency(const LinkModel& m, util::Pcg32& rng) {
-  const SimTime span = m.latency_max - m.latency_min;
-  if (span == 0) return m.latency_min;
-  // validate_model keeps span + 1 within 32 bits.
-  return m.latency_min + rng.next_below(static_cast<std::uint32_t>(span + 1));
-}
-
-/// The seeded bit-flip of a corrupted copy: one random bit of the frame id
-/// (the payload this simulator carries) is damaged; the `corrupted` flag is
-/// the frame check sequence catching it.
-void damage(SimEvent& ev, util::Pcg32& rng) {
-  ev.frame_id ^= 1ULL << rng.next_below(64);
-  ev.corrupted = true;
+/// First entry of a vector sorted by `key_of` whose key is not below k.
+template <typename Vec, typename Key, typename KeyOf>
+auto lower(Vec& v, Key k, KeyOf key_of) {
+  return std::partition_point(v.begin(), v.end(),
+                              [&](const auto& e) { return key_of(e) < k; });
 }
 
 }  // namespace
@@ -53,16 +41,6 @@ EventSim::EventSim(const graph::Graph& g, std::uint64_t seed,
                    LinkModel defaults)
     : graph_(&g), seed_(seed), default_model_(defaults) {
   validate_model(defaults, "EventSim");
-  offsets_.resize(g.num_nodes() + 1, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    offsets_[v + 1] = offsets_[v] + g.degree(v);
-  models_.resize(offsets_.back());
-  link_seeds_.resize(offsets_.back());
-  for (std::uint64_t l = 0; l < link_seeds_.size(); ++l)
-    link_seeds_[l] = util::counter_hash(seed_, l);
-  down_.resize(offsets_.back(), false);
-  crashed_.resize(g.num_nodes(), false);
-  crash_epochs_.resize(g.num_nodes(), 0);
 }
 
 void EventSim::check_half_edge(NodeId u, Port p, const char* who) const {
@@ -77,129 +55,164 @@ void EventSim::check_node(NodeId v, const char* who) const {
     throw std::invalid_argument(std::string(who) + ": node out of range");
 }
 
+const LinkModel& EventSim::model_of(std::uint64_t link) const {
+  const auto it =
+      lower(models_, link, [](const ModelOverride& o) { return o.link; });
+  return it != models_.end() && it->link == link ? it->model : default_model_;
+}
+
+bool EventSim::link_down(std::uint64_t link) const {
+  return std::binary_search(down_.begin(), down_.end(), link);
+}
+
+const EventSim::NodeCrash* EventSim::crash_state(NodeId v) const {
+  const auto it =
+      lower(crashes_, v, [](const NodeCrash& c) { return c.node; });
+  return it != crashes_.end() && it->node == v ? &*it : nullptr;
+}
+
 void EventSim::set_link_model(NodeId u, Port p, const LinkModel& m) {
   check_half_edge(u, p, "EventSim::set_link_model");
   validate_model(m, "EventSim::set_link_model");
-  models_[link_id(u, p)] = m;
+  const std::uint64_t link = graph_->half_edge_index(u, p);
+  auto it =
+      lower(models_, link, [](const ModelOverride& o) { return o.link; });
+  if (it != models_.end() && it->link == link)
+    it->model = m;
+  else
+    models_.insert(it, ModelOverride{link, m});
 }
 
 const LinkModel& EventSim::link_model(NodeId u, Port p) const {
   check_half_edge(u, p, "EventSim::link_model");
-  const auto& o = models_[link_id(u, p)];
-  return o ? *o : default_model_;
+  return model_of(graph_->half_edge_index(u, p));
 }
 
 void EventSim::set_link_up(NodeId u, Port p, bool up) {
   check_half_edge(u, p, "EventSim::set_link_up");
-  down_[link_id(u, p)] = !up;
+  const std::uint64_t link = graph_->half_edge_index(u, p);
+  const auto it = std::lower_bound(down_.begin(), down_.end(), link);
+  const bool listed = it != down_.end() && *it == link;
+  if (up && listed) down_.erase(it);
+  if (!up && !listed) down_.insert(it, link);
 }
 
 bool EventSim::link_up(NodeId u, Port p) const {
   check_half_edge(u, p, "EventSim::link_up");
-  return !down_[link_id(u, p)];
+  return !link_down(graph_->half_edge_index(u, p));
 }
 
 void EventSim::set_node_crashed(NodeId v, bool crashed) {
   check_node(v, "EventSim::set_node_crashed");
-  if (crashed_[v] && !crashed) ++crash_epochs_[v];  // recovery: amnesia
-  crashed_[v] = crashed;
+  auto it = lower(crashes_, v, [](const NodeCrash& c) { return c.node; });
+  if (it == crashes_.end() || it->node != v) {
+    if (!crashed) return;  // never crashed: nothing to recover from
+    it = crashes_.insert(it, NodeCrash{v, false, 0});
+  }
+  if (it->crashed && !crashed) ++it->epochs;  // recovery: amnesia
+  it->crashed = crashed;
 }
 
 bool EventSim::node_crashed(NodeId v) const {
   check_node(v, "EventSim::node_crashed");
-  return crashed_[v];
+  const NodeCrash* c = crash_state(v);
+  return c != nullptr && c->crashed;
 }
 
 std::uint64_t EventSim::crash_epochs(NodeId v) const {
   check_node(v, "EventSim::crash_epochs");
-  return crash_epochs_[v];
+  return epoch_of(v);
 }
 
 std::uint64_t EventSim::link_index(NodeId u, Port p) const {
   check_half_edge(u, p, "EventSim::link_index");
-  return link_id(u, p);
+  return graph_->half_edge_index(u, p);
 }
 
 void EventSim::record(std::string line) {
   if (trace_.size() < trace_limit_) trace_.push_back(std::move(line));
 }
 
-void EventSim::push(SimTime at, SimEvent ev) {
-  ev.time = at;
-  ev.seq = next_seq_++;
-  // The new seq is the largest, so the event pops after every queued
-  // event due at the same time: it goes in front of all of them.
-  queue_.insert(std::partition_point(
-                    queue_.begin(), queue_.end(),
-                    [at](const SimEvent& q) { return q.time > at; }),
-                ev);
+void EventSim::record_event(const char* outcome, const SimEvent& ev) {
+  record(outcome + to_string(ev));
 }
 
-void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
-  check_half_edge(from, out_port, "EventSim::send");
-  const std::uint64_t link = link_id(from, out_port);
-  const std::uint64_t event = next_send_++;
-  ++transmissions_;
-  auto stamp = [&](const char* outcome) {
-    if (trace_limit_ == 0) return;
-    record("S t=" + std::to_string(now_) + " ev=" + std::to_string(event) +
-           " link=" + std::to_string(from) + "." + std::to_string(out_port) +
-           " f=" + std::to_string(frame_id) + " " + outcome);
-  };
-  if (crashed_[from]) {  // a crashed node transmits nothing (no draws)
+void EventSim::stamp(std::uint64_t event, NodeId from, Port out_port,
+                     std::uint64_t frame_id, const char* outcome) {
+  record("S t=" + std::to_string(now_) + " ev=" + std::to_string(event) +
+         " link=" + std::to_string(from) + "." + std::to_string(out_port) +
+         " f=" + std::to_string(frame_id) + " " + outcome);
+}
+
+bool EventSim::drop_at_departure(NodeId from, Port out_port,
+                                 std::uint64_t event, std::uint64_t frame_id) {
+  const NodeCrash* c = crashes_.empty() ? nullptr : crash_state(from);
+  if (c != nullptr && c->crashed) {  // a crashed node transmits nothing
     ++frames_crashed_;
-    stamp("crash");
-    return;
+    if (trace_limit_ != 0) stamp(event, from, out_port, frame_id, "crash");
+    return true;
   }
-  if (down_[link]) {  // transmitting into a dead direction: nothing receives
+  if (link_down(graph_->half_edge_index(from, out_port))) {
+    // Transmitting into a dead direction: nothing receives.
     ++frames_lost_;
-    stamp("down");
-    return;
+    if (trace_limit_ != 0) stamp(event, from, out_port, frame_id, "down");
+    return true;
   }
-  const LinkModel& m = models_[link] ? *models_[link] : default_model_;
-  // Per-(link, event) stream: the schedule is a pure function of the seed
-  // and the call sequence (ROADMAP's deterministic-replay contract).  Draw
-  // order is fixed: loss, latency, dup, dup-latency, THEN the corruption
-  // draws — so at corrupt = 0 the stream is consumed exactly as pre-fault
-  // replays did (P11).
-  util::Pcg32 rng(util::counter_hash(link_seeds_[link], event));
-  if (m.loss > 0.0 && rng.next_double() < m.loss) {
-    ++frames_lost_;
-    stamp("lost");
-    return;
-  }
-  const graph::HalfEdge far = graph_->rotate(from, out_port);
-  SimEvent ev;
-  ev.kind = SimEventKind::kArrival;
-  ev.node = far.node;
-  ev.port = far.port;
-  ev.from = from;
-  ev.from_port = out_port;
-  ev.frame_id = frame_id;
-  const SimTime latency = draw_latency(m, rng);
-  SimEvent dup_ev;
-  SimTime dup_latency = 0;
+  return false;
+}
+
+void EventSim::transmit_copies(const LinkModel& m, util::Pcg32& rng,
+                               SimTime at, std::uint64_t event, NodeId from,
+                               Port out_port, std::uint64_t frame_id) {
+  Queued ev{at, 0, frame_id, from, out_port};
+  Queued dup = ev;
   const bool spawn_dup = m.dup > 0.0 && rng.next_double() < m.dup;
   if (spawn_dup) {
-    dup_ev = ev;
-    dup_ev.duplicate = true;
-    dup_latency = draw_latency(m, rng);
+    dup.time = now_ + draw_latency(m, rng);
+    dup.tag = kDuplicate;
   }
-  if (m.corrupt > 0.0 && rng.next_double() < m.corrupt) {
+  // The seeded bit-flip of a corrupted copy: one random bit of the frame
+  // id (the payload this simulator carries) is damaged; the `corrupted`
+  // flag is the frame check sequence catching it.
+  const auto damage = [&](Queued& e) {
     ++frames_corrupted_;
-    damage(ev, rng);
-  }
-  if (spawn_dup && m.corrupt > 0.0 && rng.next_double() < m.corrupt) {
-    ++frames_corrupted_;
-    damage(dup_ev, rng);
-  }
-  push(now_ + latency, ev);
-  stamp(ev.corrupted ? "sent corrupt" : "sent");
+    e.frame_id ^= 1ULL << rng.next_below(64);
+    e.tag |= kCorrupted;
+  };
+  if (m.corrupt > 0.0 && rng.next_double() < m.corrupt) damage(ev);
+  if (spawn_dup && m.corrupt > 0.0 && rng.next_double() < m.corrupt)
+    damage(dup);
+  ev.tag |= next_seq_++ << 2;
+  enqueue(ev);
+  if (trace_limit_ != 0)
+    stamp(event, from, out_port, frame_id,
+          (ev.tag & kCorrupted) != 0 ? "sent corrupt" : "sent");
   if (spawn_dup) {
     ++frames_duplicated_;
-    push(now_ + dup_latency, dup_ev);
-    stamp(dup_ev.corrupted ? "dup corrupt" : "dup");
+    dup.tag |= next_seq_++ << 2;
+    enqueue(dup);
+    if (trace_limit_ != 0)
+      stamp(event, from, out_port, frame_id,
+            (dup.tag & kCorrupted) != 0 ? "dup corrupt" : "dup");
   }
+}
+
+bool EventSim::drop_at_delivery(const SimEvent& ev) {
+  if (!down_.empty() &&
+      link_down(graph_->half_edge_index(ev.from, ev.from_port))) {
+    // The direction died while the frame was in flight.
+    ++frames_died_;
+    if (trace_limit_ != 0) record_event("D ", ev);
+    return true;
+  }
+  const NodeCrash* c = crashes_.empty() ? nullptr : crash_state(ev.node);
+  if (c != nullptr && c->crashed) {
+    // Nobody is listening at the far end at this delivery instant.
+    ++frames_crashed_;
+    if (trace_limit_ != 0) record_event("C ", ev);
+    return true;
+  }
+  return false;
 }
 
 void EventSim::schedule_fault(SimTime delay, const FaultAction& action) {
@@ -218,75 +231,29 @@ void EventSim::schedule_fault(SimTime delay, const FaultAction& action) {
             "EventSim::schedule_fault: corrupt outside [0, 1]");
       break;
   }
-  SimEvent ev;
-  ev.kind = SimEventKind::kFault;
-  ev.frame_id = fault_actions_.size();  // index into fault_actions_
+  // The entry's frame_id indexes the payload in fault_actions_.
+  enqueue({now_ + delay, next_seq_++ << 2, fault_actions_.size(), kFaultFrom,
+           0});
   fault_actions_.push_back(action);
-  push(now_ + delay, ev);
 }
 
 void EventSim::apply_fault(const FaultAction& f) {
   switch (f.kind) {
     case FaultAction::Kind::kCrash:
-      crashed_[f.node] = true;
-      break;
     case FaultAction::Kind::kRecover:
-      if (crashed_[f.node]) ++crash_epochs_[f.node];
-      crashed_[f.node] = false;
+      set_node_crashed(f.node, f.kind == FaultAction::Kind::kCrash);
       break;
     case FaultAction::Kind::kLinkDown:
-      down_[link_id(f.node, f.port)] = true;
-      break;
     case FaultAction::Kind::kLinkUp:
-      down_[link_id(f.node, f.port)] = false;
+      set_link_up(f.node, f.port, f.kind == FaultAction::Kind::kLinkUp);
       break;
     case FaultAction::Kind::kGlobalCorrupt:
       default_model_.corrupt = f.corrupt;
-      for (auto& o : models_)
-        if (o) o->corrupt = f.corrupt;
+      for (ModelOverride& o : models_) o.model.corrupt = f.corrupt;
       break;
   }
   if (trace_limit_ != 0)
     record("F t=" + std::to_string(now_) + " " + to_string(f));
-}
-
-std::optional<SimEvent> EventSim::next_before(const Deadline& d) {
-  if (auto ev = pop_before(d)) return ev;
-  now_ = std::max(now_, d.time);
-  return std::nullopt;
-}
-
-std::optional<SimEvent> EventSim::next() {
-  return pop_before({kForever, kForever});
-}
-
-std::optional<SimEvent> EventSim::pop_before(const Deadline& d) {
-  while (!queue_.empty() &&
-         Deadline{queue_.back().time, queue_.back().seq} < d) {
-    const SimEvent ev = queue_.back();
-    queue_.pop_back();
-    now_ = ev.time;
-    if (ev.kind == SimEventKind::kFault) {
-      apply_fault(fault_actions_[ev.frame_id]);
-      continue;
-    }
-    if (down_[link_id(ev.from, ev.from_port)]) {
-      // The direction died while the frame was in flight.
-      ++frames_died_;
-      if (trace_limit_ != 0) record("D " + to_string(ev));
-      continue;
-    }
-    if (crashed_[ev.node]) {
-      // Nobody is listening at the far end at this delivery instant.
-      ++frames_crashed_;
-      if (trace_limit_ != 0) record("C " + to_string(ev));
-      continue;
-    }
-    ++frames_delivered_;
-    if (trace_limit_ != 0) record("E " + to_string(ev));
-    return ev;
-  }
-  return std::nullopt;
 }
 
 std::string to_string(const SimEvent& ev) {

@@ -17,8 +17,16 @@
 //     from Pcg32(counter_hash(counter_hash(seed, l), k)) — per-(link,
 //     event) streams, never a shared one (the PR 3 RNG convention), so a
 //     replay that re-issues the same sends re-draws the same losses,
-//     latencies and duplicates.  The inner per-link hash is tabled once
-//     at construction.
+//     latencies and duplicates.  Link l is Graph::half_edge_index(u, p)
+//     (3u + p on a cubic graph) and both hashes run at send time, so the
+//     simulator keeps no per-link or per-node table: its state is O(1) in
+//     the graph, plus one small sorted entry per link override, downed
+//     link and fault-named node.
+//   * The frame path — send, the sorted enqueue and the pops — is inline
+//     in this header, so an ARQ loop (net/window.h) compiles it into its
+//     own body.  Traces, dup/corrupt draws, faults and the override,
+//     downed-link and crash lookups are out-of-line calls it makes only
+//     when they apply.
 //
 // Channel model, per DIRECTED link (departure half-edge (u, out_port); the
 // reverse direction (v, in_port) is an independent link):
@@ -59,6 +67,7 @@
 // this is DESIGN.md §2.10.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -66,6 +75,7 @@
 
 #include "graph/graph.h"
 #include "net/transport.h"
+#include "util/rng.h"
 
 namespace uesr::net {
 
@@ -129,6 +139,8 @@ struct SimEvent {
   bool corrupted = false;
 };
 
+class WindowTransport;
+
 class EventSim {
  public:
   /// The graph must outlive the simulator.  `defaults` applies to every
@@ -142,6 +154,7 @@ class EventSim {
 
   /// Overrides the channel model of the directed link departing (u, p).
   void set_link_model(graph::NodeId u, graph::Port p, const LinkModel& m);
+  /// The reference is valid until the next set_link_model.
   const LinkModel& link_model(graph::NodeId u, graph::Port p) const;
 
   /// One-sided connectivity flip: disables/enables ONLY the direction
@@ -164,15 +177,20 @@ class EventSim {
   /// silently (never returns it).  The FaultPlan backend (net/faults.h).
   void schedule_fault(SimTime delay, const FaultAction& action);
 
-  /// Dense index of the directed link departing (u, p): the link key of
-  /// its (seed, link, event)-keyed channel draws.
+  /// Dense index of the directed link departing (u, p) — the graph's
+  /// half_edge_index: the link key of its (seed, link, event)-keyed
+  /// channel draws.
   std::uint64_t link_index(graph::NodeId u, graph::Port p) const;
 
   /// Puts one frame on the directed link (from, out_port) at now().
   /// Counts one transmission unconditionally — lost frames were really
   /// sent.  The channel then draws loss / latency / duplication from the
   /// (seed, link, event)-keyed stream.
-  void send(graph::NodeId from, graph::Port out_port, std::uint64_t frame_id);
+  void send(graph::NodeId from, graph::Port out_port,
+            std::uint64_t frame_id) {
+    check_half_edge(from, out_port, "EventSim::send");
+    transmit(from, out_port, frame_id);
+  }
 
   /// The instant now() + delay, placed in the queue order as an event
   /// pushed right now would be: after every queued event due at that time,
@@ -186,11 +204,17 @@ class EventSim {
   /// faults are applied — the scan continues past all of them.  Returns
   /// nullopt when nothing deliverable precedes `d`: the deadline fired,
   /// and now() has moved to its time (never backwards).
-  std::optional<SimEvent> next_before(const Deadline& d);
+  std::optional<SimEvent> next_before(const Deadline& d) {
+    if (auto ev = pop_before(d)) return ev;
+    now_ = std::max(now_, d.time);
+    return std::nullopt;
+  }
 
   /// next_before() with no deadline: returns nullopt only once the queue
   /// is empty, leaving now() at the last event popped.
-  std::optional<SimEvent> next();
+  std::optional<SimEvent> next() {
+    return pop_before({~SimTime{0}, ~std::uint64_t{0}});
+  }
 
   /// Events (arrivals + faults) still queued.
   std::size_t pending() const { return queue_.size(); }
@@ -215,31 +239,101 @@ class EventSim {
   const std::vector<std::string>& trace() const { return trace_; }
 
  private:
-  std::uint64_t link_id(graph::NodeId u, graph::Port p) const {
-    return offsets_[u] + p;
-  }
+  /// The ARQ validates its half-edge once per transfer, then drives the
+  /// unchecked frame path below.
+  friend class WindowTransport;
+
+  /// One queued event, 32 B.  An arrival's landing half-edge is
+  /// rotate(from, from_port), recomputed at pop.  The tag keeps the seq
+  /// in 62 bits (at a push per nanosecond, 146 years of pushes).
+  struct Queued {
+    SimTime time = 0;
+    std::uint64_t tag = 0;       ///< seq << 2 | duplicate << 1 | corrupted
+    std::uint64_t frame_id = 0;  ///< a fault's index into fault_actions_
+    graph::NodeId from = 0;      ///< kFaultFrom marks a scheduled fault
+    graph::Port from_port = 0;
+  };
+  static_assert(sizeof(Queued) == 32);
+  static constexpr graph::NodeId kFaultFrom = ~graph::NodeId{0};
+  static constexpr std::uint64_t kDuplicate = 2;
+  static constexpr std::uint64_t kCorrupted = 1;
+
+  struct ModelOverride {
+    std::uint64_t link = 0;
+    LinkModel model{};
+  };
+  /// State of a node some crash or recovery has named.
+  struct NodeCrash {
+    graph::NodeId node = 0;
+    bool crashed = false;
+    std::uint64_t epochs = 0;  ///< recoveries seen (the amnesia stamp)
+  };
+
   void check_half_edge(graph::NodeId u, graph::Port p, const char* who) const;
   void check_node(graph::NodeId v, const char* who) const;
-  void push(SimTime at, SimEvent ev);
+
+  /// send() after validation: the one frame path.
+  void transmit(graph::NodeId from, graph::Port out_port,
+                std::uint64_t frame_id);
+  /// Drops a send a crashed sender or downed link stops (counting and
+  /// tracing it); false when the frame leaves.
+  bool drop_at_departure(graph::NodeId from, graph::Port out_port,
+                         std::uint64_t event, std::uint64_t frame_id);
+  /// The dup and corrupt draws of a send, after its loss and latency
+  /// draws, then its one or two pushes.
+  void transmit_copies(const LinkModel& m, util::Pcg32& rng, SimTime at,
+                       std::uint64_t event, graph::NodeId from,
+                       graph::Port out_port, std::uint64_t frame_id);
+  const LinkModel& model_of(std::uint64_t link) const;
+  bool link_down(std::uint64_t link) const;
+  const NodeCrash* crash_state(graph::NodeId v) const;
+  /// crash_epochs(v) for a node known to be in range.
+  std::uint64_t epoch_of(graph::NodeId v) const {
+    if (crashes_.empty()) return 0;
+    const NodeCrash* c = crash_state(v);
+    return c ? c->epochs : 0;
+  }
+
+  void enqueue(const Queued& e) {
+    // The new seq is the largest, so the event pops after every queued
+    // event due at the same time: it goes in front of all of them.
+    queue_.insert(std::partition_point(
+                      queue_.begin(), queue_.end(),
+                      [t = e.time](const Queued& q) { return q.time > t; }),
+                  e);
+  }
   /// The one pop loop behind next() and next_before(); leaves now() at
   /// the last event it popped.
   std::optional<SimEvent> pop_before(const Deadline& d);
+  /// Drops an arrival whose link died in flight or whose node is down
+  /// (counting and tracing it); false when it is delivered.
+  bool drop_at_delivery(const SimEvent& ev);
   void apply_fault(const FaultAction& f);
+  void stamp(std::uint64_t event, graph::NodeId from, graph::Port out_port,
+             std::uint64_t frame_id, const char* outcome);
   void record(std::string line);
+  /// Traces a popped arrival: "E " delivered, "D " died, "C " crashed.
+  void record_event(const char* outcome, const SimEvent& ev);
+
+  static SimTime draw_latency(const LinkModel& m, util::Pcg32& rng) {
+    const SimTime span = m.latency_max - m.latency_min;
+    if (span == 0) return m.latency_min;
+    // validate_model keeps span + 1 within 32 bits.
+    return m.latency_min +
+           rng.next_below(static_cast<std::uint32_t>(span + 1));
+  }
 
   const graph::Graph* graph_;
   std::uint64_t seed_;
   LinkModel default_model_;
-  std::vector<std::size_t> offsets_;  ///< per-node half-edge offsets (n + 1)
-  std::vector<std::uint64_t> link_seeds_;  ///< counter_hash(seed_, link)
-  /// Sparse per-link overrides / down flags, indexed by link id.
-  std::vector<std::optional<LinkModel>> models_;
-  std::vector<bool> down_;
-  std::vector<bool> crashed_;                ///< per-node crash flags
-  std::vector<std::uint64_t> crash_epochs_;  ///< per-node recovery counts
+  /// Sparse state, each sorted by its key: per-link overrides, downed
+  /// links, and the nodes a crash or recovery has named.
+  std::vector<ModelOverride> models_;
+  std::vector<std::uint64_t> down_;
+  std::vector<NodeCrash> crashes_;
 
   /// Sorted by descending (time, seq): next() pops the back.
-  std::vector<SimEvent> queue_;
+  std::vector<Queued> queue_;
   std::vector<FaultAction> fault_actions_;  ///< payloads of queued kFault
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;   ///< push-order ids (events and deadlines)
@@ -256,6 +350,68 @@ class EventSim {
   std::size_t trace_limit_ = 0;
   std::vector<std::string> trace_;
 };
+
+// Forced inline: the ARQ calls it from three sites, and GCC's size
+// heuristic would otherwise keep it a call on every wire frame.
+[[gnu::always_inline]] inline void EventSim::transmit(
+    graph::NodeId from, graph::Port out_port, std::uint64_t frame_id) {
+  const std::uint64_t event = next_send_++;
+  ++transmissions_;
+  if ((!crashes_.empty() || !down_.empty()) &&
+      drop_at_departure(from, out_port, event, frame_id))
+    return;
+  const std::uint64_t link = graph_->half_edge_index(from, out_port);
+  const LinkModel& m = models_.empty() ? default_model_ : model_of(link);
+  // Per-(link, event) stream: the schedule is a pure function of the seed
+  // and the call sequence (ROADMAP's deterministic-replay contract).  Draw
+  // order is fixed: loss, latency, dup, dup-latency, THEN the corruption
+  // draws — so at corrupt = 0 the stream is consumed exactly as pre-fault
+  // replays did (P11).
+  util::Pcg32 rng(util::counter_hash(util::counter_hash(seed_, link), event));
+  if (m.loss > 0.0 && rng.next_double() < m.loss) {
+    ++frames_lost_;
+    if (trace_limit_ != 0) stamp(event, from, out_port, frame_id, "lost");
+    return;
+  }
+  const SimTime at = now_ + draw_latency(m, rng);
+  if (m.dup > 0.0 || m.corrupt > 0.0) {
+    transmit_copies(m, rng, at, event, from, out_port, frame_id);
+    return;
+  }
+  enqueue({at, next_seq_++ << 2, frame_id, from, out_port});
+  if (trace_limit_ != 0) stamp(event, from, out_port, frame_id, "sent");
+}
+
+inline std::optional<SimEvent> EventSim::pop_before(const Deadline& d) {
+  while (!queue_.empty()) {
+    const Queued q = queue_.back();
+    if (!(q.time < d.time || (q.time == d.time && (q.tag >> 2) < d.seq)))
+      break;
+    queue_.pop_back();
+    now_ = q.time;
+    if (q.from == kFaultFrom) {
+      apply_fault(fault_actions_[q.frame_id]);
+      continue;
+    }
+    const graph::HalfEdge far = graph_->rotate(q.from, q.from_port);
+    SimEvent ev;
+    ev.time = q.time;
+    ev.seq = q.tag >> 2;
+    ev.node = far.node;
+    ev.port = far.port;
+    ev.from = q.from;
+    ev.from_port = q.from_port;
+    ev.frame_id = q.frame_id;
+    ev.duplicate = (q.tag & kDuplicate) != 0;
+    ev.corrupted = (q.tag & kCorrupted) != 0;
+    if ((!down_.empty() || !crashes_.empty()) && drop_at_delivery(ev))
+      continue;
+    ++frames_delivered_;
+    if (trace_limit_ != 0) record_event("E ", ev);
+    return ev;
+  }
+  return std::nullopt;
+}
 
 /// One-line rendering of an event ("t=12 seq=3 arr node=4 port=1 ...") —
 /// the unit the replay regression tests serialize and diff.

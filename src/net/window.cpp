@@ -48,6 +48,11 @@ WindowTransport::WindowTransport(const graph::Graph& g, std::uint64_t seed,
 
 WindowOutcome WindowTransport::send(graph::NodeId from,
                                     graph::Port out_port) {
+  // One check per transfer: every DATA copy leaves on (from, out_port) and
+  // every ACK on the half-edge rotate() returns for it, so the frame path
+  // below runs unchecked.
+  sim_.check_half_edge(from, out_port, "WindowTransport::send");
+  const graph::HalfEdge back = sim_.graph().rotate(from, out_port);
   const std::uint64_t k = transfers_++;
   const std::uint32_t F = options_.frames_per_message;
   WindowOutcome out;
@@ -67,13 +72,12 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
   // the receiving node's crash epoch moves; [0, cum) is the durable
   // delivered prefix.
   std::uint32_t cum = 0;  // frames [0, cum) delivered in order
-  const graph::NodeId rx = sim_.graph().rotate(from, out_port).node;
-  std::uint64_t rx_epoch = sim_.crash_epochs(rx);
+  std::uint64_t rx_epoch = sim_.epoch_of(back.node);
 
   const auto launch = [&](std::uint32_t f) {
     FrameState& fs = frame_[f];
     fs.sent_at = sim_.now();
-    sim_.send(from, out_port, data_id(k, f));
+    sim_.transmit(from, out_port, data_id(k, f));
     ++out.data_copies;
     fs.deadline = sim_.deadline(estimator_.rto());
   };
@@ -142,8 +146,9 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
       // Receiver: amnesia check first — a crash/recovery since the last
       // arrival wiped the volatile out-of-order buffer (the durable
       // prefix [0, cum) survives, so nothing is ever delivered twice).
-      if (sim_.crash_epochs(ev->node) != rx_epoch) {
-        rx_epoch = sim_.crash_epochs(ev->node);
+      if (const std::uint64_t epoch = sim_.epoch_of(back.node);
+          epoch != rx_epoch) {
+        rx_epoch = epoch;
         ++out.receiver_resets;
         for (std::uint32_t j = cum; j < F; ++j) frame_[j].received = false;
       }
@@ -155,7 +160,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
         while (cum < F && frame_[cum].received) ++cum;
       }
       if (cum == F) out.message_arrived = true;
-      sim_.send(ev->node, ev->port, ack_id(k, f, cum));
+      sim_.transmit(back.node, back.port, ack_id(k, f, cum));
       ++out.ack_copies;
       continue;
     }

@@ -129,7 +129,9 @@ class WindowTransport {
   /// One selective-repeat message transfer across the edge at
   /// (from, out_port), blocking in VIRTUAL time: drives the simulator
   /// until every frame is acked or some frame's retry budget is spent.
-  /// Every DATA and ACK copy counts one wire transmission.
+  /// Every DATA and ACK copy counts one wire transmission.  Throws
+  /// std::invalid_argument ("WindowTransport::send: ...") for a half-edge
+  /// outside the graph, before anything is read or sent.
   WindowOutcome send(graph::NodeId from, graph::Port out_port);
 
   /// Total wire frames (DATA + ACK copies, lost ones included).

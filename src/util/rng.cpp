@@ -1,41 +1,6 @@
 #include "util/rng.h"
 
-#include <stdexcept>
-
 namespace uesr::util {
-
-Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream) : state_(0), inc_((stream << 1u) | 1u) {
-  next();
-  state_ += seed;
-  next();
-}
-
-std::uint32_t Pcg32::next() {
-  std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  std::uint32_t xorshifted =
-      static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-  std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-std::uint32_t Pcg32::next_below(std::uint32_t bound) {
-  if (bound == 0) throw std::invalid_argument("Pcg32::next_below: bound == 0");
-  // Lemire-style rejection for an unbiased draw.
-  std::uint32_t threshold = (-bound) % bound;
-  for (;;) {
-    std::uint32_t r = next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
-double Pcg32::next_double() {
-  // 53 random bits into [0,1).
-  std::uint64_t hi = next();
-  std::uint64_t lo = next();
-  std::uint64_t bits = ((hi << 32) | lo) >> 11;
-  return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
-}
 
 std::uint64_t Pcg32::next_u64() {
   std::uint64_t hi = next();

@@ -58,15 +58,43 @@ class Pcg32 {
  public:
   using result_type = std::uint32_t;
 
-  explicit Pcg32(std::uint64_t seed, std::uint64_t stream = 0xda3e39cb94b95bdbULL);
+  explicit Pcg32(std::uint64_t seed,
+                 std::uint64_t stream = 0xda3e39cb94b95bdbULL)
+      : state_(0), inc_((stream << 1u) | 1u) {
+    next();
+    state_ += seed;
+    next();
+  }
 
-  std::uint32_t next();
+  std::uint32_t next() {
+    const std::uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    const auto xorshifted =
+        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+    const auto rot = static_cast<std::uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased (rejection).
-  std::uint32_t next_below(std::uint32_t bound);
+  std::uint32_t next_below(std::uint32_t bound) {
+    if (bound == 0)
+      throw std::invalid_argument("Pcg32::next_below: bound == 0");
+    // Lemire-style rejection for an unbiased draw.
+    const std::uint32_t threshold = (-bound) % bound;
+    for (;;) {
+      const std::uint32_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    // 53 random bits into [0,1).
+    const std::uint64_t hi = next();
+    const std::uint64_t lo = next();
+    const std::uint64_t bits = ((hi << 32) | lo) >> 11;
+    return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
+  }
 
   /// Uniform 64-bit value.
   std::uint64_t next_u64();

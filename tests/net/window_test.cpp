@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "explore/degree_reduce.h"
 #include "graph/generators.h"
 #include "net/faults.h"
 #include "net/rto.h"
@@ -412,6 +413,38 @@ TEST(WindowTransport, ValidatesOptions) {
   opts = {};
   opts.max_retries = 0xffff;
   EXPECT_THROW(WindowTransport(g, 1, {}, opts), std::invalid_argument);
+}
+
+/// The named error `send(from, port)` must throw, before it reads the
+/// graph or puts anything on the wire.
+void expect_rejected(WindowTransport& arq, NodeId from, Port port,
+                     const std::string& what) {
+  try {
+    arq.send(from, port);
+    ADD_FAILURE() << "send(" << from << ", " << port << ") did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "WindowTransport::send: " + what);
+  }
+  EXPECT_EQ(arq.frames(), 0u);
+}
+
+TEST(WindowTransport, SendRejectsHostileHalfEdge) {
+  // A cubic reduction (the packed 3v + p layout) and a generic graph (the
+  // CSR layout), each probed past its last node and past a node's degree.
+  const explore::ReducedGraph red =
+      explore::reduce_to_cubic(graph::grid(3, 3));
+  const Graph generic = graph::from_edges(3, {{0, 1}, {1, 2}});
+  for (const Graph* g : {&red.cubic, &generic}) {
+    SCOPED_TRACE(g->is_cubic() ? "cubic" : "generic");
+    WindowTransport arq(*g, 5);
+    const NodeId n = g->num_nodes();
+    expect_rejected(arq, n, 0, "node out of range");
+    expect_rejected(arq, n + 1000, 0, "node out of range");
+    expect_rejected(arq, 0, g->degree(0), "port out of range");
+    expect_rejected(arq, n - 1, 1000, "port out of range");
+    // A valid half-edge still transfers afterwards.
+    EXPECT_TRUE(arq.send(0, 0).delivered);
+  }
 }
 
 TEST(WindowTransport, FullCorruptionDegradesToLossAndDiesOnBudget) {
