@@ -90,7 +90,9 @@ int main(int argc, char** argv) {
   sweep(graph::connected_gnp(24, 0.18, 41), kPairs, threads);
 
   std::cout << "\n### 2x gnp n=12 (split): crash rate x corruption rate\n\n";
-  sweep(bench::two_component_gnp(12, 0.3, 43), kPairs, threads);
+  sweep(graph::disjoint_union(graph::connected_gnp(12, 0.3, 43),
+                              graph::connected_gnp(12, 0.3, 44)),
+        kPairs, threads);
 
   std::cout << "\nunsound == 0 in every cell: no crash schedule or "
                "corruption level produced a verdict contradicting the "

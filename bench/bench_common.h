@@ -17,11 +17,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "graph/generators.h"
-#include "graph/graph.h"
 #include "util/cli.h"
 #include "util/parallel.h"
 
@@ -62,26 +58,6 @@ inline void report_threads(unsigned threads) {
   std::cout << "threads: " << threads
             << "  (override with --threads=N or UESR_THREADS; results are "
                "thread-count invariant)\n";
-}
-
-/// Two gnp components (seeds `seed` and `seed + 1`) in one namespace, the
-/// second's vertex v at half + v: cross-component pairs exercise the
-/// failure certificate (E13, E15).
-inline graph::Graph two_component_gnp(graph::NodeId half, double p,
-                                      std::uint64_t seed) {
-  const graph::Graph a = graph::connected_gnp(half, p, seed);
-  const graph::Graph b = graph::connected_gnp(half, p, seed + 1);
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
-  for (const graph::Graph* g : {&a, &b}) {
-    const graph::NodeId base = g == &b ? half : 0;
-    for (graph::NodeId v = 0; v < g->num_nodes(); ++v)
-      for (graph::Port q = 0; q < g->degree(v); ++q) {
-        const graph::HalfEdge far = g->rotate(v, q);
-        if (far.node > v || (far.node == v && far.port >= q))
-          edges.emplace_back(base + v, base + far.node);
-      }
-  }
-  return graph::from_edges(2 * half, edges);
 }
 
 }  // namespace uesr::bench

@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> graphs;
   graphs.push_back({"gnp n=24 (connected)", graph::connected_gnp(24, 0.18, 41)});
-  graphs.push_back(
-      {"2x gnp n=12 (split)", bench::two_component_gnp(12, 0.3, 43)});
+  graphs.push_back({"2x gnp n=12 (split)",
+                    graph::disjoint_union(graph::connected_gnp(12, 0.3, 43),
+                                          graph::connected_gnp(12, 0.3, 44))});
 
   for (const Row& row : graphs) {
     std::cout << "\n### " << row.name << "\n\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "explore/walker.h"
 
@@ -16,6 +17,12 @@ using graph::Port;
 namespace {
 
 Port mod3(Symbol t) { return static_cast<Port>(t < 3 ? t : t % 3); }
+
+/// t_j mod 3 read from a prefix holding it (1 <= j <= its length).
+Port prefix_symbol(const std::uint64_t* prefix, std::uint64_t j) {
+  const std::uint64_t k = j - 1;
+  return static_cast<Port>((prefix[k >> 5] >> (2 * (k & 31))) & 3);
+}
 
 }  // namespace
 
@@ -48,6 +55,7 @@ void MultiWalkArena::check_pair(NodeId s, NodeId t) const {
 }
 
 void MultiWalkArena::restart(std::size_t w, NodeId s, NodeId t) {
+  check_walks(&w, 1);
   check_pair(s, t);
   pos_[w] = graph::pack_rot3(net_->entry_gadget(s), 0);  // pre-injection
   flags_[w] = 0;
@@ -90,110 +98,145 @@ Port MultiWalkArena::symbol_miss(std::uint64_t j) {
       prefix_[k >> 5] |= std::uint64_t{mod3(fresh[i])} << (2 * (k & 31));
   }
   prefix_len_ = len;
-  return lane_symbol(j);
+  return prefix_symbol(prefix_.data(), j);
 }
 
-template <bool kIsBackward>
-bool MultiWalkArena::step_lane(std::size_t w) {
-  std::uint8_t flags = flags_[w];
-  const graph::HalfEdge at = graph::unpack_rot3(pos_[w]);
-  // Injection (s sends along d_0: port 0, which a pre-injection position
-  // carries) and the turn-around (resend over the arrival port) both leave
-  // through the position's own port.
-  Port out = at.port;
-  if constexpr (!kIsBackward) {
-    if ((flags & kInjected) == 0) {
-      flags_[w] = flags | kInjected;  // consumes no symbol
-    } else if (at_target(w, at.node)) {
-      // Arrival processing at the head of d_j: turn around, index kept.
-      flags |= kBackward | kSuccess;
-      flags_[w] = flags;
-    } else if (index_[w] >= seq_length_) {
-      flags |= kBackward;
-      flags_[w] = flags;
-    } else {
-      const std::uint64_t next = index_[w] + 1;
-      index_[w] = next;
-      out = advance_port(out, lane_symbol(next), 3);
-    }
-  } else {
-    const std::uint64_t j = index_[w];
-    if (j == 0) {
-      // Fully rewound at s: terminate — a free bookkeeping step.
-      flags_[w] = flags | kFinished;
-      return false;
-    }
-    out = wrap_port(out + 3 - lane_symbol(j), 3);
-    index_[w] = j - 1;
-  }
-  // The step: the far end's packed word is the new position, verbatim.
-  const std::uint32_t next = rot3_[3 * static_cast<std::size_t>(at.node) + out];
-  pos_[w] = next;
-  prefetch_node(graph::unpack_rot3(next).node);
-  if constexpr (!kIsBackward) return (flags & kBackward) != 0;
-  return true;
+void MultiWalkArena::check_walks(const std::size_t* walks,
+                                 std::size_t count) const {
+  for (std::size_t k = 0; k < count; ++k)
+    if (walks[k] >= pos_.size())
+      throw std::invalid_argument(
+          "MultiWalkArena: walk id " + std::to_string(walks[k]) +
+          " out of range (" + std::to_string(pos_.size()) + " walks)");
 }
 
 void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
                                 const std::uint64_t* budgets) {
+  check_walks(walks, count);
+  // Shared state lives in locals: the block's rows are local arrays too,
+  // so no store in the sweeps can alias a member and nothing is reloaded
+  // from *this per step.  Only symbol_miss() touches the prefix — it may
+  // reallocate it — so `symbol` re-reads both prefix copies after it.
+  const std::uint32_t* const rot3 = rot3_;
+  const std::uint64_t seq_length = seq_length_;
+  const std::uint64_t* prefix = prefix_.data();
+  std::uint64_t prefix_len = prefix_len_;
+  auto symbol = [&](std::uint64_t j) {  // t_j mod 3, 1 <= j <= seq_length
+    if (j <= prefix_len) [[likely]]
+      return prefix_symbol(prefix, j);
+    const Port t = symbol_miss(j);
+    prefix = prefix_.data();
+    prefix_len = prefix_len_;
+    return t;
+  };
+  // Warms the landing gadget's rotation words one slot ahead of their use.
+  // One line is enough: the 12 B span crosses a line boundary only when
+  // 12v mod 64 is 56 or 60, for 2 gadgets in 16.
+  auto prefetch = [rot3](std::uint32_t position) {
+    __builtin_prefetch(rot3 + 3 * static_cast<std::size_t>(position >> 2), 0,
+                       1);
+  };
   for (std::size_t base = 0; base < count; base += kBlockLanes) {
     const std::size_t lanes = std::min(kBlockLanes, count - base);
+    const std::size_t* walk = walks + base;
     const std::uint64_t* budget = budgets + base;
-    // Lanes live in direction-partitioned lists (scratch-row indices):
-    // interleaved directions would make the forward/backward branch
-    // effectively random per step, and the mispredicts would dominate the
-    // sweep.  Every step consumes exactly one
-    // slot (the backward terminate consumes zero and retires its lane),
-    // so the slot index doubles as every live lane's spent budget — no
-    // per-lane accounting on the hot path.  Budget retirements happen in
-    // a separate pass, only at the slots where the smallest live budget
-    // runs out (`next_stop`).
-    std::size_t fwd_a[kBlockLanes];
-    std::size_t fwd_b[kBlockLanes];
-    std::size_t bwd_a[kBlockLanes];
-    std::size_t bwd_b[kBlockLanes];
-    std::size_t* fwd = fwd_a;
-    std::size_t* bwd = bwd_a;
-    std::size_t* fwd_next = fwd_b;
-    std::size_t* bwd_next = bwd_b;
+    // Block-resident rows, indexed by lane: read once here, stepped in
+    // place, written back once when the block ends (walk ids are distinct,
+    // so no two lanes share a row).  `spent` is the lane's transmissions
+    // this call, added to tx_ at write-back.
+    std::uint32_t pos[kBlockLanes];
+    std::uint64_t index[kBlockLanes];
+    std::uint8_t flags[kBlockLanes];
+    GadgetRange target[kBlockLanes];
+    std::uint64_t spent[kBlockLanes];
+    std::uint64_t loaded = 0;  // bit r: lane r steps and is written back
+    // Lanes live in direction-partitioned lists: interleaved directions
+    // would make the forward/backward branch effectively random per step,
+    // and the mispredicts would dominate the sweep.  Every step consumes
+    // exactly one slot (the backward terminate consumes zero and retires
+    // its lane), so the slot index doubles as every live lane's spent
+    // budget — no per-lane accounting on the hot path.  Budget
+    // retirements happen in a separate pass, only at the slots where the
+    // smallest live budget runs out (`next_stop`).
+    static_assert(kBlockLanes <= 64, "one `loaded` bit per lane");
+    std::uint8_t lists[4][kBlockLanes];
+    std::uint8_t* fwd = lists[0];
+    std::uint8_t* bwd = lists[1];
+    std::uint8_t* fwd_next = lists[2];
+    std::uint8_t* bwd_next = lists[3];
     std::size_t nf = 0;
     std::size_t nb = 0;
     std::uint64_t next_stop = ~std::uint64_t{0};
     for (std::size_t r = 0; r < lanes; ++r) {
-      const std::size_t w = walks[base + r];
-      if (finished(w) || budget[r] == 0) continue;
-      if ((flags_[w] & kBackward) != 0)
-        bwd[nb++] = r;
+      const std::size_t w = walk[r];
+      if ((flags_[w] & kFinished) != 0 || budget[r] == 0) continue;
+      loaded |= std::uint64_t{1} << r;
+      pos[r] = pos_[w];
+      index[r] = index_[w];
+      flags[r] = flags_[w];
+      target[r] = target_[w];
+      spent[r] = 0;
+      if ((flags[r] & kBackward) != 0)
+        bwd[nb++] = static_cast<std::uint8_t>(r);
       else
-        fwd[nf++] = r;
+        fwd[nf++] = static_cast<std::uint8_t>(r);
       next_stop = std::min(next_stop, budget[r]);
-      prefetch_node(gadget(w));  // warm the first slot's rotation loads
+      prefetch(pos[r]);  // warm the first slot's rotation loads
     }
     for (std::uint64_t slot = 0; nf + nb > 0; ++slot) {
-      // Step sweep: one transmission slot for each live lane; each step
-      // prefetches its landing node's rotation words for the next slot.
+      // Step sweep: one transmission slot for each live lane.  Injection
+      // (s sends along d_0: port 0, which a pre-injection position
+      // carries) and the turn-around (resend over the arrival port) both
+      // leave through the position's own port; the far end's packed word
+      // is the new position, verbatim.
       std::size_t nf2 = 0;
       std::size_t nb2 = 0;
       for (std::size_t k = 0; k < nf; ++k) {
-        const std::size_t r = fwd[k];
-        if (step_lane<false>(walks[base + r]))
+        const std::uint8_t r = fwd[k];
+        const graph::HalfEdge at = graph::unpack_rot3(pos[r]);
+        Port out = at.port;
+        std::uint8_t f = flags[r];
+        if ((f & kInjected) == 0) {
+          f |= kInjected;  // consumes no symbol
+        } else if (at.node - target[r].first < target[r].count) {
+          // Arrival processing at the head of d_j: turn around, index kept.
+          f |= kBackward | kSuccess;
+        } else if (index[r] >= seq_length) {
+          f |= kBackward;
+        } else {
+          const std::uint64_t j = index[r] + 1;
+          index[r] = j;
+          out = advance_port(out, symbol(j), 3);
+        }
+        flags[r] = f;
+        const std::uint32_t next = rot3[3 * std::size_t{at.node} + out];
+        pos[r] = next;
+        prefetch(next);
+        if ((f & kBackward) != 0)
           bwd_next[nb2++] = r;
         else
           fwd_next[nf2++] = r;
       }
       for (std::size_t k = 0; k < nb; ++k) {
-        const std::size_t r = bwd[k];
-        const std::size_t w = walks[base + r];
-        if (step_lane<true>(w)) {
-          bwd_next[nb2++] = r;
-        } else {
-          // The free terminate: the walk finished having spent one slot
-          // per prior sweep this call.  A lane whose budget runs out
-          // mid-rewind instead leaves the terminate for the next call —
-          // exactly the scalar engine-loop semantics (completed_at is
-          // unaffected: the terminate uses zero slots).
-          tx_[w] += slot;
+        const std::uint8_t r = bwd[k];
+        const std::uint64_t j = index[r];
+        if (j == 0) {
+          // Fully rewound at s: terminate — a free bookkeeping step.  The
+          // walk spent one slot per prior sweep this call.  A lane whose
+          // budget runs out mid-rewind instead leaves the terminate for
+          // the next call — exactly the scalar engine-loop semantics
+          // (completed_at is unaffected: the terminate uses zero slots).
+          flags[r] |= kFinished;
+          spent[r] = slot;
+          continue;
         }
+        const graph::HalfEdge at = graph::unpack_rot3(pos[r]);
+        const Port out = wrap_port(at.port + 3 - symbol(j), 3);
+        index[r] = j - 1;
+        const std::uint32_t next = rot3[3 * std::size_t{at.node} + out];
+        pos[r] = next;
+        prefetch(next);
+        bwd_next[nb2++] = r;
       }
       std::swap(fwd, fwd_next);
       std::swap(bwd, bwd_next);
@@ -202,14 +245,14 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       if (slot + 1 < next_stop) continue;
       // Budget sweep: lanes whose budget this slot spent leave the block
       // having spent one slot per sweep; the rest set the next stop.
-      const std::uint64_t spent = slot + 1;
+      const std::uint64_t used = slot + 1;
       next_stop = ~std::uint64_t{0};
-      auto retire_spent = [&](std::size_t* list, std::size_t& len) {
+      auto retire_spent = [&](std::uint8_t* list, std::size_t& len) {
         std::size_t kept = 0;
         for (std::size_t k = 0; k < len; ++k) {
-          const std::size_t r = list[k];
-          if (budget[r] == spent) {
-            tx_[walks[base + r]] += spent;
+          const std::uint8_t r = list[k];
+          if (budget[r] == used) {
+            spent[r] = used;
           } else {
             list[kept++] = r;
             next_stop = std::min(next_stop, budget[r]);
@@ -219,6 +262,14 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       };
       retire_spent(fwd, nf);
       retire_spent(bwd, nb);
+    }
+    for (std::size_t r = 0; r < lanes; ++r) {
+      if ((loaded >> r & 1) == 0) continue;
+      const std::size_t w = walk[r];
+      pos_[w] = pos[r];
+      index_[w] = index[r];
+      flags_[w] = flags[r];
+      tx_[w] += spent[r];
     }
   }
 }

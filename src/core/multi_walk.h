@@ -12,8 +12,16 @@
 //     block advances once, so the block's rotation loads are all in
 //     flight together (memory-level parallelism instead of one serial
 //     load chain per walk);
-//   * software prefetch — each sweep first touches every lane's next
-//     half-edge region &rot3[3*node] one slot ahead of its use;
+//   * block-resident rows — a block's live rows (position, index, flags,
+//     target range, transmissions pending) are copied into lane-indexed
+//     local arrays, stepped there, and written back once when the block
+//     ends; the rotation map, sequence length and prefix are locals too,
+//     so no store in a sweep can alias them and nothing is reloaded from
+//     the arena per step.  Each lane owns its row for the whole block, so
+//     the walk ids of one step_block call must be distinct;
+//   * software prefetch — each step touches its landing gadget's
+//     rotation words &rot3[3*node] one slot ahead of their use, with one
+//     prefetch: the 12 B span crosses a cache line for 2 gadgets in 16;
 //   * one-load steps — a walk's position IS graph::Graph's packed cubic
 //     word `node << 2 | port`: a step loads rot3[3*node + out] and stores
 //     it verbatim, no offsets, no HalfEdge structs;
@@ -72,7 +80,7 @@ class MultiWalkArena {
   /// The §2.8 restart: walk w goes back to injection at its source s on
   /// the current network, index 0 and flags clear, with target t's gadget
   /// range re-derived there; its transmissions stay counted (they were
-  /// really sent).
+  /// really sent).  std::invalid_argument if w is not an admitted walk.
   void restart(std::size_t w, graph::NodeId s, graph::NodeId t);
 
   /// Admits the walk s -> t (original names, s != t); returns its walk
@@ -88,7 +96,9 @@ class MultiWalkArena {
   /// zero budgets are skipped for free.  Each walk's trajectory depends
   /// only on the slots it is granted, never on the other walks, so any
   /// partition of a walk set into step_block calls yields bit-identical
-  /// per-walk outcomes.
+  /// per-walk outcomes.  The ids in one call must be distinct (each lane
+  /// owns its row for the whole block); std::invalid_argument, naming the
+  /// id, if any is not an admitted walk — before any walk moves.
   void step_block(const std::size_t* walks, std::size_t count,
                   const std::uint64_t* budgets);
 
@@ -148,27 +158,12 @@ class MultiWalkArena {
   /// Throws std::invalid_argument unless s != t name nodes of the network.
   void check_pair(graph::NodeId s, graph::NodeId t) const;
 
-  /// One step() of walk w.  kIsBackward is the walk's direction at entry
-  /// (the sweeps keep lanes partitioned so it is statically known).
-  /// Forward: returns whether the walk turned backward (always one
-  /// transmission).  Backward: returns whether the walk is still stepping
-  /// (false = the free terminate just finished it, zero transmissions).
-  template <bool kIsBackward>
-  bool step_lane(std::size_t w);
+  /// Throws std::invalid_argument, naming the id, unless every walks[k]
+  /// (k < count) is an admitted walk.
+  void check_walks(const std::size_t* walks, std::size_t count) const;
 
-  /// Warms gadget v's three rotation words one slot ahead of their use.
-  void prefetch_node(graph::NodeId v) const {
-    const std::uint32_t* e = rot3_ + 3 * static_cast<std::size_t>(v);
-    __builtin_prefetch(e, 0, 1);
-    __builtin_prefetch(e + 2, 0, 1);  // 12 B span may cross a line
-  }
-  /// t_j mod 3 (1 <= j <= sequence length): one load from the prefix.
-  graph::Port lane_symbol(std::uint64_t j) {
-    if (j > prefix_len_) return symbol_miss(j);
-    const std::uint64_t k = j - 1;
-    return static_cast<graph::Port>((prefix_[k >> 5] >> (2 * (k & 31))) & 3);
-  }
-  /// Cold path: grows the prefix to cover j, or hashes t_j past the cap.
+  /// Cold path of a symbol read at j past the prefix: grows the prefix to
+  /// cover j (which may reallocate it), or hashes t_j past the cap.
   graph::Port symbol_miss(std::uint64_t j);
 
   // Shared immutable structure (borrowed; rebind() swaps it).

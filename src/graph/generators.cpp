@@ -17,6 +17,20 @@ void require(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
+/// Appends g's rotation map, vertex v renamed base + v and ports verbatim,
+/// to a CSR rotation map under construction.
+void append_renamed(const Graph& g, NodeId base,
+                    std::vector<std::size_t>& offsets,
+                    std::vector<HalfEdge>& half_edges) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (Port p = 0; p < g.degree(v); ++p) {
+      const HalfEdge far = g.rotate(v, p);
+      half_edges.push_back({base + far.node, far.port});
+    }
+    offsets.push_back(half_edges.size());
+  }
+}
+
 }  // namespace
 
 Graph path(NodeId n) {
@@ -140,26 +154,25 @@ Graph disjoint_copies(const Graph& cluster, NodeId copies) {
           "disjoint_copies: n * copies overflows NodeId");
   // Built through the flat CSR path: at a million clusters the nested
   // vector-of-vectors intermediate would dwarf the graph itself.
-  const std::size_t total = static_cast<std::size_t>(n) * copies;
-  std::vector<std::size_t> offsets(total + 1);
-  offsets[0] = 0;
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(static_cast<std::size_t>(n) * copies + 1);
   std::size_t m = 0;
   for (NodeId v = 0; v < n; ++v) m += cluster.degree(v);
   std::vector<HalfEdge> half_edges;
   half_edges.reserve(m * copies);
-  std::size_t at = 0;
-  for (NodeId c = 0; c < copies; ++c) {
-    const NodeId base = c * n;
-    for (NodeId v = 0; v < n; ++v) {
-      const Port deg = cluster.degree(v);
-      for (Port p = 0; p < deg; ++p) {
-        HalfEdge far = cluster.rotate(v, p);
-        half_edges.push_back({base + far.node, far.port});
-      }
-      at += deg;
-      offsets[static_cast<std::size_t>(base) + v + 1] = at;
-    }
-  }
+  for (NodeId c = 0; c < copies; ++c)
+    append_renamed(cluster, c * n, offsets, half_edges);
+  return from_rotation(std::move(offsets), std::move(half_edges));
+}
+
+Graph disjoint_union(const Graph& a, const Graph& b) {
+  require(std::uint64_t{a.num_nodes()} + b.num_nodes() <=
+              std::numeric_limits<NodeId>::max(),
+          "disjoint_union: |V(a)| + |V(b)| overflows NodeId");
+  std::vector<std::size_t> offsets{0};
+  std::vector<HalfEdge> half_edges;
+  append_renamed(a, 0, offsets, half_edges);
+  append_renamed(b, a.num_nodes(), offsets, half_edges);
   return from_rotation(std::move(offsets), std::move(half_edges));
 }
 

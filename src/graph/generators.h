@@ -49,6 +49,12 @@ Graph barbell(NodeId clique_size, NodeId path_len);
 /// port-isomorphic to the original.
 Graph disjoint_copies(const Graph& cluster, NodeId copies);
 
+/// a and b side by side, vertex v of a keeping its name and vertex v of b
+/// becoming |V(a)| + v; ports are copied verbatim.  With two connected
+/// halves, every cross-half pair is ground-truth unreachable, so failure
+/// certificates join every tally of the lossy, chaos and traffic suites.
+Graph disjoint_union(const Graph& a, const Graph& b);
+
 // ---- named cubic graphs ------------------------------------------------
 
 Graph petersen();          ///< 10 vertices, girth 5, 3-regular.

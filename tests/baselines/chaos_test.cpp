@@ -18,16 +18,16 @@
 #include "graph/churn.h"
 #include "graph/generators.h"
 #include "net/faults.h"
-#include "support/split_gnp.h"
 #include "support/stormy.h"
 
 namespace uesr::baselines {
 namespace {
 
+using graph::connected_gnp;
+using graph::disjoint_union;
 using graph::Graph;
 using graph::NodeId;
 
-using test_support::split_gnp;
 using test_support::stormy;
 
 // ---- the seeded soundness fuzzer ---------------------------------------
@@ -43,7 +43,8 @@ TEST(ChaosFuzzer, HundredsOfSampledPlansAcrossTheZooStaySound) {
       {"grid3x4", graph::grid(3, 4)},
       {"petersen", graph::petersen()},
       {"gnp14", graph::connected_gnp(14, 0.25, 33)},
-      {"split10", split_gnp(5, 0.5, 35)},
+      {"split10", disjoint_union(connected_gnp(5, 0.5, 35),
+                                 connected_gnp(5, 0.5, 36))},
       {"tree13", graph::random_tree(13, 9)},
   };
   LossyCell total;
@@ -93,7 +94,8 @@ TEST(ChaosExperiment, AllKnobsZeroDegeneratesToThePerfectChannel) {
 }
 
 TEST(ChaosExperiment, SplitGraphCertificatesSurviveChaos) {
-  const Graph g = split_gnp(6, 0.4, 41);
+  const Graph g = disjoint_union(connected_gnp(6, 0.4, 41),
+                                 connected_gnp(6, 0.4, 42));
   core::LossyTrafficConfig cfg = stormy(core::ArqKind::kStopAndWait);
   cfg.window.max_retries = 20;  // let full failed walks complete
   const LossyCell cell = lossy_experiment(g, 30, cfg, 91);
@@ -132,7 +134,8 @@ TEST(ThreadInvariance, ChaosExperimentReports) {
 }
 
 TEST(ThreadInvariance, ChaosExperimentReportsSplitGraph) {
-  const Graph g = split_gnp(6, 0.5, 27);
+  const Graph g = disjoint_union(connected_gnp(6, 0.5, 27),
+                                 connected_gnp(6, 0.5, 28));
   const core::LossyTrafficConfig cfg = stormy(core::ArqKind::kStopAndWait);
   const LossyCell base = lossy_experiment(g, 14, cfg, 321, 1);
   EXPECT_EQ(base.unsound, 0);
@@ -160,7 +163,8 @@ net::ChaosConfig traffic_chaos() {
 }
 
 TEST(ChaosTraffic, StaticEngineUnderScriptedAndSampledChaosStaysSound) {
-  const Graph g = split_gnp(4, 0.6, 27);
+  const Graph g = disjoint_union(connected_gnp(4, 0.6, 27),
+                                 connected_gnp(4, 0.6, 28));
   const Workload w = all_pairs_workload(8);
   for (core::ArqKind arq :
        {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {

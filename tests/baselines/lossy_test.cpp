@@ -8,12 +8,13 @@
 #include "baselines/flooding.h"
 #include "core/lossy_route.h"
 #include "graph/generators.h"
-#include "support/split_gnp.h"
 #include "support/stormy.h"
 
 namespace uesr::baselines {
 namespace {
 
+using graph::connected_gnp;
+using graph::disjoint_union;
 using graph::Graph;
 using graph::NodeId;
 
@@ -117,7 +118,8 @@ TEST(LossyExperiment, CellsArePinned) {
                          .gossip_transmissions = 451}));
   }
   {  // split graph, budget high enough for failure walks to complete
-    const Graph g = test_support::split_gnp(6, 0.5, 27);
+    const Graph g = disjoint_union(connected_gnp(6, 0.5, 27),
+                                   connected_gnp(6, 0.5, 28));
     core::LossyTrafficConfig cfg;
     cfg.link.loss = 0.1;
     cfg.window.max_retries = 20;
@@ -234,7 +236,8 @@ TEST(ThreadInvariance, LossyExperimentReports) {
 TEST(ThreadInvariance, LossyExperimentReportsSplitGraph) {
   // Two components: failure certificates join the tally and must replay
   // identically too.
-  const Graph split = test_support::split_gnp(6, 0.5, 27);
+  const Graph split = disjoint_union(connected_gnp(6, 0.5, 27),
+                                     connected_gnp(6, 0.5, 28));
   core::LossyTrafficConfig cfg;
   cfg.link.loss = 0.1;
   cfg.window.max_retries = 20;

@@ -14,16 +14,19 @@
 #include "graph/churn.h"
 #include "graph/generators.h"
 #include "support/report_digest.h"
-#include "support/split_gnp.h"
 
 namespace uesr::baselines {
 namespace {
 
+using graph::connected_gnp;
+using graph::disjoint_union;
 using graph::Graph;
 using graph::NodeId;
 
 /// Two components: certificates must join every tally.
-Graph split_graph() { return test_support::split_gnp(4, 0.6, 27); }
+Graph split_graph() {
+  return disjoint_union(connected_gnp(4, 0.6, 27), connected_gnp(4, 0.6, 28));
+}
 
 graph::NodeChurnScenario churn_scenario() {
   return graph::NodeChurnScenario(graph::connected_gnp(12, 0.3, 5), 0.3,

@@ -17,7 +17,6 @@
 #include "graph/dynamic.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "support/split_gnp.h"
 #include "util/rng.h"
 
 namespace uesr::core {
@@ -25,6 +24,8 @@ namespace {
 
 using explore::ReducedGraph;
 using explore::reduce_to_cubic;
+using graph::connected_gnp;
+using graph::disjoint_union;
 using graph::Graph;
 using graph::NodeId;
 using graph::Port;
@@ -43,7 +44,6 @@ struct Fixture {
             net.cubic.num_nodes() == 0 ? 1 : net.cubic.num_nodes(), seed)) {}
 };
 
-using test_support::split_gnp;
 
 /// Soundness gate shared by all the regime sweeps: run every ordered pair
 /// and check the verdict against ground-truth reachability.
@@ -103,7 +103,8 @@ class PerfectChannelMatchesRouteSessionEverywhere
     : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(PerfectChannelMatchesRouteSessionEverywhere, FromSource) {
-  Fixture fx(split_gnp(6, 0.5, 7));
+  Fixture fx(disjoint_union(connected_gnp(6, 0.5, 7),
+                            connected_gnp(6, 0.5, 8)));
   ASSERT_EQ(fx.original.num_nodes(), 12u);  // one instance per source
   const NodeId s = GetParam();
   for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
@@ -135,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(LossyRouteSession,
 class DuplicationOnlyRegime : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(DuplicationOnlyRegime, FromSource) {
-  Fixture fx(split_gnp(5, 0.6, 11));
+  Fixture fx(disjoint_union(connected_gnp(5, 0.6, 11),
+                            connected_gnp(5, 0.6, 12)));
   ASSERT_EQ(fx.original.num_nodes(), 10u);  // one instance per source
   LossyTrafficConfig options;
   options.link.dup = 1.0;  // every frame doubled, nothing lost
@@ -155,7 +157,8 @@ INSTANTIATE_TEST_SUITE_P(LossyRouteSoundness, DuplicationOnlyRegime,
                          ::testing::Range<NodeId>(0, 10));
 
 TEST(LossyRouteSoundness, LossOnlyRegime) {
-  Fixture fx(split_gnp(5, 0.6, 13));
+  Fixture fx(disjoint_union(connected_gnp(5, 0.6, 13),
+                            connected_gnp(5, 0.6, 14)));
   LossyTrafficConfig options;
   options.link.loss = 0.3;
   options.window.max_retries = 2;  // tight budget: uncertified happens
@@ -166,7 +169,8 @@ TEST(LossyRouteSoundness, LossOnlyRegime) {
 }
 
 TEST(LossyRouteSoundness, LossOnlyGenerousBudgetStillSound) {
-  Fixture fx(split_gnp(4, 0.7, 17));
+  Fixture fx(disjoint_union(connected_gnp(4, 0.7, 17),
+                            connected_gnp(4, 0.7, 18)));
   LossyTrafficConfig options;
   options.link.loss = 0.25;
   options.window.max_retries = 40;  // delivery of each hop near-certain
@@ -180,7 +184,8 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
   // No loss, no duplication — but some cubic-graph directions are down.
   // Data or acks silently vanish on those directions; the session may only
   // degrade to kUncertified, never to a wrong certificate.
-  Fixture fx(split_gnp(5, 0.6, 19));
+  Fixture fx(disjoint_union(connected_gnp(5, 0.6, 19),
+                            connected_gnp(5, 0.6, 20)));
   const auto comp = graph::connected_components(fx.original);
   const Graph& cubic = fx.net.cubic;
   util::Pcg32 flips(0x0f1e);
@@ -284,7 +289,8 @@ class PerfectChannelMatchesStopAndWaitWalk
     : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(PerfectChannelMatchesStopAndWaitWalk, FromSource) {
-  Fixture fx(split_gnp(4, 0.7, 7));
+  Fixture fx(disjoint_union(connected_gnp(4, 0.7, 7),
+                            connected_gnp(4, 0.7, 8)));
   ASSERT_EQ(fx.original.num_nodes(), 8u);  // one instance per source
   const NodeId s = GetParam();
   for (NodeId t = 0; t < fx.original.num_nodes(); ++t) {
@@ -307,7 +313,8 @@ INSTANTIATE_TEST_SUITE_P(LossyRouteSelectiveRepeat,
                          ::testing::Range<NodeId>(0, 8));
 
 TEST(LossyRouteSelectiveRepeat, AdversarialRegimeStaysSound) {
-  Fixture fx(split_gnp(4, 0.7, 37));
+  Fixture fx(disjoint_union(connected_gnp(4, 0.7, 37),
+                            connected_gnp(4, 0.7, 38)));
   LossyTrafficConfig options;
   options.arq = ArqKind::kSelectiveRepeat;
   options.link.loss = 0.2;

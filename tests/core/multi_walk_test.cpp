@@ -485,6 +485,84 @@ TEST(MultiWalk, RejectsDegenerateAndOutOfRange) {
   EXPECT_THROW(arena.admit(0, 4), std::invalid_argument);
 }
 
+TEST(MultiWalk, RejectsOutOfRangeWalkIds) {
+  const ReducedGraph net = explore::reduce_to_cubic(graph::petersen());
+  const auto seq = explore::standard_ues(net.cubic.num_nodes(), 1);
+  MultiWalkArena arena(net, *seq);
+  const std::size_t a = arena.admit(0, 5);
+  const std::size_t b = arena.admit(1, 6);
+  // A hostile id anywhere in the call throws by name before any walk
+  // moves, the valid ones in front of it included.
+  for (const std::size_t bad : {std::size_t{2}, std::size_t{1000},
+                                ~std::size_t{0}}) {
+    const std::size_t walks[] = {a, b, bad};
+    const std::uint64_t budgets[] = {64, 64, 64};
+    try {
+      arena.step_block(walks, 3, budgets);
+      ADD_FAILURE() << "walk id " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(bad)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(arena.step_walk(bad, 1), std::invalid_argument);
+    EXPECT_THROW(arena.restart(bad, 0, 5), std::invalid_argument);
+  }
+  for (const std::size_t w : {a, b}) {
+    EXPECT_EQ(arena.transmissions(w), 0u);
+    EXPECT_EQ(arena.index(w), 0u);
+    EXPECT_FALSE(arena.finished(w));
+  }
+  arena.step_walk(a, 64);  // the arena is still usable
+  EXPECT_GT(arena.transmissions(a), 0u);
+}
+
+TEST(MultiWalk, PrefixGrowsMidBlockInLockstep) {
+  // One step_block call steps 64 walks whose starts are staggered, so
+  // when the lead walk's index crosses 1024 and then 2048 the prefix
+  // grows (and reallocates) in the middle of a sweep, with lanes behind
+  // it still to read symbols in that same sweep.  Half the walks head for
+  // the other copy (certificate walks that never turn), half for their
+  // own (they deliver and rewind).  Every walk must match RouteSession
+  // after every transmission.
+  const ReducedGraph net =
+      explore::reduce_to_cubic(graph::disjoint_copies(graph::petersen(), 2));
+  const auto seq = explore::standard_ues(net.cubic.num_nodes(), 3);
+  ASSERT_GT(seq->length(), 4096u + 64 * 40);
+  MultiWalkArena arena(net, *seq);
+  std::vector<RouteSession> refs;
+  std::vector<std::size_t> walks;
+  for (std::size_t i = 0; i < MultiWalkArena::kBlockLanes; ++i) {
+    const NodeId s = static_cast<NodeId>(i % 10);
+    const NodeId t = static_cast<NodeId>(i % 2 == 0 ? 10 + (i * 3) % 10
+                                                    : (s + 1 + i % 9) % 10);
+    refs.emplace_back(net, *seq, s, t);
+    walks.push_back(arena.admit(s, t));
+  }
+  constexpr std::uint64_t kStagger = 40;  // walk i starts at call 40 i
+  std::vector<std::uint64_t> budgets(walks.size());
+  std::uint64_t sizes_seen = 0;
+  std::size_t last_bytes = 0;
+  // Walk 0 leads: it crosses 2048 near call 2050, with 51 walks behind.
+  for (std::uint64_t call = 0; arena.index(walks[0]) <= 2100; ++call) {
+    ASSERT_LT(call, 10'000u);
+    for (std::size_t i = 0; i < walks.size(); ++i)
+      budgets[i] = call >= kStagger * i ? 1 : 0;
+    arena.step_block(walks.data(), walks.size(), budgets.data());
+    for (std::size_t i = 0; i < walks.size(); ++i) {
+      grant(refs[i], budgets[i]);
+      expect_lockstep(arena, walks[i], refs[i], "prefix growth mid-block");
+    }
+    if (arena.symbol_prefix_bytes() != last_bytes) {
+      last_bytes = arena.symbol_prefix_bytes();
+      ++sizes_seen;
+    }
+  }
+  // 1024, 2048 and 4096 symbols: two growths while other lanes stepped.
+  EXPECT_EQ(sizes_seen, 3u);
+  EXPECT_EQ(last_bytes, 4096u / 4);
+}
+
 TEST(MultiWalk, WalkStateStaysLean) {
   const ReducedGraph net = explore::reduce_to_cubic(graph::petersen());
   const auto seq = explore::standard_ues(net.cubic.num_nodes(), 1);

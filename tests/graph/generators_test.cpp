@@ -259,5 +259,58 @@ TEST(Generators, DisjointCopiesSingleCopyIsIdentity) {
   EXPECT_THROW(disjoint_copies(cycle(65536), 65537), std::invalid_argument);
 }
 
+/// The edge-list builder the lossy, chaos and traffic suites and the E13
+/// and E15 drivers used before disjoint_union: each half's edges in
+/// (v, port) order, renumbered, through from_edges.
+Graph split_by_edges(const Graph& a, const Graph& b) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const Graph* g : {&a, &b}) {
+    const NodeId base = g == &b ? a.num_nodes() : 0;
+    for (NodeId v = 0; v < g->num_nodes(); ++v)
+      for (Port q = 0; q < g->degree(v); ++q) {
+        const HalfEdge far = g->rotate(v, q);
+        if (far.node > v || (far.node == v && far.port >= q))
+          edges.emplace_back(base + v, base + far.node);
+      }
+  }
+  return from_edges(a.num_nodes() + b.num_nodes(), edges);
+}
+
+TEST(Generators, DisjointUnionOfGnpHalvesMatchesTheEdgeListBuild) {
+  // Every (half, p, seed) the suites and benches split on.
+  const struct {
+    NodeId half;
+    double p;
+    std::uint64_t seed;
+  } cases[] = {{4, 0.6, 27}, {4, 0.7, 7},  {4, 0.7, 17}, {4, 0.7, 37},
+               {5, 0.5, 35}, {5, 0.6, 11}, {5, 0.6, 13}, {5, 0.6, 19},
+               {6, 0.4, 41}, {6, 0.5, 7},  {6, 0.5, 27}, {12, 0.3, 43}};
+  for (const auto& c : cases) {
+    const Graph a = connected_gnp(c.half, c.p, c.seed);
+    const Graph b = connected_gnp(c.half, c.p, c.seed + 1);
+    const Graph u = disjoint_union(a, b);
+    EXPECT_EQ(u, split_by_edges(a, b)) << c.half << " " << c.seed;
+    EXPECT_FALSE(is_connected(u));
+  }
+}
+
+TEST(Generators, DisjointUnionKeepsPortsAndNames) {
+  const Graph a = barbell(4, 2);  // mixed degrees
+  const Graph b = petersen();
+  const Graph u = disjoint_union(a, b);
+  const NodeId na = a.num_nodes();
+  ASSERT_EQ(u.num_nodes(), na + b.num_nodes());
+  EXPECT_EQ(u.num_edges(), a.num_edges() + b.num_edges());
+  for (NodeId v = 0; v < na; ++v)
+    for (Port p = 0; p < a.degree(v); ++p)
+      EXPECT_EQ(u.rotate(v, p), a.rotate(v, p));
+  for (NodeId v = 0; v < b.num_nodes(); ++v)
+    for (Port p = 0; p < b.degree(v); ++p) {
+      const HalfEdge want = b.rotate(v, p);
+      EXPECT_EQ(u.rotate(na + v, p), (HalfEdge{na + want.node, want.port}));
+    }
+  EXPECT_EQ(disjoint_union(b, b), disjoint_copies(b, 2));
+}
+
 }  // namespace
 }  // namespace uesr::graph
