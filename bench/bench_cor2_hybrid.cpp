@@ -86,7 +86,7 @@ int main() {
   auto h = core::route_hybrid(prob, guar);
   std::cout << "\nunreachable target: hybrid terminated after "
             << h.total_transmissions << " transmissions with certificate="
-            << (h.certified_unreachable ? "yes" : "no")
+            << (h.verdict() == core::Verdict::kCertified ? "yes" : "no")
             << " (a pure random walk never terminates here)\n"
             << "\nhybrid/rw stays a small constant where the walk is fast "
                "(the 1:1 interleave is the factor ~2 the corollary "

@@ -14,8 +14,9 @@
 // soundness still holds on every row.
 //
 // Sessions fan out over the shared threads knob via
-// baselines::lossy_traffic_experiment, whose cells are bit-identical for
-// any --threads value (pinned by the lossy-traffic ThreadInvariance tests).
+// baselines::traffic_experiment with a core::LossyTrafficConfig, whose
+// cells are bit-identical for any --threads value (pinned by the
+// lossy-traffic ThreadInvariance tests).
 // Index row: DESIGN.md §4 / EXPERIMENTS.md (E14) — expected shape lives there.
 #include "bench_common.h"
 
@@ -55,9 +56,8 @@ int main(int argc, char** argv) {
       cfg.window.window = window;
       cfg.window.max_retries = 16;
       bench::Timer timer;
-      const baselines::LossyTrafficCell cell =
-          baselines::lossy_traffic_experiment(g, w16, cfg, /*seq_seed=*/131,
-                                              threads);
+      const baselines::TrafficCell cell = baselines::traffic_experiment(
+          g, w16, /*seq_seed=*/131, threads, cfg);
       t.row()
           .cell(loss, 2)
           .cell(window)
@@ -99,10 +99,9 @@ int main(int argc, char** argv) {
     cfg.window.window = 8;
     cfg.window.max_retries = 8;
     bench::Timer timer;
-    const baselines::LossyTrafficCell cell =
-        baselines::lossy_traffic_experiment(sc, /*epoch_period=*/96,
-                                            /*max_epochs=*/24, w34, cfg,
-                                            /*seq_seed=*/131, threads);
+    const baselines::TrafficCell cell = baselines::traffic_experiment(
+        sc, /*epoch_period=*/96, /*max_epochs=*/24, w34, /*seq_seed=*/131,
+        threads, cfg);
     c.row()
         .cell(arq == core::ArqKind::kStopAndWait ? "stop-and-wait"
                                                  : "selective-repeat")

@@ -7,7 +7,10 @@
 // all-pairs row multiplexes >= 1024 concurrent sessions through one
 // engine; on the churn-overlaid rows every session still terminates with
 // a delivery or an epoch-exact certificate while all sessions share ONE
-// schedule (unlike E11, which replays the schedule per attempt).  p50/p99
+// schedule (unlike E11, which replays the schedule per attempt).  Every
+// row is audited: `unsound` counts deliveries and certificates that
+// contradict the ground-truth topology of the epoch they name, and reads
+// 0 on every row; `uncert` stays 0 on these perfect links.  p50/p99
 // completion transmissions and latency summarize the per-session cost
 // distribution; `routes/s` and `s` are the only machine-dependent
 // columns.
@@ -42,8 +45,9 @@ int main(int argc, char** argv) {
                 "with its exact per-session certificate");
   bench::report_threads(threads);
 
-  util::Table t({"workload", "topology", "sessions", "ok", "cert", "exh",
-                 "dep", "p50 tx", "p99 tx", "restarts", "routes/s", "s"});
+  util::Table t({"workload", "topology", "sessions", "ok", "cert", "uncert",
+                 "exh", "dep", "unsound", "p50 tx", "p99 tx", "restarts",
+                 "routes/s", "s"});
   const std::uint64_t kSeqSeed = 0x5eed0001;
 
   auto add_row = [&](const std::string& topology, const std::string& name,
@@ -54,8 +58,10 @@ int main(int argc, char** argv) {
         .cell(cell.sessions)
         .cell(cell.delivered)
         .cell(cell.certified)
+        .cell(cell.uncertified)
         .cell(cell.exhausted)
         .cell(cell.departed)
+        .cell(cell.unsound)
         .cell(cell.p50_tx, 0)
         .cell(cell.p99_tx, 0)
         .cell(cell.restarts)
@@ -138,7 +144,10 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nok + cert + exh + dep == sessions on every row (each "
                "session ends with its exact verdict or an open-loop "
-               "departure); the all-pairs row multiplexes >= 1024 concurrent "
+               "departure; perfect links never leave one uncertified) and "
+               "unsound == 0 on every row (no delivery or certificate "
+               "contradicts the ground-truth topology of its epoch); the "
+               "all-pairs row multiplexes >= 1024 concurrent "
                "sessions and the open-loop row streams >= 1M sessions over a "
                ">= 10^6-node clustered topology; restarts appear only on the "
                "churn-overlaid rows, whose shared schedule is the regime "

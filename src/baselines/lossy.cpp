@@ -147,12 +147,12 @@ LossyCell lossy_experiment(const graph::Graph& g, int pairs,
                 reduced.cubic, *cfg.chaos, util::counter_hash(trial, 1));
           core::LossyRouteSession session(reduced, *seq, s, t, opts);
           switch (session.run()) {
-            case core::LossyVerdict::kDelivered:
+            case core::Verdict::kDelivered:
               ++part.delivered;
               // Sound delivery needs a reachable target the walk visited.
               part.unsound += !reachable || !session.target_reached();
               break;
-            case core::LossyVerdict::kFailureCertified:
+            case core::Verdict::kCertified:
               ++part.certified;
               part.unsound += reachable;
               break;

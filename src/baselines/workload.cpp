@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -183,23 +184,65 @@ std::optional<core::SessionSpec> OpenLoopWorkload::next() {
   return spec;
 }
 
-TrafficCell summarize_traffic(const std::vector<core::SessionReport>& reports,
-                              std::uint64_t final_clock) {
+namespace {
+
+/// Component labels keyed by the epoch a verdict names.
+using GroundTruth = std::map<std::uint64_t, std::vector<NodeId>>;
+
+/// Replays `scenario` independently of the engine (scenario replays are
+/// exact, so this is the topology sequence the engine committed) and
+/// labels every epoch it commits.  The key is the DynamicGraph::epoch()
+/// stamp the engine reports as completion_epoch, not the advance count:
+/// an advance that commits no change leaves the stamp where it was.
+GroundTruth ground_truth(const graph::Scenario& scenario,
+                         std::uint64_t max_epochs) {
+  auto replay = scenario.fresh();
+  graph::DynamicGraph dg = replay->initial();
+  GroundTruth truth;
+  truth[dg.epoch()] = graph::connected_components(dg.snapshot());
+  for (std::uint64_t e = 0; e < max_epochs; ++e) {
+    replay->advance(dg);
+    if (!truth.count(dg.epoch()))
+      truth[dg.epoch()] = graph::connected_components(dg.snapshot());
+  }
+  return truth;
+}
+
+/// Folds finished reports into a cell and audits every route verdict
+/// against `truth`.  Serial and in session-id order — the audit must be as
+/// deterministic as the cells it guards.
+TrafficCell summarize(const core::TrafficEngine& engine,
+                      const GroundTruth& truth) {
   TrafficCell cell;
-  cell.final_clock = final_clock;
+  cell.final_clock = engine.clock();
   util::Samples tx;
-  for (const core::SessionReport& r : reports) {
+  for (const core::SessionReport& r : engine.reports()) {
     ++cell.sessions;
-    cell.delivered += r.delivered;
-    cell.certified += r.failure_certified;
-    cell.exhausted += r.exhausted;
-    cell.departed += r.departed;
-    cell.transmissions += r.transmissions;
+    const core::Verdict v = r.verdict();
+    cell.delivered += v == core::Verdict::kDelivered;
+    cell.certified += v == core::Verdict::kCertified;
+    cell.uncertified += v == core::Verdict::kUncertified;
+    cell.exhausted += v == core::Verdict::kExhausted;
+    cell.departed += v == core::Verdict::kDeparted;
+    cell.wire_frames += r.transmissions;
+    cell.hops += r.hops;
+    cell.retransmits += r.retransmits;
     cell.restarts += r.restarts;
-    // Departed sessions never completed; their partial walks would skew
-    // the completion percentiles.
-    if (r.finished && !r.departed)
+    if (v == core::Verdict::kDelivered) cell.vtime_delivered += r.virtual_time;
+    if (r.finished && v != core::Verdict::kDeparted)
       tx.add(static_cast<double>(r.transmissions));
+    // Only deliveries and certificates assert reachability; a broadcast
+    // (t == net::kNoTarget) names no target to check.
+    if ((v != core::Verdict::kDelivered && v != core::Verdict::kCertified) ||
+        r.kind == core::TrafficKind::kBroadcast)
+      continue;
+    const auto it = truth.find(r.completion_epoch);
+    if (it == truth.end()) {  // a verdict about an epoch that never existed
+      ++cell.unsound;
+      continue;
+    }
+    const bool reachable = it->second[r.s] == it->second[r.t];
+    cell.unsound += v == core::Verdict::kDelivered ? !reachable : reachable;
   }
   if (tx.count() > 0) {
     cell.p50_tx = tx.percentile(50.0);
@@ -208,137 +251,52 @@ TrafficCell summarize_traffic(const std::vector<core::SessionReport>& reports,
   return cell;
 }
 
-TrafficCell traffic_experiment(const graph::Graph& g, const Workload& w,
-                               std::uint64_t seq_seed, unsigned threads) {
+core::TrafficOptions options(
+    std::uint64_t seq_seed, unsigned threads,
+    const std::optional<core::LossyTrafficConfig>& lossy) {
   core::TrafficOptions opt;
   opt.seq_seed = seq_seed;
   opt.threads = threads;
   opt.hybrid_walker = random_walk_factory();
-  core::TrafficEngine engine(g, opt);
+  opt.lossy = lossy;
+  return opt;
+}
+
+}  // namespace
+
+TrafficCell traffic_experiment(
+    const graph::Graph& g, const Workload& w, std::uint64_t seq_seed,
+    unsigned threads, const std::optional<core::LossyTrafficConfig>& lossy) {
+  core::TrafficEngine engine(g, options(seq_seed, threads, lossy));
   engine.admit_all(w.sessions);
   engine.run();
-  return summarize_traffic(engine.reports(), engine.clock());
+  return summarize(engine, {{0, graph::connected_components(g)}});
+}
+
+TrafficCell traffic_experiment(
+    const graph::Scenario& scenario, std::uint64_t epoch_period,
+    std::uint64_t max_epochs, const Workload& w, std::uint64_t seq_seed,
+    unsigned threads, const std::optional<core::LossyTrafficConfig>& lossy) {
+  core::TrafficOptions opt = options(seq_seed, threads, lossy);
+  opt.epoch_period = epoch_period;
+  opt.max_epochs = max_epochs;
+  core::TrafficEngine engine(scenario, opt);
+  engine.admit_all(w.sessions);
+  engine.run();
+  return summarize(engine, ground_truth(scenario, max_epochs));
 }
 
 TrafficCell open_loop_traffic_experiment(const graph::Graph& g,
                                          const OpenLoopWorkload::Config& cfg,
                                          std::uint64_t seq_seed,
                                          unsigned threads, unsigned shards) {
-  core::TrafficOptions opt;
-  opt.seq_seed = seq_seed;
-  opt.threads = threads;
+  core::TrafficOptions opt = options(seq_seed, threads, std::nullopt);
   opt.shards = shards;
   core::TrafficEngine engine(g, opt);
   OpenLoopWorkload source(cfg);
   engine.attach_arrivals(source);
   engine.run();
-  return summarize_traffic(engine.reports(), engine.clock());
-}
-
-TrafficCell traffic_experiment(const graph::Scenario& scenario,
-                               std::uint64_t epoch_period,
-                               std::uint64_t max_epochs, const Workload& w,
-                               std::uint64_t seq_seed, unsigned threads) {
-  core::TrafficOptions opt;
-  opt.seq_seed = seq_seed;
-  opt.threads = threads;
-  opt.epoch_period = epoch_period;
-  opt.max_epochs = max_epochs;
-  core::TrafficEngine engine(scenario, opt);
-  engine.admit_all(w.sessions);
-  engine.run();
-  return summarize_traffic(engine.reports(), engine.clock());
-}
-
-namespace {
-
-/// Folds lossy-engine reports and validates every hard verdict against the
-/// component labels of the epoch it is about (comp_by_epoch[e]; static
-/// runs pass a single entry).  Serial and in session-id order — the
-/// acceptance gate must be as deterministic as the cells it guards.
-LossyTrafficCell summarize_lossy(
-    const std::vector<core::SessionReport>& reports,
-    std::uint64_t final_clock,
-    const std::vector<std::vector<NodeId>>& comp_by_epoch) {
-  LossyTrafficCell cell;
-  cell.final_clock = final_clock;
-  util::Samples tx;
-  for (const core::SessionReport& r : reports) {
-    ++cell.sessions;
-    cell.delivered += r.delivered;
-    cell.certified += r.failure_certified;
-    cell.uncertified += r.uncertified;
-    cell.wire_frames += r.transmissions;
-    cell.hops += r.hops;
-    cell.retransmits += r.retransmits;
-    cell.restarts += r.restarts;
-    if (r.delivered) cell.vtime_delivered += r.virtual_time;
-    if (r.finished) tx.add(static_cast<double>(r.transmissions));
-    if (r.delivered || r.failure_certified) {
-      const std::size_t e = static_cast<std::size_t>(
-          std::min<std::uint64_t>(r.completion_epoch,
-                                  comp_by_epoch.size() - 1));
-      const bool reachable = comp_by_epoch[e][r.s] == comp_by_epoch[e][r.t];
-      // kDelivered with no path, or a failure certificate with a live
-      // path, is an unsound certificate — the thing this engine must
-      // never produce (kUncertified asserts nothing and needs no check).
-      cell.unsound += r.delivered ? !reachable : reachable;
-    }
-  }
-  if (tx.count() > 0) {
-    cell.p50_tx = tx.percentile(50.0);
-    cell.p99_tx = tx.percentile(99.0);
-  }
-  return cell;
-}
-
-}  // namespace
-
-LossyTrafficCell lossy_traffic_experiment(const graph::Graph& g,
-                                          const Workload& w,
-                                          const core::LossyTrafficConfig& cfg,
-                                          std::uint64_t seq_seed,
-                                          unsigned threads) {
-  core::TrafficOptions opt;
-  opt.seq_seed = seq_seed;
-  opt.threads = threads;
-  opt.lossy = cfg;
-  core::TrafficEngine engine(g, opt);
-  engine.admit_all(w.sessions);
-  engine.run();
-  return summarize_lossy(engine.reports(), engine.clock(),
-                         {graph::connected_components(g)});
-}
-
-LossyTrafficCell lossy_traffic_experiment(const graph::Scenario& scenario,
-                                          std::uint64_t epoch_period,
-                                          std::uint64_t max_epochs,
-                                          const Workload& w,
-                                          const core::LossyTrafficConfig& cfg,
-                                          std::uint64_t seq_seed,
-                                          unsigned threads) {
-  core::TrafficOptions opt;
-  opt.seq_seed = seq_seed;
-  opt.threads = threads;
-  opt.epoch_period = epoch_period;
-  opt.max_epochs = max_epochs;
-  opt.lossy = cfg;
-  core::TrafficEngine engine(scenario, opt);
-  engine.admit_all(w.sessions);
-  engine.run();
-  // Ground truth: an independent replay of the schedule, one component map
-  // per epoch (scenario replays are exact, so this is the same topology
-  // sequence the engine committed).
-  std::vector<std::vector<NodeId>> comp_by_epoch;
-  comp_by_epoch.reserve(static_cast<std::size_t>(max_epochs) + 1);
-  auto replay = scenario.fresh();
-  graph::DynamicGraph dg = replay->initial();
-  comp_by_epoch.push_back(graph::connected_components(dg.snapshot()));
-  for (std::uint64_t e = 0; e < max_epochs; ++e) {
-    replay->advance(dg);
-    comp_by_epoch.push_back(graph::connected_components(dg.snapshot()));
-  }
-  return summarize_lossy(engine.reports(), engine.clock(), comp_by_epoch);
+  return summarize(engine, {{0, graph::connected_components(g)}});
 }
 
 }  // namespace uesr::baselines

@@ -1,4 +1,4 @@
-// Replayable traffic workloads + the E12 report kernel.
+// Replayable traffic workloads + the E12/E14 report kernel.
 //
 // A Workload is a schedule of core::SessionSpec admissions — who talks to
 // whom, what kind of session, and at which shared-clock tick it arrives.
@@ -22,9 +22,12 @@
 //     pattern, exercising every lane kind the engine multiplexes.
 //
 // traffic_experiment() admits a workload into a TrafficEngine (static
-// graph or churn-overlaid scenario), runs it, and folds the per-session
-// reports into one TrafficCell — the kernel shared by the E12 bench, the
-// busy_network example, and the traffic ThreadInvariance tests.
+// graph or churn-overlaid scenario, perfect or lossy links), runs it, and
+// folds the per-session reports into one audited TrafficCell — the kernel
+// shared by the E12 and E14 benches, the busy_network example, and the
+// traffic ThreadInvariance tests.  open_loop_traffic_experiment() is its
+// streamed counterpart.  Every cell checks each delivery and certificate
+// against ground-truth reachability: `unsound` counts contradictions.
 #pragma once
 
 #include <cstdint>
@@ -113,38 +116,64 @@ class OpenLoopWorkload final : public core::ArrivalSource {
   std::uint64_t emitted_ = 0;
 };
 
-/// One experiment cell: per-session verdicts and latency percentiles
-/// folded in session-id order.  Every field is thread-count invariant
-/// (pinned by the traffic ThreadInvariance tests).
+/// One experiment cell: per-session verdicts folded in session-id order,
+/// each kDelivered / kCertified route verdict AUDITED against ground-truth
+/// reachability at the epoch it names.  Every field is thread-count
+/// invariant (pinned by the ThreadInvariance suites).
 struct TrafficCell {
   int sessions = 0;
-  int delivered = 0;
-  int certified = 0;   ///< route failure certificates
-  int exhausted = 0;   ///< hybrid no-verdict terminations
-  int departed = 0;    ///< open-loop sessions that left before a verdict
-  std::uint64_t transmissions = 0;  ///< total frames across all sessions
-  std::uint64_t restarts = 0;       ///< dynamic-mode epoch restarts
-  std::uint64_t final_clock = 0;    ///< shared-clock tick the engine drained at
-  /// Per-session completion transmissions (p50/p99 over completed
-  /// sessions; open-loop departures are excluded).  In
-  /// the slotted model these equal per-session latency in clock ticks:
-  /// one slot per frame, and free steps cost nothing (pinned by the
-  /// SharedClockAccounting test).
+  int delivered = 0;    ///< deliveries, broadcasts included
+  int certified = 0;    ///< failure certificates
+  int uncertified = 0;  ///< lossy: a retry budget spent, no verdict
+  int exhausted = 0;    ///< hybrid: both sides gave up, no verdict
+  int departed = 0;     ///< open loop: the user left before a verdict
+  /// Verdicts contradicting ground truth at the epoch they are about, or
+  /// naming an epoch the schedule never committed — expected 0 always.
+  /// Broadcasts assert no reachability and are not audited.
+  int unsound = 0;
+  /// Frames put on the wire: perfect-link transmissions, or lossy DATA +
+  /// ACK copies, lost ones included.
+  std::uint64_t wire_frames = 0;
+  std::uint64_t hops = 0;         ///< lossy: successful link transfers
+  std::uint64_t retransmits = 0;  ///< lossy: timeout-driven resends
+  std::uint64_t restarts = 0;     ///< dynamic-mode epoch restarts
+  std::uint64_t final_clock = 0;  ///< shared-clock tick the engine drained at
+  /// Lossy: channel virtual time summed over DELIVERED sessions;
+  /// vtime_delivered / delivered is the virtual-time-per-delivered-route
+  /// number the selective-repeat vs stop-and-wait comparison reports.
+  std::uint64_t vtime_delivered = 0;
+  /// Per-session wire frames, p50/p99 over finished sessions (departures
+  /// excluded: their partial walks never completed).  On perfect links
+  /// these equal per-session latency in clock ticks: one slot per frame,
+  /// and free steps cost nothing (pinned by the SharedClockAccounting
+  /// test).
   double p50_tx = 0.0;
   double p99_tx = 0.0;
 
   friend bool operator==(const TrafficCell&, const TrafficCell&) = default;
 };
 
-/// Folds finished reports (session-id order) into a cell.
-TrafficCell summarize_traffic(const std::vector<core::SessionReport>& reports,
-                              std::uint64_t final_clock);
-
 /// Static topology: admits `w` into a TrafficEngine over `g` and runs it
-/// to completion.  threads: worker lanes (0 = UESR_THREADS / hardware);
-/// the returned cell is bit-identical for any value.
-TrafficCell traffic_experiment(const graph::Graph& g, const Workload& w,
-                               std::uint64_t seq_seed, unsigned threads);
+/// to completion.  With `lossy` set, every route session runs over its
+/// own lossy channel + ARQ (TrafficOptions::lossy).  threads: worker lanes
+/// (0 = UESR_THREADS / hardware); the returned cell is bit-identical for
+/// any value.  Ground truth is connected_components(g).
+TrafficCell traffic_experiment(
+    const graph::Graph& g, const Workload& w, std::uint64_t seq_seed,
+    unsigned threads,
+    const std::optional<core::LossyTrafficConfig>& lossy = std::nullopt);
+
+/// Churn-overlaid: the same, over a scenario advancing one epoch every
+/// `epoch_period` ticks for `max_epochs` epochs (then frozen).  With
+/// `lossy` set, links flap (scenario epochs) AND drop frames (lossy
+/// channel) in one replayable run.  Ground truth comes from an independent
+/// replay of the scenario, keyed by the DynamicGraph::epoch() stamp each
+/// verdict names.
+TrafficCell traffic_experiment(
+    const graph::Scenario& scenario, std::uint64_t epoch_period,
+    std::uint64_t max_epochs, const Workload& w, std::uint64_t seq_seed,
+    unsigned threads,
+    const std::optional<core::LossyTrafficConfig>& lossy = std::nullopt);
 
 /// E12 open-loop kernel: streams `cfg` into a sharded TrafficEngine over
 /// `g` via attach_arrivals() and folds the drained reports.  `shards`
@@ -154,60 +183,5 @@ TrafficCell open_loop_traffic_experiment(const graph::Graph& g,
                                          const OpenLoopWorkload::Config& cfg,
                                          std::uint64_t seq_seed,
                                          unsigned threads, unsigned shards);
-
-/// Churn-overlaid: the same, over a scenario advancing one epoch every
-/// `epoch_period` ticks for `max_epochs` epochs (then frozen).
-TrafficCell traffic_experiment(const graph::Scenario& scenario,
-                               std::uint64_t epoch_period,
-                               std::uint64_t max_epochs, const Workload& w,
-                               std::uint64_t seq_seed, unsigned threads);
-
-/// One E14 cell: the lossy traffic engine's per-session verdicts folded in
-/// session-id order, each kDelivered / kFailureCertified verdict VALIDATED
-/// against ground-truth reachability at its completion epoch.  Every field
-/// is thread-count invariant (pinned by the lossy-traffic ThreadInvariance
-/// tests).
-struct LossyTrafficCell {
-  int sessions = 0;
-  int delivered = 0;
-  int certified = 0;    ///< sound failure certificates
-  int uncertified = 0;  ///< budget-spent no-verdict degradations
-  /// Verdicts contradicting ground truth at the epoch they are about —
-  /// the E14 acceptance gate; expected 0 always.
-  int unsound = 0;
-  std::uint64_t wire_frames = 0;  ///< DATA + ACK copies, lost ones included
-  std::uint64_t hops = 0;         ///< successful link transfers
-  std::uint64_t retransmits = 0;  ///< timeout-driven resends
-  std::uint64_t restarts = 0;     ///< dynamic-mode epoch restarts
-  std::uint64_t final_clock = 0;
-  /// Channel virtual time summed over DELIVERED sessions:
-  /// vtime_delivered / delivered is the virtual-time-per-delivered-route
-  /// number the selective-repeat vs stop-and-wait comparison reports.
-  std::uint64_t vtime_delivered = 0;
-  double p50_tx = 0.0;  ///< per-session wire frames, p50 over finished
-  double p99_tx = 0.0;
-  friend bool operator==(const LossyTrafficCell&,
-                         const LossyTrafficCell&) = default;
-};
-
-/// Static topology: `w`'s route sessions over per-session lossy channels
-/// + ARQ (core::LossyTrafficConfig).  Ground truth for the soundness gate
-/// is connected_components(g).
-LossyTrafficCell lossy_traffic_experiment(const graph::Graph& g,
-                                          const Workload& w,
-                                          const core::LossyTrafficConfig& cfg,
-                                          std::uint64_t seq_seed,
-                                          unsigned threads);
-
-/// Composed fault regime: links flap (scenario epochs) AND drop frames
-/// (lossy channel) in one replayable run.  Ground truth per epoch comes
-/// from an independent replay of the scenario.
-LossyTrafficCell lossy_traffic_experiment(const graph::Scenario& scenario,
-                                          std::uint64_t epoch_period,
-                                          std::uint64_t max_epochs,
-                                          const Workload& w,
-                                          const core::LossyTrafficConfig& cfg,
-                                          std::uint64_t seq_seed,
-                                          unsigned threads);
 
 }  // namespace uesr::baselines

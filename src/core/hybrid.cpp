@@ -9,10 +9,6 @@ HybridSession::HybridSession(TokenWalker& probabilistic,
 void HybridSession::finish(HybridWinner winner) {
   finished_ = true;
   result_.winner = winner;
-  result_.delivered = winner == HybridWinner::kProbabilistic ||
-                      winner == HybridWinner::kGuaranteed;
-  result_.certified_unreachable = winner == HybridWinner::kCertifiedFailure;
-  result_.exhausted = winner == HybridWinner::kExhausted;
   result_.probabilistic_transmissions = probabilistic_->transmissions();
   result_.guaranteed_transmissions = guaranteed_->transmissions();
   result_.total_transmissions =

@@ -7,6 +7,8 @@
 // a factor-2 slowdown plus a vanishing correction — while inheriting the
 // guarantee: if t is unreachable, the UES walker eventually returns with a
 // *certified* failure, so the combined algorithm always terminates.
+// HybridResult::verdict() reports that end as a core::Verdict, read off
+// the winning side.
 //
 // The probabilistic side is abstracted as a TokenWalker so any baseline
 // (random walk, greedy, whatever) can plug in; baselines/ provides
@@ -40,20 +42,24 @@ enum class HybridWinner {
 };
 
 struct HybridResult {
-  bool delivered = false;
-  /// True only when the UES walker finished with a failure certificate:
-  /// t is provably not in s's component (given a covering sequence).
-  bool certified_unreachable = false;
-  /// True when the protocol terminated with neither a delivery nor a
-  /// certificate: both walkers were done (token exhausted, guaranteed
-  /// session already finished on entry) without deciding.  A stale
-  /// pre-finished session proves nothing about this run, so the honest
-  /// report is "gave up", exactly like a TTL expiry.
-  bool exhausted = false;
+  /// Which side decided; verdict() reads the outcome off it.
   HybridWinner winner = HybridWinner::kCertifiedFailure;
   std::uint64_t probabilistic_transmissions = 0;
   std::uint64_t guaranteed_transmissions = 0;
   std::uint64_t total_transmissions = 0;
+
+  /// kDelivered when either side reached t; kCertified only when the UES
+  /// walker finished with a failure certificate (t provably not in s's
+  /// component, given a covering sequence); kExhausted when both walkers
+  /// were done without deciding (token exhausted, guaranteed session
+  /// already finished on entry).  A stale pre-finished session proves
+  /// nothing about this run, so the honest report is "gave up", exactly
+  /// like a TTL expiry.
+  Verdict verdict() const {
+    return winner == HybridWinner::kCertifiedFailure ? Verdict::kCertified
+           : winner == HybridWinner::kExhausted      ? Verdict::kExhausted
+                                                     : Verdict::kDelivered;
+  }
 };
 
 /// Resumable execution of the Corollary-2 interleave: each step() advances
@@ -64,11 +70,11 @@ struct HybridResult {
 /// Termination is unconditional, including for sessions handed over in a
 /// terminal state: a finished guaranteed session is never stepped, an
 /// exhausted token is never stepped, and once *both* sides are immovable
-/// without a delivery the session finishes with `exhausted` set (winner
-/// kExhausted) instead of spinning.  A guaranteed session that finishes
-/// under our own stepping still yields the usual certified failure; one
-/// that was already finished (and undelivered) on entry is stale — it
-/// certifies nothing about this run.
+/// without a delivery the session finishes with verdict kExhausted instead
+/// of spinning.  A guaranteed session that finishes under our own stepping
+/// still yields the usual certified failure; one that was already finished
+/// (and undelivered) on entry is stale — it certifies nothing about this
+/// run.
 class HybridSession {
  public:
   /// Both sessions must outlive this object.
@@ -99,7 +105,7 @@ class HybridSession {
 /// of: the probabilistic token delivers; the guaranteed walk reaches t;
 /// the guaranteed walk terminates with a failure certificate; or both
 /// walkers are done without delivery (token exhausted + guaranteed session
-/// already finished), in which case the result is `exhausted` and
+/// already finished), in which case the verdict is kExhausted and
 /// uncertified.  Equivalent to driving a HybridSession to completion.
 HybridResult route_hybrid(TokenWalker& probabilistic,
                           RouteSession& guaranteed);

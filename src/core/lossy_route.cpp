@@ -41,7 +41,7 @@ LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
     throw std::invalid_argument(
         "LossyRouteSession: one_sided_down outside [0, 1]");
   if (s_ == t_) {  // degenerate: nothing to send, whatever the channel does
-    verdict_ = LossyVerdict::kDelivered;
+    verdict_ = Verdict::kDelivered;
     completion_epoch_ = session_epoch_;
     return;
   }
@@ -139,9 +139,8 @@ void LossyRouteSession::step() {
     const NodeDecision d = route_node_step(view, at_.port, header_, *seq_);
     header_ = d.header;
     if (d.terminate) {
-      verdict_ = d.final_status == Status::kSuccess
-                     ? LossyVerdict::kDelivered
-                     : LossyVerdict::kFailureCertified;
+      verdict_ = d.final_status == Status::kSuccess ? Verdict::kDelivered
+                                                    : Verdict::kCertified;
       completion_epoch_ = session_epoch_;
       return;
     }
@@ -166,7 +165,7 @@ void LossyRouteSession::step() {
     target_reached_ = true;
 }
 
-LossyVerdict LossyRouteSession::run() {
+Verdict LossyRouteSession::run() {
   while (!finished()) {
     step();
     give_up();  // nothing commits an epoch during run()
@@ -176,7 +175,7 @@ LossyVerdict LossyRouteSession::run() {
 
 void LossyRouteSession::give_up() {
   if (!blocked_) return;
-  verdict_ = LossyVerdict::kUncertified;
+  verdict_ = Verdict::kUncertified;
   completion_epoch_ = session_epoch_;
 }
 

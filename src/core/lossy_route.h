@@ -14,26 +14,24 @@
 //
 // Because a reliable transfer either proves exactly-once far-end
 // processing or admits ignorance, the session's walk, whenever it
-// completes, is BIT-IDENTICAL to the lossless walk — and the verdicts
-// partition into three cases with exact semantics:
+// completes, is BIT-IDENTICAL to the lossless walk — and its core::Verdict
+// (core/route.h) is one of three, each with exact semantics:
 //
-//   * kDelivered        — every forward hop and every backward-confirmation
-//                         hop was acked: t really processed the payload and
-//                         s holds the proof.  SOUND under any loss /
-//                         duplication / one-sided-link regime.
-//   * kFailureCertified — a full walk exhausted its sequence and rewound to
-//                         s, every hop acked: the §2.4 certificate stands
-//                         exactly as on perfect links (t provably not in
-//                         s's component, universality caveat as ever).
-//                         SOUND whenever emitted — loss can only make it
-//                         rarer, never wrong.
-//   * kUncertified      — some hop spent its retry budget.  The sender
-//                         side knows nothing (the two-generals gap: the
-//                         data or its ack may be the lost half), so the
-//                         session asserts nothing — NOT a failure
-//                         certificate.  This is the degradation bounded
-//                         retransmission buys: certificates stay sound,
-//                         they just stop being guaranteed-available.
+//   * kDelivered   — every forward hop and every backward-confirmation hop
+//                    was acked: t really processed the payload and s holds
+//                    the proof.  SOUND under any loss / duplication /
+//                    one-sided-link regime.
+//   * kCertified   — a full walk exhausted its sequence and rewound to s,
+//                    every hop acked: the §2.4 certificate stands exactly
+//                    as on perfect links (t provably not in s's component,
+//                    universality caveat as ever).  SOUND whenever
+//                    emitted — loss can only make it rarer, never wrong.
+//   * kUncertified — some hop spent its retry budget.  The sender side
+//                    knows nothing (the two-generals gap: the data or its
+//                    ack may be the lost half), so the session asserts
+//                    nothing — NOT a failure certificate.  This is the
+//                    degradation bounded retransmission buys: certificates
+//                    stay sound, they just stop being guaranteed-available.
 //
 // Cost: with retry budget R, a walk of h hops spends at most
 // (R + 1) * h DATA copies per frame plus the acks — the bounded-retransmit
@@ -56,13 +54,6 @@
 #include "net/window.h"
 
 namespace uesr::core {
-
-enum class LossyVerdict : std::uint8_t {
-  kInProgress,
-  kDelivered,
-  kFailureCertified,
-  kUncertified,
-};
 
 /// The shape of the ARQ that carries each hop.  Both run on
 /// net::WindowTransport with the retry budget and initial RTO of
@@ -120,11 +111,11 @@ struct LossyTrafficConfig {
 /// A session walks one epoch's network over that epoch's channel.  Under
 /// churn its owner moves it to the next epoch with restart() (the §2.8
 /// rule of core/traffic.h's dynamic mode), so every completed walk ran
-/// entirely within one epoch over one channel: kDelivered /
-/// kFailureCertified are exact statements about completion_epoch().  A hop
-/// that spends its retry budget does NOT end the session (under churn the
-/// link may heal): it goes `blocked()` and waits for the next epoch, the
-/// dynamic face of the ChurnRouter wait rule.  The owner (TrafficEngine,
+/// entirely within one epoch over one channel: kDelivered / kCertified are
+/// exact statements about completion_epoch().  A hop that spends its retry
+/// budget does NOT end the session (under churn the link may heal): it
+/// goes `blocked()` and waits for the next epoch, the dynamic face of the
+/// ChurnRouter wait rule.  The owner (TrafficEngine,
 /// or a test loop) calls give_up() once no epoch can come — a static
 /// network never has one — and only then does the verdict become
 /// kUncertified.
@@ -145,7 +136,7 @@ class LossyRouteSession {
   void step();
   /// Drives to completion on the current network and returns the verdict.
   /// No epoch can come during run(), so a blocked session gives up.
-  LossyVerdict run();
+  Verdict run();
   /// The epoch moved: discards the walk and its channel (their frames
   /// stay counted) and re-injects at s on `net`/`seq` over a fresh channel
   /// keyed by `epoch`, clearing blocked().  Counts one restart.  `net`
@@ -157,13 +148,9 @@ class LossyRouteSession {
   void restart(const explore::ReducedGraph& net,
                const explore::ExplorationSequence& seq, std::uint64_t epoch);
 
-  bool finished() const { return verdict_ != LossyVerdict::kInProgress; }
-  LossyVerdict verdict() const { return verdict_; }
-  bool delivered() const { return verdict_ == LossyVerdict::kDelivered; }
-  bool failure_certified() const {
-    return verdict_ == LossyVerdict::kFailureCertified;
-  }
-  bool uncertified() const { return verdict_ == LossyVerdict::kUncertified; }
+  bool finished() const { return verdict_ != Verdict::kInProgress; }
+  /// kDelivered, kCertified or kUncertified once finished().
+  Verdict verdict() const { return verdict_; }
 
   /// A hop spent its retry budget on this epoch's channel: the session
   /// sleeps until restart() or give_up().  Never true once finished().
@@ -217,7 +204,7 @@ class LossyRouteSession {
   bool injected_ = false;
   bool target_reached_ = false;
   bool blocked_ = false;
-  LossyVerdict verdict_ = LossyVerdict::kInProgress;
+  Verdict verdict_ = Verdict::kInProgress;
   std::uint64_t hops_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t session_epoch_ = 0;  ///< epoch the in-flight walk runs in

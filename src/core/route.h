@@ -59,6 +59,22 @@ NodeDecision route_node_step(const NodeView& node, graph::Port in_port,
                              const net::Header& header,
                              const explore::ExplorationSequence& seq);
 
+/// How a session ends.  The paper's Route has exactly two outcomes — a
+/// delivery or a certified failure (§2.4; a statement about the epoch the
+/// walk completed in, §2.8).  The later layers add three no-verdict ends
+/// that assert nothing about reachability: a lossy hop spent its retry
+/// budget (kUncertified, core/lossy_route.h), a hybrid's two sides both
+/// gave up (kExhausted, core/hybrid.h), an open-loop user left mid-walk
+/// (kDeparted, core/traffic.h).
+enum class Verdict : std::uint8_t {
+  kInProgress,
+  kDelivered,
+  kCertified,
+  kUncertified,
+  kExhausted,
+  kDeparted,
+};
+
 struct RouteResult {
   bool delivered = false;       ///< status carried back to s
   bool returned_to_source = true;  ///< the algorithm always terminates at s

@@ -51,6 +51,24 @@ SlotWindow slot_window(const SessionSpec& spec, std::uint64_t clock,
   }
   return w;
 }
+
+/// Retires `r` with end state `v` (never kInProgress) after `transmissions`
+/// frames at tick `completed_at`.  The one writer of a report's verdict
+/// bools, shared by all five retire sites (s == t, arena finish and
+/// departure, scalar finish and departure).  A verdict is about `epoch`;
+/// a departure names none.
+void settle(SessionReport& r, Verdict v, std::uint64_t transmissions,
+            std::uint64_t completed_at, std::uint64_t epoch) {
+  r.finished = true;
+  r.delivered = v == Verdict::kDelivered;
+  r.failure_certified = v == Verdict::kCertified;
+  r.uncertified = v == Verdict::kUncertified;
+  r.exhausted = v == Verdict::kExhausted;
+  r.departed = v == Verdict::kDeparted;
+  r.transmissions = transmissions;
+  r.completed_at = completed_at;
+  if (v != Verdict::kDeparted) r.completion_epoch = epoch;
+}
 }  // namespace
 
 /// Per-session stepper.  step() performs at most one transmission (free
@@ -60,10 +78,12 @@ SlotWindow slot_window(const SessionSpec& spec, std::uint64_t clock,
 struct TrafficEngine::Lane {
   virtual ~Lane() = default;
   virtual void step() = 0;
-  virtual bool finished() const = 0;
+  /// kInProgress until the session ends, then its end state.
+  virtual Verdict verdict() const = 0;
+  bool finished() const { return verdict() != Verdict::kInProgress; }
   virtual std::uint64_t transmissions() const = 0;
-  /// Writes the verdict fields once finished().
-  virtual void finalize(SessionReport& r) const = 0;
+  /// Writes the lane's own counters (never the verdict) once finished().
+  virtual void record(SessionReport& /*r*/) const {}
   /// Lossy only: the session spent a retry budget and sleeps until the
   /// next epoch (stepping it is free and futile).
   virtual bool blocked() const { return false; }
@@ -100,14 +120,15 @@ struct BroadcastLane final : TrafficEngine::Lane {
     session.step();
     if (!session.finished()) visit(session.current_original());
   }
-  bool finished() const override { return session.finished(); }
+  // A completed broadcast delivered to everything reachable (when the
+  // sequence covers); there is no failure verdict to certify.
+  Verdict verdict() const override {
+    return session.finished() ? Verdict::kDelivered : Verdict::kInProgress;
+  }
   std::uint64_t transmissions() const override {
     return session.transmissions();
   }
-  void finalize(SessionReport& r) const override {
-    // A completed broadcast delivered to everything reachable (when the
-    // sequence covers); there is no failure verdict to certify.
-    r.delivered = true;
+  void record(SessionReport& r) const override {
     r.distinct_visited = distinct;
   }
 };
@@ -125,15 +146,12 @@ struct HybridLane final : TrafficEngine::Lane {
       : prob(std::move(walker)), guar(net, seq, s, t),
         hybrid(*prob, guar) {}
   void step() override { hybrid.step(); }
-  bool finished() const override { return hybrid.finished(); }
+  Verdict verdict() const override {
+    return hybrid.finished() ? hybrid.result().verdict()
+                             : Verdict::kInProgress;
+  }
   std::uint64_t transmissions() const override {
     return prob->transmissions() + guar.transmissions();
-  }
-  void finalize(SessionReport& r) const override {
-    const HybridResult& res = hybrid.result();
-    r.delivered = res.delivered;
-    r.failure_certified = res.certified_unreachable;
-    r.exhausted = res.exhausted;
   }
 };
 
@@ -148,7 +166,7 @@ struct LossyRouteLane final : TrafficEngine::Lane {
                  LossyTrafficConfig cfg)
       : session(net.reduced, *net.seq, s, t, std::move(cfg), net.epoch) {}
   void step() override { session.step(); }
-  bool finished() const override { return session.finished(); }
+  Verdict verdict() const override { return session.verdict(); }
   std::uint64_t transmissions() const override {
     return session.wire_frames();
   }
@@ -157,12 +175,8 @@ struct LossyRouteLane final : TrafficEngine::Lane {
   void restart(const EpochNetwork& net) override {
     session.restart(net.reduced, *net.seq, net.epoch);
   }
-  void finalize(SessionReport& r) const override {
-    r.delivered = session.delivered();
-    r.failure_certified = session.failure_certified();
-    r.uncertified = session.uncertified();
+  void record(SessionReport& r) const override {
     r.hops = session.hops();
-    r.completion_epoch = session.completion_epoch();
     const ArqStats st = session.arq_stats();
     r.retransmits = st.retransmits;
     r.virtual_time = st.virtual_time;
@@ -304,11 +318,8 @@ void TrafficEngine::activate_arrivals(std::uint64_t grant) {
     // session never transmits and completes at activation.
     if (!shards_.empty() && spec.kind == TrafficKind::kRoute) {
       if (spec.s == spec.t) {
-        SessionReport& r = reports_[id];
-        r.finished = true;
-        r.delivered = true;
-        r.completed_at = spec.admit_at;
-        r.completion_epoch = net_->epoch;
+        settle(reports_[id], Verdict::kDelivered, 0, spec.admit_at,
+               net_->epoch);
         --unfinished_;
       } else {
         Shard& sh = *shards_[id % shards_.size()];
@@ -421,6 +432,7 @@ std::size_t TrafficEngine::run_round() {
   // Once the epoch schedule froze (a static graph never had one), no
   // blocked lossy session can ever heal.
   const bool frozen = ticks_to_epoch() == kNever;
+  const std::uint64_t epoch = net_->epoch;
 
   util::ThreadPool& pool = pool_->pool;
   // Arena phase: whole shards in parallel, one worker per shard; inside a
@@ -448,20 +460,17 @@ std::size_t TrafficEngine::run_round() {
               const std::size_t id = sh.active[k];
               const std::size_t w = sh.walks[k];
               const SlotWindow win = slot_window(specs_[id], clock_, grant);
-              SessionReport& r = reports_[id];
               if (sh.arena.finished(w)) {
-                r.finished = true;
-                r.transmissions = sh.arena.transmissions(w);
-                r.completed_at =
-                    clock_ + win.start + (r.transmissions - sh.tx_before[k]);
-                r.delivered = sh.arena.delivered(w);
-                r.failure_certified = !r.delivered;
-                r.completion_epoch = net_->epoch;
+                const std::uint64_t tx = sh.arena.transmissions(w);
+                settle(reports_[id],
+                       sh.arena.delivered(w) ? Verdict::kDelivered
+                                             : Verdict::kCertified,
+                       tx, clock_ + win.start + (tx - sh.tx_before[k]),
+                       epoch);
               } else if (win.departs) {
-                r.finished = true;
-                r.departed = true;
-                r.transmissions = sh.arena.transmissions(w);
-                r.completed_at = specs_[id].depart_at;
+                settle(reports_[id], Verdict::kDeparted,
+                       sh.arena.transmissions(w), specs_[id].depart_at,
+                       epoch);
               }
             }
           }
@@ -499,15 +508,12 @@ std::size_t TrafficEngine::run_round() {
           if (frozen) lane.give_up();
           SessionReport& r = reports_[id];
           if (lane.finished()) {
-            r.finished = true;
-            r.transmissions = lane.transmissions();
-            r.completed_at = clock_ + win.start + used;
-            lane.finalize(r);
+            settle(r, lane.verdict(), lane.transmissions(),
+                   clock_ + win.start + used, epoch);
+            lane.record(r);
           } else if (win.departs) {
-            r.finished = true;
-            r.departed = true;
-            r.transmissions = lane.transmissions();
-            r.completed_at = specs_[id].depart_at;
+            settle(r, Verdict::kDeparted, lane.transmissions(),
+                   specs_[id].depart_at, epoch);
           }
         }
       });

@@ -24,13 +24,16 @@
 //     the session id (counter_hash — never a shared stream), and reports
 //     are collected in session-id order, so every report is BIT-IDENTICAL
 //     for any thread count (the PR 3 convention).
-//   * Each session completes with its exact per-session verdict: route
-//     sessions deliver or carry the §2.4 failure certificate, broadcasts
-//     report their cover, hybrids end with the Corollary-2 verdict
-//     (including the `exhausted` no-verdict state the livelock fix
-//     introduced).  Static-mode certificates are statements about the one
-//     shared graph; dynamic-mode certificates are statements about
-//     `completion_epoch` (§2.8), with the usual §3 universality caveat.
+//   * Each session completes with its exact per-session core::Verdict:
+//     route sessions deliver or carry the §2.4 failure certificate (lossy
+//     ones may end uncertified), broadcasts report their cover, hybrids
+//     end with the Corollary-2 verdict (including the kExhausted
+//     no-verdict state the livelock fix introduced), and open-loop users
+//     may depart first.  One function in traffic.cpp writes the verdict
+//     into the report at every retire site.  Static-mode certificates are
+//     statements about the one shared graph; dynamic-mode certificates are
+//     statements about `completion_epoch` (§2.8), with the usual §3
+//     universality caveat.
 //   * Dynamic mode replays a graph::Scenario on the shared clock: the
 //     topology advances one scenario epoch every `epoch_period` ticks (up
 //     to `max_epochs`, then freezes — so every session terminates).
@@ -102,6 +105,9 @@ struct SessionSpec {
   std::uint64_t depart_at = 0;
 };
 
+/// One session's outcome.  The engine writes the six verdict bools below
+/// together, in one settling function, so a finished report has exactly
+/// one end state set; verdict() reads them back.
 struct SessionReport {
   TrafficKind kind = TrafficKind::kRoute;
   graph::NodeId s = 0;
@@ -140,6 +146,16 @@ struct SessionReport {
   std::uint64_t hops = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t virtual_time = 0;  ///< channel virtual time consumed
+
+  /// The end state (kInProgress until finished).
+  Verdict verdict() const {
+    return !finished           ? Verdict::kInProgress
+           : delivered         ? Verdict::kDelivered
+           : failure_certified ? Verdict::kCertified
+           : uncertified       ? Verdict::kUncertified
+           : exhausted         ? Verdict::kExhausted
+                               : Verdict::kDeparted;
+  }
 
   friend bool operator==(const SessionReport&,
                          const SessionReport&) = default;

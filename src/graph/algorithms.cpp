@@ -49,11 +49,23 @@ std::vector<NodeId> component_of(const Graph& g, NodeId s) {
 }
 
 std::vector<std::uint32_t> connected_components(const Graph& g) {
+  // One pass, with the labels as the visited set: a component_of() per
+  // component would clear an n-entry bitmap each time, O(n) per component.
   std::vector<std::uint32_t> comp(g.num_nodes(), kUnreachable);
+  std::vector<NodeId> order;
   std::uint32_t next = 0;
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     if (comp[s] != kUnreachable) continue;
-    for (NodeId v : component_of(g, s)) comp[v] = next;
+    comp[s] = next;
+    order.assign(1, s);
+    for (std::size_t i = 0; i < order.size(); ++i)
+      for (Port p = 0; p < g.degree(order[i]); ++p) {
+        const NodeId w = g.neighbor(order[i], p);
+        if (comp[w] == kUnreachable) {
+          comp[w] = next;
+          order.push_back(w);
+        }
+      }
     ++next;
   }
   return comp;

@@ -178,7 +178,7 @@ TEST(ChaosTraffic, StaticEngineUnderScriptedAndSampledChaosStaysSound) {
     // (node 1 exists in every cubic reduction of a 8-node graph).
     cfg.faults.crash(1, 40, 90).corruption_burst(120, 200, 0.5);
     cfg.chaos = traffic_chaos();
-    const LossyTrafficCell cell = lossy_traffic_experiment(g, w, cfg, 7, 1);
+    const TrafficCell cell = traffic_experiment(g, w, 7, 1, cfg);
     EXPECT_EQ(cell.sessions, 56);
     EXPECT_EQ(cell.unsound, 0);
     EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified,
@@ -196,9 +196,8 @@ TEST(ChaosTraffic, DynamicEngineUnderChaosStaysSoundAndTerminates) {
   cfg.link.loss = 0.05;
   cfg.window.max_retries = 5;
   cfg.chaos = traffic_chaos();
-  const LossyTrafficCell cell =
-      lossy_traffic_experiment(sc, /*epoch_period=*/48, /*max_epochs=*/10, w,
-                               cfg, 17, 1);
+  const TrafficCell cell = traffic_experiment(
+      sc, /*epoch_period=*/48, /*max_epochs=*/10, w, 17, 1, cfg);
   EXPECT_EQ(cell.unsound, 0);
   EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified,
             cell.sessions);
@@ -218,11 +217,11 @@ TEST(ChaosTraffic, TwoFrameMessagesRunThroughTheEngineThreadInvariantly) {
     cfg.window.max_retries = 8;
     cfg.window.frames_per_message = 2;
     cfg.chaos = traffic_chaos();
-    const LossyTrafficCell base = lossy_traffic_experiment(g, w, cfg, 57, 1);
+    const TrafficCell base = traffic_experiment(g, w, 57, 1, cfg);
     EXPECT_EQ(base.unsound, 0);
     EXPECT_GT(base.delivered, 0);
     for (unsigned t : {4u, 8u})
-      EXPECT_EQ(base, lossy_traffic_experiment(g, w, cfg, 57, t))
+      EXPECT_EQ(base, traffic_experiment(g, w, 57, t, cfg))
           << "threads=" << t;
   }
 }

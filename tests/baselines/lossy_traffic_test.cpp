@@ -12,8 +12,10 @@
 
 #include "core/traffic.h"
 #include "graph/churn.h"
+#include "graph/dynamic.h"
 #include "graph/generators.h"
 #include "support/report_digest.h"
+#include "support/stormy.h"
 
 namespace uesr::baselines {
 namespace {
@@ -37,8 +39,8 @@ TEST(LossyTraffic, ZeroLossConnectedDeliversEverything) {
   const Graph g = graph::connected_gnp(8, 0.4, 21);
   const Workload w = all_pairs_workload(8);
   core::LossyTrafficConfig cfg;
-  const LossyTrafficCell cell =
-      lossy_traffic_experiment(g, w, cfg, /*seq_seed=*/7, /*threads=*/1);
+  const TrafficCell cell =
+      traffic_experiment(g, w, /*seq_seed=*/7, /*threads=*/1, cfg);
   EXPECT_EQ(cell.sessions, 56);
   EXPECT_EQ(cell.delivered, 56);
   EXPECT_EQ(cell.certified, 0);
@@ -56,8 +58,8 @@ TEST(LossyTraffic, SelectiveRepeatAtZeroLossMatchesStopAndWaitVerdicts) {
   core::LossyTrafficConfig sr = sw;
   sr.arq = core::ArqKind::kSelectiveRepeat;
   sr.window.frames_per_message = 2;
-  const LossyTrafficCell a = lossy_traffic_experiment(g, w, sw, 7, 1);
-  const LossyTrafficCell b = lossy_traffic_experiment(g, w, sr, 7, 1);
+  const TrafficCell a = traffic_experiment(g, w, 7, 1, sw);
+  const TrafficCell b = traffic_experiment(g, w, 7, 1, sr);
   // Same walks, same verdicts — the ARQ only changes the wire framing.
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.certified, b.certified);
@@ -97,8 +99,7 @@ TEST(LossyTraffic, StaticRegimeSweepsStaySound) {
       cfg.window.max_retries = 6;
       cfg.window.frames_per_message = 2;
       cfg.window.window = 2;
-      const LossyTrafficCell cell =
-          lossy_traffic_experiment(g, w, cfg, 99, 1);
+      const TrafficCell cell = traffic_experiment(g, w, 99, 1, cfg);
       EXPECT_EQ(cell.unsound, 0) << r.name;
       EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified,
                 cell.sessions)
@@ -113,7 +114,7 @@ TEST(LossyTraffic, DupOnlyNeverDegradesToUncertified) {
   const Workload w = all_pairs_workload(8);
   core::LossyTrafficConfig cfg;
   cfg.link.dup = 1.0;  // constant latency: the adaptive RTO never fires
-  const LossyTrafficCell cell = lossy_traffic_experiment(g, w, cfg, 5, 1);
+  const TrafficCell cell = traffic_experiment(g, w, 5, 1, cfg);
   EXPECT_EQ(cell.uncertified, 0);
   EXPECT_EQ(cell.unsound, 0);
   EXPECT_EQ(cell.retransmits, 0u);
@@ -131,10 +132,41 @@ TEST(LossyTraffic, ComposedLossAndChurnStaysSound) {
     cfg.arq = arq;
     cfg.window.max_retries = 5;
     cfg.window.frames_per_message = 4;
-    const LossyTrafficCell cell = lossy_traffic_experiment(
-        sc, /*epoch_period=*/64, /*max_epochs=*/12, w, cfg, 17, 1);
+    const TrafficCell cell = traffic_experiment(
+        sc, /*epoch_period=*/64, /*max_epochs=*/12, w, 17, 1, cfg);
     EXPECT_EQ(cell.sessions, 132);
     EXPECT_EQ(cell.unsound, 0);
+    EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified,
+              cell.sessions);
+  }
+}
+
+// An advance that commits no change leaves DynamicGraph::epoch() where it
+// was, so a report's completion_epoch is a stamp, not an advance count.
+// The audit must key its ground truth by that stamp: keyed by advance
+// count it checks verdicts against the wrong topology and reports dozens
+// of false unsound verdicts on this schedule.
+TEST(LossyTraffic, AuditKeysGroundTruthByEpochStamp) {
+  graph::NodeChurnScenario sc(connected_gnp(16, 0.3, 29), 0.08, 0.5, 5);
+  {
+    auto replay = sc.fresh();
+    graph::DynamicGraph dg = replay->initial();
+    for (int e = 0; e < 12; ++e) replay->advance(dg);
+    ASSERT_LT(dg.epoch(), 12u);  // some advance really committed nothing
+  }
+  const Workload w = all_pairs_workload(16);
+  for (core::ArqKind arq :
+       {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {
+    core::LossyTrafficConfig cfg;
+    cfg.link.loss = 0.1;
+    cfg.arq = arq;
+    cfg.window.window = 2;
+    cfg.window.frames_per_message = 2;
+    const TrafficCell cell = traffic_experiment(
+        sc, /*epoch_period=*/64, /*max_epochs=*/12, w, /*seq_seed=*/131, 1,
+        cfg);
+    EXPECT_EQ(cell.sessions, 240);
+    EXPECT_EQ(cell.unsound, 0) << test_support::arq_name(arq);
     EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified,
               cell.sessions);
   }
@@ -149,8 +181,8 @@ TEST(LossyTraffic, FrozenScheduleResolvesBlockedSessionsToUncertified) {
   core::LossyTrafficConfig cfg;
   cfg.link.loss = 1.0;
   cfg.window.max_retries = 2;
-  const LossyTrafficCell cell =
-      lossy_traffic_experiment(sc, 32, /*max_epochs=*/3, w, cfg, 23, 1);
+  const TrafficCell cell =
+      traffic_experiment(sc, 32, /*max_epochs=*/3, w, 23, 1, cfg);
   EXPECT_EQ(cell.sessions, 56);
   EXPECT_EQ(cell.delivered, 0);
   EXPECT_EQ(cell.certified, 0);
@@ -186,9 +218,8 @@ TEST(LossyTraffic, SelectiveRepeatBeatsWindowOnePacingAtLossTen) {
   paced.window.window = 1;
   core::LossyTrafficConfig pipelined = paced;
   pipelined.window.window = 16;
-  const LossyTrafficCell slow = lossy_traffic_experiment(g, w, paced, 7, 1);
-  const LossyTrafficCell fast =
-      lossy_traffic_experiment(g, w, pipelined, 7, 1);
+  const TrafficCell slow = traffic_experiment(g, w, 7, 1, paced);
+  const TrafficCell fast = traffic_experiment(g, w, 7, 1, pipelined);
   ASSERT_GT(slow.delivered, 0);
   ASSERT_GT(fast.delivered, 0);
   const double slow_vtime =
@@ -211,10 +242,10 @@ TEST(ThreadInvariance, LossyTrafficStatic) {
   cfg.link.latency_max = 4;
   cfg.one_sided_down = 0.05;
   cfg.window.max_retries = 6;
-  const LossyTrafficCell base = lossy_traffic_experiment(g, w, cfg, 123, 1);
+  const TrafficCell base = traffic_experiment(g, w, 123, 1, cfg);
   EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
-    EXPECT_EQ(base, lossy_traffic_experiment(g, w, cfg, 123, t))
+    EXPECT_EQ(base, traffic_experiment(g, w, 123, t, cfg))
         << "threads=" << t;
 }
 
@@ -226,11 +257,10 @@ TEST(ThreadInvariance, LossyTrafficChurn) {
   cfg.arq = core::ArqKind::kSelectiveRepeat;
   cfg.window.frames_per_message = 4;
   cfg.window.max_retries = 5;
-  const LossyTrafficCell base =
-      lossy_traffic_experiment(sc, 48, 10, w, cfg, 321, 1);
+  const TrafficCell base = traffic_experiment(sc, 48, 10, w, 321, 1, cfg);
   EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
-    EXPECT_EQ(base, lossy_traffic_experiment(sc, 48, 10, w, cfg, 321, t))
+    EXPECT_EQ(base, traffic_experiment(sc, 48, 10, w, 321, t, cfg))
         << "threads=" << t;
 }
 

@@ -198,9 +198,41 @@ TEST(TrafficExperiment, StaticCellShapeIsSane) {
   // Every session terminated with some verdict (deliveries include
   // broadcasts; 4 is disconnected from {5,6,7} and {0..3}).
   EXPECT_EQ(cell.delivered + cell.certified + cell.exhausted, 32);
-  EXPECT_GT(cell.transmissions, 0u);
+  EXPECT_GT(cell.wire_frames, 0u);
+  EXPECT_EQ(cell.unsound, 0);
   EXPECT_GE(cell.p99_tx, cell.p50_tx);
   EXPECT_GT(cell.final_clock, 0u);
+}
+
+// The audit skips broadcasts: they name no target (t == net::kNoTarget)
+// and assert no reachability.  E12's mixed torus row carries 12 of them
+// among routes and hybrids, every one audited sound.
+TEST(TrafficExperiment, MixedRowAuditSkipsBroadcasts) {
+  const Workload w = mixed_workload(25, 192, 1.5, 4096, 107);
+  int broadcasts = 0;
+  for (const core::SessionSpec& spec : w.sessions)
+    broadcasts += spec.kind == core::TrafficKind::kBroadcast;
+  ASSERT_EQ(broadcasts, 12);
+  const TrafficCell cell =
+      traffic_experiment(graph::torus(5, 5), w, 0x5eed0001, 1);
+  EXPECT_EQ(cell.sessions, 192);
+  EXPECT_EQ(cell.unsound, 0);
+  EXPECT_EQ(cell.delivered + cell.certified + cell.exhausted, 192);
+}
+
+// E12's perfect-link node-churn row: every verdict names the
+// DynamicGraph::epoch() stamp it completed in, and the audit checks it
+// against that epoch's topology.
+TEST(TrafficExperiment, ChurnOverlaidCellAuditsByEpochStamp) {
+  graph::NodeChurnScenario sc(graph::connected_gnp(32, 0.2, 29),
+                              /*p_leave=*/0.08, /*p_join=*/0.5, 109);
+  const TrafficCell cell =
+      traffic_experiment(sc, /*epoch_period=*/64, /*max_epochs=*/48,
+                         poisson_workload(32, 128, 3.0, 113), 0x5eed0001, 1);
+  EXPECT_EQ(cell.sessions, 128);
+  EXPECT_EQ(cell.delivered + cell.certified, 128);
+  EXPECT_GT(cell.restarts, 0u);
+  EXPECT_EQ(cell.unsound, 0);
 }
 
 // The E12 determinism contract for the churn-overlaid kernel.
@@ -213,6 +245,7 @@ TEST(ThreadInvariance, ChurnOverlaidTrafficExperiment) {
                          0x5eed0001, /*threads=*/1);
   EXPECT_EQ(base.sessions, 48);
   EXPECT_EQ(base.delivered + base.certified, 48);
+  EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
     EXPECT_EQ(base, traffic_experiment(sc, 48, 16, w, 0x5eed0001, t))
         << "threads=" << t;
@@ -223,6 +256,7 @@ TEST(ThreadInvariance, StaticMixedTrafficExperiment) {
   Workload w = mixed_workload(16, 96, 1.0, 256, 17);
   const TrafficCell base = traffic_experiment(g, w, 0x5eed0001, 1);
   EXPECT_EQ(base.sessions, 96);
+  EXPECT_EQ(base.unsound, 0);
   for (unsigned t : {4u, 8u})
     EXPECT_EQ(base, traffic_experiment(g, w, 0x5eed0001, t))
         << "threads=" << t;

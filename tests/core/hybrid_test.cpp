@@ -28,8 +28,7 @@ TEST(Hybrid, DeliversOnConnectedGraph) {
   baselines::RandomWalkSession prob(f.g, 0, 15, 0, 42);
   RouteSession guar(f.net, *f.seq, 0, 15);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_TRUE(r.delivered);
-  EXPECT_FALSE(r.certified_unreachable);
+  EXPECT_EQ(r.verdict(), Verdict::kDelivered);
   EXPECT_NE(r.winner, HybridWinner::kCertifiedFailure);
   EXPECT_EQ(r.total_transmissions,
             r.probabilistic_transmissions + r.guaranteed_transmissions);
@@ -42,8 +41,7 @@ TEST(Hybrid, CertifiesUnreachableTarget) {
   baselines::RandomWalkSession prob(f.g, 0, 4, 1000, 7);
   RouteSession guar(f.net, *f.seq, 0, 4);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_FALSE(r.delivered);
-  EXPECT_TRUE(r.certified_unreachable);
+  EXPECT_EQ(r.verdict(), Verdict::kCertified);
   EXPECT_EQ(r.winner, HybridWinner::kCertifiedFailure);
 }
 
@@ -53,7 +51,7 @@ TEST(Hybrid, TerminatesEvenIfProbabilisticExhausts) {
   baselines::RandomWalkSession prob(f.g, 0, 12, 3, 9);
   RouteSession guar(f.net, *f.seq, 0, 12);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_TRUE(r.delivered);  // the guaranteed walker finishes the job
+  EXPECT_EQ(r.verdict(), Verdict::kDelivered);  // the guaranteed walker finishes the job
   EXPECT_EQ(r.winner, HybridWinner::kGuaranteed);
   EXPECT_LE(r.probabilistic_transmissions, 3u);
 }
@@ -64,7 +62,7 @@ TEST(Hybrid, CostAtMostTwiceTheWinnerPlusOne) {
   baselines::RandomWalkSession prob(f.g, 0, 5, 0, 11);
   RouteSession guar(f.net, *f.seq, 0, 5);
   HybridResult r = route_hybrid(prob, guar);
-  ASSERT_TRUE(r.delivered);
+  ASSERT_EQ(r.verdict(), Verdict::kDelivered);
   std::uint64_t winner_cost =
       r.winner == HybridWinner::kProbabilistic
           ? r.probabilistic_transmissions
@@ -81,7 +79,7 @@ TEST(Hybrid, ProbabilisticUsuallyWinsOnCompleteGraph) {
     baselines::RandomWalkSession prob(f.g, 0, 11, 0, 100 + trial);
     RouteSession guar(f.net, *f.seq, 0, 11);
     HybridResult r = route_hybrid(prob, guar);
-    ASSERT_TRUE(r.delivered);
+    ASSERT_EQ(r.verdict(), Verdict::kDelivered);
     if (r.winner == HybridWinner::kProbabilistic) ++prob_wins;
   }
   EXPECT_GE(prob_wins, 15);
@@ -92,8 +90,7 @@ TEST(Hybrid, SourceEqualsTargetImmediate) {
   baselines::RandomWalkSession prob(f.g, 2, 2, 0, 1);
   RouteSession guar(f.net, *f.seq, 2, 2);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_TRUE(r.delivered);
-  EXPECT_FALSE(r.exhausted);
+  EXPECT_EQ(r.verdict(), Verdict::kDelivered);
   EXPECT_EQ(r.total_transmissions, 0u);
 }
 
@@ -111,9 +108,7 @@ TEST(Hybrid, ExhaustedTokenPlusPrefinishedSessionTerminates) {
   baselines::RandomWalkSession prob(f.g, 0, 4, /*ttl=*/8, 3);
   while (!prob.exhausted()) prob.step();
   HybridResult r = route_hybrid(prob, guar);  // pre-fix: never returns
-  EXPECT_FALSE(r.delivered);
-  EXPECT_FALSE(r.certified_unreachable);
-  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.verdict(), Verdict::kExhausted);
   EXPECT_EQ(r.winner, HybridWinner::kExhausted);
   // Neither side was stepped again: the combiner spent nothing.
   EXPECT_EQ(r.guaranteed_transmissions, guar_tx);
@@ -131,9 +126,7 @@ TEST(Hybrid, StrandedTokenOnIsolatedSourceStillCertifies) {
   baselines::RandomWalkSession prob(f.g, 0, 2, /*ttl=*/0, 17);
   RouteSession guar(f.net, *f.seq, 0, 2);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_FALSE(r.delivered);
-  EXPECT_TRUE(r.certified_unreachable);
-  EXPECT_FALSE(r.exhausted);
+  EXPECT_EQ(r.verdict(), Verdict::kCertified);
   EXPECT_EQ(r.winner, HybridWinner::kCertifiedFailure);
   EXPECT_EQ(r.probabilistic_transmissions, 0u);  // no phantom frames
 }
@@ -147,9 +140,7 @@ TEST(Hybrid, ExhaustedTokenThenCertifiedFailure) {
   baselines::RandomWalkSession prob(f.g, 0, 4, /*ttl=*/3, 5);
   RouteSession guar(f.net, *f.seq, 0, 4);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_FALSE(r.delivered);
-  EXPECT_TRUE(r.certified_unreachable);
-  EXPECT_FALSE(r.exhausted);
+  EXPECT_EQ(r.verdict(), Verdict::kCertified);
   EXPECT_LE(r.probabilistic_transmissions, 3u);
   EXPECT_EQ(r.total_transmissions,
             r.probabilistic_transmissions + r.guaranteed_transmissions);
@@ -165,7 +156,7 @@ TEST(Hybrid, PrefinishedDeliveredSessionWinsImmediately) {
   const std::uint64_t guar_tx = guar.transmissions();
   baselines::RandomWalkSession prob(f.g, 0, 8, /*ttl=*/4, 9);
   HybridResult r = route_hybrid(prob, guar);
-  EXPECT_TRUE(r.delivered);
+  EXPECT_EQ(r.verdict(), Verdict::kDelivered);
   EXPECT_EQ(r.winner, HybridWinner::kGuaranteed);
   EXPECT_EQ(r.guaranteed_transmissions, guar_tx);
   EXPECT_EQ(r.probabilistic_transmissions, 0u);
@@ -193,7 +184,7 @@ TEST(HybridSession, StepwiseMatchesOneShot) {
     last_total = total;
     ASSERT_LT(++steps, 10'000'000u);
   }
-  EXPECT_EQ(session.result().delivered, one_shot.delivered);
+  EXPECT_EQ(session.result().verdict(), one_shot.verdict());
   EXPECT_EQ(session.result().winner, one_shot.winner);
   EXPECT_EQ(session.result().total_transmissions,
             one_shot.total_transmissions);

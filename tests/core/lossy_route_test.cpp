@@ -62,23 +62,23 @@ void sweep_from(const Fixture& fx, const LossyTrafficConfig& base,
     LossyTrafficConfig options = base;
     options.net_seed = util::counter_hash(seed_salt, s * 1000 + t);
     LossyRouteSession session(fx.net, *fx.seq, s, t, options);
-    const LossyVerdict v = session.run();
+    const Verdict v = session.run();
     const bool reachable = comp[s] == comp[t];
     switch (v) {
-      case LossyVerdict::kDelivered:
+      case Verdict::kDelivered:
         EXPECT_TRUE(reachable) << "false delivery cert s=" << s << " t=" << t;
         ++tally.delivered;
         break;
-      case LossyVerdict::kFailureCertified:
+      case Verdict::kCertified:
         EXPECT_FALSE(reachable)
             << "failure cert with a live path s=" << s << " t=" << t;
         ++tally.certified;
         break;
-      case LossyVerdict::kUncertified:
+      case Verdict::kUncertified:
         ++tally.uncertified;
         break;
-      case LossyVerdict::kInProgress:
-        ADD_FAILURE() << "run() returned kInProgress";
+      default:
+        ADD_FAILURE() << "run() returned no lossy verdict";
         break;
     }
   }
@@ -112,11 +112,11 @@ TEST_P(PerfectChannelMatchesRouteSessionEverywhere, FromSource) {
     RouteSession perfect(fx.net, *fx.seq, s, t);
     while (!perfect.finished()) perfect.step();
     LossyRouteSession lossy(fx.net, *fx.seq, s, t);
-    const LossyVerdict v = lossy.run();
+    const Verdict v = lossy.run();
     if (perfect.status() == net::Status::kSuccess) {
-      EXPECT_EQ(v, LossyVerdict::kDelivered);
+      EXPECT_EQ(v, Verdict::kDelivered);
     } else {
-      EXPECT_EQ(v, LossyVerdict::kFailureCertified);
+      EXPECT_EQ(v, Verdict::kCertified);
     }
     EXPECT_EQ(lossy.hops(), perfect.transmissions());
     EXPECT_EQ(lossy.target_reached(), perfect.target_reached());
@@ -203,16 +203,16 @@ TEST(LossyRouteSoundness, OneSidedLinkRegimeNeverFalselyCertifies) {
         for (Port q = 0; q < cubic.degree(v); ++q)
           if (flips.next_below(100) < 15)
             session.sim().set_link_up(v, q, false);
-      const LossyVerdict v = session.run();
+      const Verdict v = session.run();
       const bool reachable = comp[s] == comp[t];
-      if (v == LossyVerdict::kDelivered) {
+      if (v == Verdict::kDelivered) {
         EXPECT_TRUE(reachable);
       }
-      if (v == LossyVerdict::kFailureCertified) {
+      if (v == Verdict::kCertified) {
         EXPECT_FALSE(reachable);
       }
-      uncertified += v == LossyVerdict::kUncertified;
-      verdicts += v != LossyVerdict::kUncertified;
+      uncertified += v == Verdict::kUncertified;
+      verdicts += v != Verdict::kUncertified;
     }
   }
   EXPECT_GT(uncertified, 0);  // dead directions really blocked walks
@@ -230,11 +230,11 @@ TEST(LossyRouteSession, BroadcastRunsUnderLoss) {
   options.window.max_retries = 30;
   options.window.rto_initial = 2;
   LossyRouteSession session(fx.net, *fx.seq, 0, net::kNoTarget, options);
-  const LossyVerdict v = session.run();
+  const Verdict v = session.run();
   // A completed broadcast exhausts the sequence and rewinds: that is the
   // kFailureCertified shape (status kFailure at s) — or the budget spends.
-  EXPECT_TRUE(v == LossyVerdict::kFailureCertified ||
-              v == LossyVerdict::kUncertified);
+  EXPECT_TRUE(v == Verdict::kCertified ||
+              v == Verdict::kUncertified);
 }
 
 TEST(LossyRouteSession, UncertifiedSessionsMayStillHaveDelivered) {
@@ -249,8 +249,7 @@ TEST(LossyRouteSession, UncertifiedSessionsMayStillHaveDelivered) {
     options.window.rto_initial = 4;
     options.net_seed = util::counter_hash(0x2be1, seed);
     LossyRouteSession session(fx.net, *fx.seq, 0, 5, options);
-    session.run();
-    if (session.uncertified() && session.target_reached())
+    if (session.run() == Verdict::kUncertified && session.target_reached())
       ++uncertified_but_reached;
   }
   EXPECT_GT(uncertified_but_reached, 0);
@@ -258,7 +257,7 @@ TEST(LossyRouteSession, UncertifiedSessionsMayStillHaveDelivered) {
 
 TEST(LossyRouteSession, SameSeedSameVerdictAndFrames) {
   Fixture fx(graph::connected_gnp(9, 0.4, 31));
-  LossyVerdict verdicts[2];
+  Verdict verdicts[2];
   std::uint64_t frames[2];
   for (int run = 0; run < 2; ++run) {
     LossyTrafficConfig options;
@@ -336,8 +335,8 @@ TEST(LossyRouteSelectiveRepeat, ArqStatsSurfaceRetransmissionBehaviour) {
   options.window.frames_per_message = 4;
   options.window.max_retries = 30;
   LossyRouteSession session(fx.net, *fx.seq, 0, 4, options);
-  const LossyVerdict v = session.run();
-  EXPECT_EQ(v, LossyVerdict::kDelivered);
+  const Verdict v = session.run();
+  EXPECT_EQ(v, Verdict::kDelivered);
   const ArqStats stats = session.arq_stats();
   EXPECT_GT(stats.retransmits, 0u);   // loss really forced resends
   EXPECT_GT(stats.rtt_samples, 0u);   // clean frames fed the estimator
@@ -360,11 +359,11 @@ TEST(LossyDynamicRoute, PerfectChannelDeliversAndCertifies) {
       graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}}), kSeqSeed, 3);
   LossyRouteSession ok(net.reduced, *net.seq, 0, 2, {}, net.epoch);
   ok.run();
-  EXPECT_TRUE(ok.delivered());
+  EXPECT_EQ(ok.verdict(), Verdict::kDelivered);
   EXPECT_EQ(ok.completion_epoch(), 3u);
   LossyRouteSession fail(net.reduced, *net.seq, 0, 4, {}, net.epoch);
   fail.run();
-  EXPECT_TRUE(fail.failure_certified());
+  EXPECT_EQ(fail.verdict(), Verdict::kCertified);
   EXPECT_EQ(fail.completion_epoch(), 3u);
 }
 
@@ -372,7 +371,7 @@ TEST(LossyDynamicRoute, SourceEqualsTargetIsImmediate) {
   const EpochNetwork net = epoch_network(graph::cycle(4), kSeqSeed, 2);
   LossyRouteSession sess(net.reduced, *net.seq, 2, 2, {}, net.epoch);
   EXPECT_TRUE(sess.finished());
-  EXPECT_TRUE(sess.delivered());
+  EXPECT_EQ(sess.verdict(), Verdict::kDelivered);
   EXPECT_EQ(sess.hops(), 0u);
   EXPECT_EQ(sess.completion_epoch(), 2u);
 }
@@ -387,7 +386,7 @@ TEST(LossyDynamicRoute, RestartsWhenEpochMovesMidWalk) {
   const EpochNetwork e1 = network_of(g);
   sess.restart(e1.reduced, *e1.seq, e1.epoch);
   sess.run();
-  EXPECT_TRUE(sess.delivered());
+  EXPECT_EQ(sess.verdict(), Verdict::kDelivered);
   EXPECT_EQ(sess.restarts(), 1u);
   EXPECT_EQ(sess.completion_epoch(), 1u);
 }
@@ -429,7 +428,7 @@ TEST(LossyDynamicRoute, GiveUpResolvesBlockedToUncertified) {
   sess.step();
   ASSERT_TRUE(sess.blocked());
   sess.give_up();
-  EXPECT_TRUE(sess.uncertified());
+  EXPECT_EQ(sess.verdict(), Verdict::kUncertified);
   EXPECT_TRUE(sess.finished());
 }
 
@@ -439,9 +438,9 @@ TEST(LossyDynamicRoute, GiveUpIsNoOpUnlessBlocked) {
   sess.give_up();  // in flight, not blocked: keeps stepping
   EXPECT_FALSE(sess.finished());
   sess.run();
-  EXPECT_TRUE(sess.delivered());
+  EXPECT_EQ(sess.verdict(), Verdict::kDelivered);
   sess.give_up();  // finished: still a no-op
-  EXPECT_TRUE(sess.delivered());
+  EXPECT_EQ(sess.verdict(), Verdict::kDelivered);
 }
 
 TEST(LossyDynamicRoute, ComposedLossAndChurnVerdictsMatchCompletionEpoch) {
@@ -468,18 +467,20 @@ TEST(LossyDynamicRoute, ComposedLossAndChurnVerdictsMatchCompletionEpoch) {
     ASSERT_TRUE(sess.finished());
     const bool reachable_now =
         graph::has_path(g.snapshot(), 0, 5);
-    if (sess.delivered() && sess.completion_epoch() == g.epoch()) {
-      EXPECT_TRUE(reachable_now) << "seed=" << seed;
-    }
-    if (sess.failure_certified() && sess.completion_epoch() == g.epoch()) {
-      EXPECT_FALSE(reachable_now) << "seed=" << seed;
+    if (sess.completion_epoch() == g.epoch()) {
+      if (sess.verdict() == Verdict::kDelivered) {
+        EXPECT_TRUE(reachable_now) << "seed=" << seed;
+      }
+      if (sess.verdict() == Verdict::kCertified) {
+        EXPECT_FALSE(reachable_now) << "seed=" << seed;
+      }
     }
   }
 }
 
 TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
   Fixture fx(graph::connected_gnp(8, 0.4, 43));
-  LossyVerdict verdicts[2];
+  Verdict verdicts[2];
   std::uint64_t frames[2];
   for (int run = 0; run < 2; ++run) {
     LossyTrafficConfig options;

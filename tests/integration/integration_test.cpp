@@ -78,7 +78,7 @@ TEST(Integration, HybridBeatsPureUesOnFastGraphs) {
     baselines::RandomWalkSession prob(g, 0, 9, 0, 100 + trial);
     core::RouteSession guar(red, *seq, 0, 9);
     auto h = core::route_hybrid(prob, guar);
-    ASSERT_TRUE(h.delivered);
+    ASSERT_EQ(h.verdict(), core::Verdict::kDelivered);
     hybrid_tx.add(static_cast<double>(h.total_transmissions));
     core::RouteSession pure(red, *seq, 0, 9);
     while (!pure.target_reached() && !pure.finished()) pure.step();

@@ -1,4 +1,5 @@
-// The chaos suite's fuzzer regime, shared with the lossy kernel's pins.
+// The chaos suite's fuzzer regime, shared with the lossy kernel's pins,
+// and printable ARQ names for assertion messages.
 #pragma once
 
 #include "core/lossy_route.h"
@@ -34,6 +35,12 @@ inline core::LossyTrafficConfig stormy(core::ArqKind arq) {
   chaos.brownout_max = 48;
   cfg.chaos = chaos;
   return cfg;
+}
+
+/// A printable name for `arq` (assertion messages).
+inline const char* arq_name(core::ArqKind arq) {
+  return arq == core::ArqKind::kStopAndWait ? "StopAndWait"
+                                            : "SelectiveRepeat";
 }
 
 }  // namespace uesr::test_support
